@@ -259,7 +259,10 @@ def _bench_call(kernel: str, A, backend: str):
 def cmd_bench(args) -> int:
     from . import fastpath
     kernels = args.kernels.split(",")
-    backends = args.backends.split(",")
+    if args.backends is None:
+        backends = ["exact", *fastpath.available_backends()]
+    else:
+        backends = args.backends.split(",")
     for b in backends:
         if b == "numba" and "numba" not in fastpath.available_backends():
             print("error: numba backend unavailable", file=sys.stderr)
@@ -362,8 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time kernels across backends")
     b.add_argument("--kernels", default="per-alpha-dp,permanent,hafnian")
-    b.add_argument("--backends", default="exact,numba,python",
-                   help="comma list from exact, numba, python")
+    b.add_argument("--backends", default=None,
+                   help="comma list from exact, numba, python; default: "
+                        "exact and every available float backend")
     b.add_argument("--sizes", default="6:10", help="LO:HI inclusive")
     b.add_argument("--size-step", type=int, default=2)
     b.add_argument("--reps", type=int, default=3)

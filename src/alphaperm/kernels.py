@@ -30,6 +30,27 @@ Floating per_alpha_dp, permanent, and hafnian calls are routed to the
 fastpath module. Exact inputs demand exact alpha, float inputs demand float
 alpha; anything else raises MixedModeError.
 
+Exact kernels run in an integer lane. scalars.clear_denominators scales A
+once by the common denominator L of its entries, so B = L*A has integer
+entries (Gaussian integers, kept as integer real and imaginary parts,
+for complex-rational A):
+
+  * cycle sums scale as C_B(S) = L^|S| C_A(S); cycle_sum_table keeps the
+    integers, so a table shared across alpha values is never converted;
+  * for alpha = p/q, weighting cycle S by q^(|S|-1) keeps the subset DP
+    integral, g(T) = p * sum over S of q^(|S|-1) C_B(S) g(T minus S), and
+    per_alpha(A) = g(full) / (q L)^n, one division at the end;
+  * when every C(S) is real, as for Hermitian A (each directed cycle's
+    product is the conjugate of its reverse's), a real alpha runs the DP on
+    plain ints;
+  * rational Ryser, Bareiss (whose divisions are exact on integers) and the
+    hafnian run on B and divide by L^n, L^n and L^(n/2).
+
+Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational. The
+oracle per_alpha_naive and the single-subset cycle_sum stay on the exact
+scalars, sharing nothing with the integer lane. Results are Fractions or
+GaussianRationals, never bare ints.
+
 Size caps are configuration: pass cap=... explicitly or override the
 defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
 _HAFNIAN, _ASSIGNMENTS. Exceeding a cap raises CapacityError.
@@ -38,15 +59,20 @@ _HAFNIAN, _ASSIGNMENTS. Exceeding a cap raises CapacityError.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
-
-import numpy as np
+from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError, MixedModeError
 from .matrices import Matrix, full_mask
 from .scalars import (
+    COMPLEX_RATIONAL,
     FLOAT_KINDS,
+    RATIONAL,
     as_scalar,
+    clear_denominators,
+    from_scaled,
     kind_is_complex,
     kind_is_exact,
     one_like,
@@ -188,15 +214,40 @@ def cycle_sum(A: Matrix, mask: int):
     return total
 
 
-def cycle_sum_table(A: Matrix, cap=None) -> list:
+class CycleTable(Sequence):
     """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
 
-    Entry 0 is None. The table drives per_alpha_dp and can be shared across
-    several alpha values for the same matrix.
+    Exact matrices keep the table in the integer lane: values[S] is the
+    integer L^|S| C(S), where L is the common denominator of A's entries,
+    and imag[S] its imaginary part; imag is None when every C(S) is real,
+    as it is for Hermitian A. Float matrices keep C(S) itself, with L = 1.
+    Indexing returns C(S) as a scalar of A's kind; entry 0 is None.
     """
-    n = A.n
-    _check_cap("dp", n, cap)
-    rows = A.rows
+
+    __slots__ = ("kind", "scale", "values", "imag")
+
+    def __init__(self, kind: str, scale: int, values: list, imag):
+        self.kind = kind
+        self.scale = scale
+        self.values = values
+        self.imag = imag
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, mask: int):
+        value = self.values[mask]
+        mask %= len(self.values)
+        if mask == 0 or self.kind in FLOAT_KINDS:
+            return value
+        imag = None
+        if self.kind == COMPLEX_RATIONAL:
+            imag = 0 if self.imag is None else self.imag[mask]
+        return from_scaled(self.scale ** mask.bit_count(), value, imag)
+
+
+def _walk_cycle_sums(rows, n: int) -> list:
+    """Cycle sums of a matrix of ints, floats or complex floats."""
     size = 1 << n
     C = [None] * size
     # walk[mask][v]: path weights anchor(mask) -> v over the vertex set mask,
@@ -210,7 +261,7 @@ def cycle_sum_table(A: Matrix, cap=None) -> list:
             C[mask] = rows[anchor][anchor]
             continue
         w = {}
-        closing = None
+        closing = 0
         m = mask ^ lowbit
         while m:
             vbit = m & -m
@@ -220,17 +271,129 @@ def cycle_sum_table(A: Matrix, cap=None) -> list:
             if sub == lowbit:
                 val = rows[anchor][v]
             else:
-                val = None
-                prev = walk[sub]
-                for u, pu in prev.items():
-                    t = pu * rows[u][v]
-                    val = t if val is None else val + t
+                val = 0
+                for u, pu in walk[sub].items():
+                    val += pu * rows[u][v]
             w[v] = val
-            t = val * rows[v][anchor]
-            closing = t if closing is None else closing + t
+            closing += val * rows[v][anchor]
         walk[mask] = w
         C[mask] = closing
     return C
+
+
+def _walk_cycle_sums_gaussian(re, im, n: int) -> tuple:
+    """Cycle sums of a Gaussian-integer matrix given as its real and
+    imaginary integer parts; the same walk as _walk_cycle_sums."""
+    size = 1 << n
+    Cr = [None] * size
+    Ci = [None] * size
+    walk_r = [None] * size
+    walk_i = [None] * size
+    for mask in range(1, size):
+        lowbit = mask & -mask
+        anchor = lowbit.bit_length() - 1
+        if mask == lowbit:
+            Cr[mask] = re[anchor][anchor]
+            Ci[mask] = im[anchor][anchor]
+            continue
+        wr = {}
+        wi = {}
+        cr = ci = 0
+        m = mask ^ lowbit
+        while m:
+            vbit = m & -m
+            m ^= vbit
+            v = vbit.bit_length() - 1
+            sub = mask ^ vbit
+            if sub == lowbit:
+                xr = re[anchor][v]
+                xi = im[anchor][v]
+            else:
+                xr = xi = 0
+                prev_i = walk_i[sub]
+                for u, a in walk_r[sub].items():
+                    b = prev_i[u]
+                    c = re[u][v]
+                    d = im[u][v]
+                    xr += a * c - b * d
+                    xi += a * d + b * c
+            wr[v] = xr
+            wi[v] = xi
+            c = re[v][anchor]
+            d = im[v][anchor]
+            cr += xr * c - xi * d
+            ci += xr * d + xi * c
+        walk_r[mask] = wr
+        walk_i[mask] = wi
+        Cr[mask] = cr
+        Ci[mask] = ci
+    return Cr, Ci
+
+
+def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
+    """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
+
+    Entry 0 is None. The table drives per_alpha_dp and can be shared across
+    several alpha values for the same matrix; it keeps the integer form the
+    DP runs on, so sharing it costs no conversion per alpha.
+    """
+    n = A.n
+    _check_cap("dp", n, cap)
+    if A.kind in FLOAT_KINDS:
+        return CycleTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
+    L, re, im = clear_denominators(A.rows)
+    if im is None:
+        return CycleTable(A.kind, L, _walk_cycle_sums(re, n), None)
+    values, imag = _walk_cycle_sums_gaussian(re, im, n)
+    if not any(imag[1:]):
+        imag = None
+    return CycleTable(A.kind, L, values, imag)
+
+
+def _subset_dp(w, p, n: int):
+    """g(full) for g(T) = p * sum over S subseteq T with min(T) in S of
+    w(S) g(T minus S), g(empty) = 1; w and p are ints, floats or complex."""
+    size = 1 << n
+    g = [1] * size
+    for mask in range(1, size):
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        acc = 0
+        s = rest
+        while True:
+            acc += w[lowbit | s] * g[rest ^ s]
+            if s == 0:
+                break
+            s = (s - 1) & rest
+        g[mask] = p * acc
+    return g[size - 1]
+
+
+def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int) -> tuple:
+    """_subset_dp over the Gaussian integers, as real and imaginary parts."""
+    size = 1 << n
+    gr = [1] * size
+    gi = [0] * size
+    for mask in range(1, size):
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        ar = ai = 0
+        s = rest
+        while True:
+            j = lowbit | s
+            k = rest ^ s
+            a = wr[j]
+            b = wi[j]
+            c = gr[k]
+            d = gi[k]
+            ar += a * c - b * d
+            ai += a * d + b * c
+            if s == 0:
+                break
+            s = (s - 1) & rest
+        gr[mask] = pr * ar - pi * ai
+        gi[mask] = pr * ai + pi * ar
+    return gr[size - 1], gi[size - 1]
 
 
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
@@ -249,22 +412,29 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
         value = fastpath.per_alpha_dp(A.to_numpy(), to_float_scalar(alpha))
         return value
     C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
+    if A.kind in FLOAT_KINDS:
+        return _subset_dp(C.values, alpha, n)
+    # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral, and
+    # the DP then returns (q L)^n per_alpha(A).
+    q, [[p]], p_imag = clear_denominators([[alpha]])
     size = 1 << n
-    f = [None] * size
-    f[0] = one_like(alpha)
-    for mask in range(1, size):
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        acc = None
-        s = rest
-        while True:
-            t = C[lowbit | s] * f[rest ^ s]
-            acc = t if acc is None else acc + t
-            if s == 0:
-                break
-            s = (s - 1) & rest
-        f[mask] = alpha * acc
-    return f[size - 1]
+    q_pow = [q ** k for k in range(n)]
+
+    def weigh(values):
+        if q == 1:
+            return values
+        return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                      for m in range(1, size)]
+
+    den = (q * C.scale) ** n
+    if C.imag is None and p_imag is None:
+        value = _subset_dp(weigh(C.values), p, n)
+        return from_scaled(den, value,
+                           0 if A.kind == COMPLEX_RATIONAL else None)
+    imag = C.imag if C.imag is not None else [0] * size
+    re, im = _subset_dp_gaussian(weigh(C.values), weigh(imag), p,
+                                 0 if p_imag is None else p_imag[0][0], n)
+    return from_scaled(den, re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +446,7 @@ def permanent(A: Matrix, cap=None):
 
     per(A) = (-1)^n sum over S of (-1)^{|S|} prod_i (sum_{j in S} a_ij);
     each Gray step flips one column in or out, so row sums update in O(n).
+    Rational matrices run on L*A in integers: per(L*A) = L^n per(A).
     """
     n = A.n
     _check_cap("ryser", n, cap)
@@ -284,7 +455,14 @@ def permanent(A: Matrix, cap=None):
     if A.kind in FLOAT_KINDS:
         from . import fastpath
         return fastpath.permanent(A.to_numpy())
-    rows = A.rows
+    if A.kind == RATIONAL:
+        L, rows, _ = clear_denominators(A.rows)
+        return from_scaled(L ** n, _ryser(rows, n))
+    return _ryser(A.rows, n)
+
+
+def _ryser(rows, n: int):
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
     zero = rows[0][0] - rows[0][0]
     sums = [zero] * n
     total = zero
@@ -294,14 +472,10 @@ def permanent(A: Matrix, cap=None):
         bit = 1 << j
         gray ^= bit
         if gray & bit:
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][j]
+            sums = [s + x for s, x in zip(sums, cols[j])]
         else:
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][j]
-        prod = sums[0]
-        for i in range(1, n):
-            prod = prod * sums[i]
+            sums = [s - x for s, x in zip(sums, cols[j])]
+        prod = math.prod(sums)
         # popcount(gray) flips parity once per step, so it equals k mod 2.
         if k & 1:
             total = total - prod
@@ -312,15 +486,26 @@ def permanent(A: Matrix, cap=None):
 
 def determinant(A: Matrix):
     """Determinant: fraction-free Bareiss elimination for exact kinds,
-    numpy's pivoted LU for float kinds."""
+    numpy's pivoted LU for float kinds.
+
+    Rational matrices run on L*A in integers, where every Bareiss division
+    is exact: det(L*A) = L^n det(A).
+    """
     n = A.n
     if n == 0:
         return one_of_kind(A.kind)
     if A.kind in FLOAT_KINDS:
+        import numpy as np
         value = np.linalg.det(A.to_numpy())
         return complex(value) if kind_is_complex(A.kind) else float(value)
-    m = [list(row) for row in A.rows]
-    one = one_of_kind(A.kind)
+    if A.kind == RATIONAL:
+        L, rows, _ = clear_denominators(A.rows)
+        return from_scaled(L ** n, _bareiss(rows, n, 1, operator.floordiv))
+    return _bareiss(A.rows, n, one_of_kind(A.kind), operator.truediv)
+
+
+def _bareiss(rows, n: int, one, exact_div):
+    m = [list(row) for row in rows]
     sign = 1
     prev = one
     for k in range(n - 1):
@@ -332,10 +517,14 @@ def determinant(A: Matrix):
                     break
             else:
                 return one - one
+        mk = m[k]
+        pivot = mk[k]
         for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
+                mi[j] = exact_div(mi[j] * pivot - mik * mk[j], prev)
+        prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
 
@@ -345,6 +534,7 @@ def hafnian(A: Matrix, cap=None):
 
     Recurses on the lowest unmatched index: haf(S) = sum over partners j of
     a_{i,j} * haf(S minus {i, j}), memoized on the index-set bitmask.
+    Rational matrices run on L*A in integers: haf(L*A) = L^(n/2) haf(A).
     """
     n = A.n
     _check_cap("hafnian", n, cap)
@@ -357,8 +547,14 @@ def hafnian(A: Matrix, cap=None):
     if A.kind in FLOAT_KINDS:
         from . import fastpath
         return fastpath.hafnian(A.to_numpy())
-    rows = A.rows
-    memo = {0: one_of_kind(A.kind)}
+    if A.kind == RATIONAL:
+        L, rows, _ = clear_denominators(A.rows)
+        return from_scaled(L ** (n // 2), _hafnian(rows, n, 1))
+    return _hafnian(A.rows, n, one_of_kind(A.kind))
+
+
+def _hafnian(rows, n: int, one):
+    memo = {0: one}
 
     def rec(mask: int):
         got = memo.get(mask)
@@ -378,7 +574,7 @@ def hafnian(A: Matrix, cap=None):
                 t = entry * rec(rest ^ jbit)
                 acc = t if acc is None else acc + t
         if acc is None:
-            acc = memo[0] - memo[0]
+            acc = one - one
         memo[mask] = acc
         return acc
 

@@ -25,8 +25,7 @@ import hashlib
 import io
 import random
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
@@ -41,14 +40,19 @@ from .scalars import (
     RATIONAL,
     GaussianRational,
     as_scalar,
+    clear_denominators,
     conj_scalar,
     format_scalar,
+    from_scaled,
     kind_is_complex,
     kind_is_exact,
     parse_scalar,
     scalar_kind,
     to_float_scalar,
 )
+
+if TYPE_CHECKING:  # numpy loads only where float mode needs it
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # bitmask index sets
@@ -221,6 +225,7 @@ class Matrix:
                       hermitian=self.hermitian)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         dtype = np.complex128 if kind_is_complex(self.kind) else np.float64
         a = np.empty((self.n, self.n), dtype=dtype)
         for i in range(self.n):
@@ -345,17 +350,24 @@ def random_symmetric_matrix(n: int, scale: int = 4, seed: int = 0) -> Matrix:
 
 
 def _gram(b_rows, complex_entries: bool) -> Matrix:
+    """G = B B* of exact rows, from integer dot products of L*B: one
+    Fraction per entry, over L^2."""
     n = len(b_rows)
+    L, re, im = clear_denominators(b_rows)
+    den = L * L
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = sum(
-                (b_rows[i][k] * conj_scalar(b_rows[j][k])
-                 for k in range(len(b_rows[i]))),
-                GaussianRational(0) if complex_entries else Fraction(0),
-            )
-            rows[i][j] = acc
-            rows[j][i] = conj_scalar(acc)
+            # (a + bi)(c - di) = (ac + bd) + (bc - ad)i
+            dot = sum(a * c for a, c in zip(re[i], re[j]))
+            if complex_entries:
+                dot += sum(b * d for b, d in zip(im[i], im[j]))
+                cross = (sum(b * c for b, c in zip(im[i], re[j]))
+                         - sum(a * d for a, d in zip(re[i], im[j])))
+                rows[i][j] = from_scaled(den, dot, cross)
+                rows[j][i] = from_scaled(den, dot, -cross)
+            else:
+                rows[i][j] = rows[j][i] = from_scaled(den, dot)
     if complex_entries:
         return Matrix(rows, kind=COMPLEX_RATIONAL, hermitian=True)
     return Matrix(rows, kind=RATIONAL, real_symmetric=True, hermitian=True)
@@ -392,9 +404,12 @@ def _rational_unit_vector(rng: random.Random, d: int, scale: int) -> list:
     x = (2u, 1 - |u|^2) / (1 + |u|^2) has |x| = 1 exactly.
     """
     u = [_rand_fraction(rng, scale) for _ in range(d - 1)]
-    s = sum(x * x for x in u)
-    den = 1 + s
-    return [2 * x / den for x in u] + [(1 - s) / den]
+    # with u = U / D in integers: x = (2 U D, D^2 - |U|^2) / (D^2 + |U|^2)
+    D, [U], _ = clear_denominators([u])
+    norm = sum(x * x for x in U)
+    den = D * D + norm
+    return ([from_scaled(den, 2 * D * x) for x in U]
+            + [from_scaled(den, D * D - norm)])
 
 
 def random_unit_diag_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
@@ -463,6 +478,7 @@ def certify_psd(A: Matrix, tol_factor: float = 1e-9) -> bool:
 
 
 def _pivoted_cholesky_psd(a: np.ndarray, tol_factor: float) -> bool:
+    import numpy as np
     a = np.array(a)
     n = a.shape[0]
     trace = float(np.real(np.trace(a)))

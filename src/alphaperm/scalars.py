@@ -51,8 +51,11 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Fractions are immutable, so one that is given is kept, not copied
+        object.__setattr__(self, "re", re if type(re) is Fraction
+                           else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction
+                           else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -195,7 +198,8 @@ def kind_is_complex(kind: str) -> bool:
 
 def as_scalar(x):
     """Normalize a value to a canonical scalar (ints become Fractions)."""
-    if isinstance(x, GaussianRational) or isinstance(x, (float, complex)):
+    if type(x) is Fraction or isinstance(x, (GaussianRational, float,
+                                                 complex)):
         return x
     if isinstance(x, Rational):
         return Fraction(x)
@@ -259,6 +263,46 @@ def exact_real(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     raise TypeError("exact_real needs an exact scalar, got %r" % (x,))
+
+
+# ---------------------------------------------------------------------------
+# integer scaling (the exact kernels' integer lane)
+# ---------------------------------------------------------------------------
+
+def clear_denominators(rows) -> tuple:
+    """Scale rows of exact scalars to integers by one common denominator.
+
+    Returns (L, real, imag): L is the least common multiple of every
+    denominator (both parts of a GaussianRational), real[i][j] is the
+    integer L * Re(x) and imag[i][j] the integer L * Im(x). imag is None
+    when no entry is a GaussianRational. Rows may differ in length;
+    from_scaled undoes the scaling.
+    """
+    if any(isinstance(x, GaussianRational) for row in rows for x in row):
+        real = [[x.re if isinstance(x, GaussianRational) else x for x in row]
+                for row in rows]
+        imag = [[x.im if isinstance(x, GaussianRational) else 0 for x in row]
+                for row in rows]
+        parts = (real, imag)
+    else:
+        real, imag = rows, None
+        parts = (real,)
+    L = math.lcm(*{x.denominator for part in parts
+                   for row in part for x in row})
+
+    def scale(part):
+        return [[x.numerator * (L // x.denominator) for x in row]
+                for row in part]
+
+    return L, scale(real), None if imag is None else scale(imag)
+
+
+def from_scaled(den: int, real: int, imag: int = None):
+    """The exact scalar (real + i*imag) / den: a Fraction when imag is None,
+    a GaussianRational otherwise (also when imag is 0)."""
+    if imag is None:
+        return Fraction(real, den)
+    return GaussianRational(Fraction(real, den), Fraction(imag, den))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,14 @@ class TestBench:
                                "--reps", "1")
         assert code == 0 and "backend=exact" in out
 
+    def test_default_backends_are_the_available_ones(self):
+        from alphaperm import fastpath
+        code, out, err = run_cli("bench", "--sizes", "4", "--reps", "1")
+        assert code == 0, err
+        backends = {x.split("backend=")[1].split()[0]
+                    for x in out.splitlines() if x.startswith("bench ")}
+        assert backends == {"exact", *fastpath.available_backends()}
+
     def test_unknown_kernel(self):
         code, _, err = run_cli("bench", "--kernels", "trace", "--backends",
                                "python", "--sizes", "4", "--reps", "1")
@@ -285,6 +293,22 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "10"
+
+    def test_exact_hunt_does_not_load_numpy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from alphaperm.cli import main\n"
+            "rc = main(['hunt', '--target', 'marcus', '--n', '3',\n"
+            "           '--trials', '2', '--out', sys.argv[1]])\n"
+            "assert rc == 0, rc\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "f.jsonl")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_usage_error_exit_code(self):
         out = subprocess.run(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
+from alphaperm import fastpath
 from alphaperm.kernels import (
     alpha_determinant,
     cycle_sum,
@@ -34,7 +35,11 @@ from alphaperm.matrices import (
     random_symmetric_matrix,
     submatrix,
 )
-from alphaperm.scalars import GaussianRational
+from alphaperm.scalars import (
+    GaussianRational,
+    clear_denominators,
+    from_scaled,
+)
 
 F = Fraction
 G = GaussianRational
@@ -360,3 +365,137 @@ class TestDiagonalProduct:
         A = Matrix([[F(2), F(5)], [F(7), F(3)]])
         assert diagonal_product(A) == 6
         assert diagonal_product(Matrix([], kind="rational")) == 1
+
+
+# ---------------------------------------------------------------------------
+# integer lane: property tests against the Fraction-only oracle
+# ---------------------------------------------------------------------------
+
+# large primes as denominators, so that clearing them grows L quickly
+_DENOMINATORS = (1, 2, 3, 7, 9973, 65537, 999983, 1000003, 2147483647)
+
+
+def _rationals():
+    return st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from(_DENOMINATORS))
+
+
+def _scalars(kind):
+    if kind == "rational":
+        return _rationals()
+    return st.builds(G, _rationals(), _rationals())
+
+
+@st.composite
+def exact_matrices(draw, max_n=6, kind=None, hermitian=False):
+    """Exact matrices with large coprime denominators; general ones get
+    some zero rows, Hermitian ones (real symmetric for the rational kind)
+    mirror their upper triangle."""
+    kind = kind or draw(st.sampled_from(["rational", "complex-rational"]))
+    n = draw(st.integers(0, max_n))
+    rows = [[draw(_scalars(kind)) for _ in range(n)] for _ in range(n)]
+    if hermitian:
+        for i in range(n):
+            rows[i][i] = rows[i][i] + rows[i][i].conjugate()
+            for j in range(i):
+                rows[i][j] = rows[j][i].conjugate()
+    else:
+        for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+            if i < n:
+                rows[i] = [rows[i][0] * 0] * n
+    return Matrix(rows, kind=kind, hermitian=hermitian,
+                  real_symmetric=hermitian and kind == "rational")
+
+
+def any_exact_matrices(max_n=6):
+    return st.one_of(exact_matrices(max_n),
+                     exact_matrices(max_n, hermitian=True))
+
+
+_alphas = st.one_of(
+    st.just(F(0)),
+    _rationals(),
+    st.builds(F, st.integers(-9, -1), st.integers(1, 5)),
+    st.builds(G, _rationals(), _rationals()),
+)
+
+
+def _same(got, expect):
+    assert type(got) is type(expect)
+    assert got == expect
+
+
+class TestIntegerLane:
+    @given(any_exact_matrices(), _alphas)
+    @settings(max_examples=80, deadline=None)
+    def test_dp_equals_naive(self, A, alpha):
+        _same(per_alpha_dp(A, alpha), per_alpha_naive(A, alpha))
+
+    @given(any_exact_matrices(), st.lists(_alphas, min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_table_equals_unshared(self, A, alphas):
+        table = cycle_sum_table(A)
+        for alpha in alphas:
+            _same(per_alpha_dp(A, alpha, cycle_table=table),
+                  per_alpha_dp(A, alpha))
+
+    @given(any_exact_matrices(max_n=5))
+    @settings(max_examples=40, deadline=None)
+    def test_table_entries_are_exact_cycle_sums(self, A):
+        table = cycle_sum_table(A)
+        assert len(table) == 1 << A.n
+        assert table[0] is None
+        for mask in range(1, 1 << A.n):
+            _same(table[mask], cycle_sum(A, mask))
+
+    @given(exact_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_ryser_and_bareiss_equal_naive(self, A):
+        per, det = permanent(A), determinant(A)
+        sign = -1 if A.n % 2 else 1
+        if A.n == 0:
+            # the empty product is 1 of A's kind here, of alpha's kind for
+            # per_alpha
+            assert per == det == 1
+            return
+        _same(per, per_alpha_naive(A, F(1)))
+        _same(det, sign * per_alpha_naive(A, F(-1)))
+
+    @given(exact_matrices(max_n=5, kind="rational", hermitian=True))
+    @settings(max_examples=30, deadline=None)
+    def test_hafnian_of_doubled_equals_naive_half(self, S):
+        _same(hafnian(doubled(S)), 2 ** S.n * per_alpha_naive(S, F(1, 2)))
+
+    @given(exact_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_clear_denominators_round_trip(self, A):
+        L, re, im = clear_denominators(A.rows)
+        assert isinstance(L, int) and L >= 1
+        assert (im is None) == (A.kind == "rational" or A.n == 0)
+        for i in range(A.n):
+            for j in range(A.n):
+                assert type(re[i][j]) is int
+                if im is None:
+                    assert re[i][j] == L * A.rows[i][j]
+                    _same(from_scaled(L, re[i][j]), A.rows[i][j])
+                else:
+                    assert type(im[i][j]) is int
+                    _same(from_scaled(L, re[i][j], im[i][j]), A.rows[i][j])
+        dens = [x.denominator for row in A.rows for x in row] if im is None \
+            else [p.denominator for row in A.rows for x in row
+                  for p in (x.re, x.im)]
+        assert L == math.lcm(*dens)
+
+
+class TestFloatCycleTable:
+    @pytest.mark.parametrize("kind", ["rational", "complex-rational"])
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_shared_table_matches_fastpath(self, kind, n):
+        Af = random_matrix(n, kind, scale=4, seed=n).to_float()
+        table = cycle_sum_table(Af)
+        a = 1.5 if kind == "rational" else 1.5 - 0.25j
+        expect = fastpath.per_alpha_dp(Af.to_numpy(), a)
+        got = per_alpha_dp(Af, a, cycle_table=table)
+        assert type(got) is type(expect)
+        assert got == pytest.approx(expect, rel=1e-12)
+        assert per_alpha_dp(Af, a) == expect

@@ -157,6 +157,60 @@ class TestBuilders:
             doubled(A)
 
 
+# matrix_digest of generated instances (scale 3), recorded before the Gram
+# generator moved to integer arithmetic; the instance streams must not move.
+_PINNED_DIGESTS = {
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 4, 0):
+        "aee232cd79072b548c76298a62a318a3e9de932af8e70d6a4ff38d00ba2453d7",
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 4, 1):
+        "55d7e0c5d8b2800db9433a345a2bb6e7e3f715836e75cb23413947c9f47d4abf",
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 4, 141):
+        "59349852eb9091c74475a07cea1e3a31d6f4fce8d577dcb8982e6d76ed425f80",
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 5, 0):
+        "4fd78065854b5e53d659dbda17a46b7539fabfef74bc3f8582d432c5c29bbb05",
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 5, 1):
+        "1d348665a91c60c6d1fc6470cbf32a3c312f533540d2fce7ceeca031dcff86bf",
+    ("random_unit_diag_psd", REAL_SYMMETRIC, 5, 141):
+        "e0dfd1939d42ae2a067b8d8b550694dad450abe83012776c7ffb4a7d72d96d2d",
+    ("random_unit_diag_psd", HERMITIAN, 4, 0):
+        "6ce8faccdb1f69872890eb9d823c1a7910a391d74fc25a6e7c19a4aee5744762",
+    ("random_unit_diag_psd", HERMITIAN, 4, 1):
+        "4cd26f150aa1d825e661db114aa45d24731bf4baa4434485236e7385a48041a9",
+    ("random_unit_diag_psd", HERMITIAN, 4, 141):
+        "10e15e51b3e87aa8855807152ab5d937566a061fba1b86d0bd012f853339d883",
+    ("random_unit_diag_psd", HERMITIAN, 5, 0):
+        "bd29dd642c52e624d032d1e00878eb0a45902fb74305539fd636219280c829a2",
+    ("random_unit_diag_psd", HERMITIAN, 5, 1):
+        "42b3df02939949d459d5f622965ef4892049925a22e484db8017d31429ff7db4",
+    ("random_unit_diag_psd", HERMITIAN, 5, 141):
+        "0f8ebb0ec83212becf8bd1e4de7d1caf5c9cbb80a9df607dd55b55583a51ffdc",
+    ("random_psd", REAL_SYMMETRIC, 4, 0):
+        "8f661c2bffc223dc7f24edb5dbba5bfab18fc5fca89ad54339c6c5d3e0737326",
+    ("random_psd", REAL_SYMMETRIC, 4, 1):
+        "c2550af012beba36f6dccd4f9d4e4d1975dbd809682a54f6f6017b4199d6d5e0",
+    ("random_psd", REAL_SYMMETRIC, 4, 141):
+        "ee3b538e581b962e4d4e8dae18830264ff709c100d8c47ab96000a66a16352e4",
+    ("random_psd", REAL_SYMMETRIC, 5, 0):
+        "c9171846659330f7961f2c3546340726d985b205d26bcf0030f52e89fa6a6d3d",
+    ("random_psd", REAL_SYMMETRIC, 5, 1):
+        "280c9ac62d2a95de3694ba92ba3ba88f1e814aad635098149cab42cc5f0aef08",
+    ("random_psd", REAL_SYMMETRIC, 5, 141):
+        "fc8f018523fcd7f39d30ee8ce54dc2a95d39c611b20e88a35733beca59c11cc0",
+    ("random_psd", HERMITIAN, 4, 0):
+        "4a8188085ccccedfee16f8dbb992513ad82747109777c40633f632e743c33c6e",
+    ("random_psd", HERMITIAN, 4, 1):
+        "5f5af4fd144a989de5a1b9fb74eddbce36b3d6bf5caa6762ec42544a7a5566bb",
+    ("random_psd", HERMITIAN, 4, 141):
+        "ea50385c2f75f7b93993f86337e1989dc52fda0ae33209f8183ed55d41b67672",
+    ("random_psd", HERMITIAN, 5, 0):
+        "c7579b33491c55c8653a8342471b50a3a1453dc4363c9b74cae2ec889ab30e08",
+    ("random_psd", HERMITIAN, 5, 1):
+        "a7f15f27b4651b852a13a0c533c568ca410bb395691de67b56ba200109bbeab6",
+    ("random_psd", HERMITIAN, 5, 141):
+        "471ed4e4112dec379ec805d564ae227b1cf508fd85738ea3f35fd6f98bfb74f3",
+}
+
+
 class TestGenerators:
     def test_random_matrix_determinism(self):
         A = random_matrix(4, "rational", scale=3, seed=11)
@@ -181,6 +235,20 @@ class TestGenerators:
             H = random_unit_diag_psd(4, HERMITIAN, 3, seed=seed)
             assert all(d == G(1) for d in H.diagonal())
             assert certify_psd(H)
+
+    @pytest.mark.parametrize("key", sorted(_PINNED_DIGESTS, key=str))
+    def test_instance_streams_pinned(self, key):
+        gen = {"random_unit_diag_psd": random_unit_diag_psd,
+               "random_psd": random_psd}[key[0]]
+        A = gen(key[2], key[1], 3, key[3])
+        assert matrix_digest(A) == _PINNED_DIGESTS[key]
+
+    @pytest.mark.parametrize("kind", [REAL_SYMMETRIC, HERMITIAN])
+    def test_unit_diag_psd_n1(self, kind):
+        A = random_unit_diag_psd(1, kind, 3, seed=0)
+        assert A.kind == ("rational" if kind == REAL_SYMMETRIC
+                          else "complex-rational")
+        assert A.diagonal() == (1,)
 
     def test_certify_psd_rejects_indefinite(self):
         A = Matrix([[F(1), F(2)], [F(2), F(1)]], real_symmetric=True)
