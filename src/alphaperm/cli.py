@@ -2,7 +2,7 @@
 
 Subcommands: compute (one quantity on one matrix), gen (random exactly-PSD
 instances), check (identity and inequality suites), hunt (counterexample
-search), bench (kernel timings across backends).
+search), bench (kernel timings in the exact and float lanes).
 
 Exit codes: 0 success or no violation, 1 a verified violation was found,
 2 usage error, 3 malformed or unsuitable input, 4 capacity cap exceeded.
@@ -240,32 +240,27 @@ def _bench_instance(kernel: str, n: int):
     return random_symmetric_matrix(n, scale=3, seed=99)
 
 
+BENCH_BACKENDS = ("exact", "float")
+
+
 def _bench_call(kernel: str, A, backend: str):
-    from . import fastpath
     if backend == "exact":
-        if kernel == "per-alpha-dp":
-            return lambda: per_alpha_dp(A, Fraction(3, 2))
-        if kernel == "permanent":
-            return lambda: permanent(A)
-        return lambda: hafnian(A)
-    a = A.to_numpy()
+        alpha = Fraction(3, 2)
+    else:
+        A, alpha = A.to_float(), 1.5
     if kernel == "per-alpha-dp":
-        return lambda: fastpath.per_alpha_dp(a, 1.5, backend=backend)
+        return lambda: per_alpha_dp(A, alpha)
     if kernel == "permanent":
-        return lambda: fastpath.permanent(a, backend=backend)
-    return lambda: fastpath.hafnian(a, backend=backend)
+        return lambda: permanent(A)
+    return lambda: hafnian(A)
 
 
 def cmd_bench(args) -> int:
-    from . import fastpath
     kernels = args.kernels.split(",")
-    if args.backends is None:
-        backends = ["exact", *fastpath.available_backends()]
-    else:
-        backends = args.backends.split(",")
+    backends = args.backends.split(",")
     for b in backends:
-        if b == "numba" and "numba" not in fastpath.available_backends():
-            print("error: numba backend unavailable", file=sys.stderr)
+        if b not in BENCH_BACKENDS:
+            print("error: unknown backend %r" % b, file=sys.stderr)
             return 2
     lo, hi = args.sizes.split(":") if ":" in args.sizes else (args.sizes,
                                                               args.sizes)
@@ -278,7 +273,7 @@ def cmd_bench(args) -> int:
             A = _bench_instance(kernel, n)
             for backend in backends:
                 call = _bench_call(kernel, A, backend)
-                call()  # warm-up (and jit compile)
+                call()  # warm-up
                 best = None
                 for _ in range(args.reps):
                     t0 = time.perf_counter()
@@ -363,11 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--out", default="hunt-findings.jsonl")
     h.set_defaults(func=cmd_hunt)
 
-    b = sub.add_parser("bench", help="time kernels across backends")
+    b = sub.add_parser("bench", help="time kernels in the exact and float "
+                                      "lanes")
     b.add_argument("--kernels", default="per-alpha-dp,permanent,hafnian")
-    b.add_argument("--backends", default=None,
-                   help="comma list from exact, numba, python; default: "
-                        "exact and every available float backend")
+    b.add_argument("--backends", default=",".join(BENCH_BACKENDS),
+                   help="comma list from exact, float")
     b.add_argument("--sizes", default="6:10", help="LO:HI inclusive")
     b.add_argument("--size-step", type=int, default=2)
     b.add_argument("--reps", type=int, default=3)

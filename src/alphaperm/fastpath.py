@@ -1,203 +1,37 @@
-"""Float-mode kernels on numpy arrays: numba-jitted with a Python fallback.
+"""Float-mode kernels on numpy arrays.
 
-Each kernel has one loop-level implementation; it is compiled with
-numba.njit when numba is importable and the environment variable
-ALPHAPERM_NO_NUMBA is unset, and run as plain Python otherwise. The bodies
-avoid int.bit_count / bit_length so the same source works both ways.
-
-active_backend() reports which variant the module-level wrappers dispatch
-to; get_kernel(name, backend) fetches a specific variant (the bench
-subcommand times both in one process).
+Each function takes a square 2-d array, turns it into a float or
+complex-float Matrix and calls the kernel of the same name in kernels, so
+an array gets exactly the value its float Matrix gets. The package itself
+does not use this module.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "ALPHAPERM_NO_NUMBA"
+from . import kernels
+from .matrices import Matrix
+from .scalars import COMPLEX_FLOAT, FLOAT
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-else:
-    _njit = None
-
-
-def _per_alpha_dp_body(a, alpha):
-    n = a.shape[0]
-    size = 1 << n
-    walk = np.zeros((size, n), dtype=a.dtype)
-    C = np.zeros(size, dtype=a.dtype)
-    for mask in range(1, size):
-        anchor = 0
-        while not (mask >> anchor) & 1:
-            anchor += 1
-        lowbit = 1 << anchor
-        if mask == lowbit:
-            C[mask] = a[anchor, anchor]
-            continue
-        for v in range(anchor + 1, n):
-            vbit = 1 << v
-            if not mask & vbit:
-                continue
-            sub = mask ^ vbit
-            if sub == lowbit:
-                w = a[anchor, v]
-            else:
-                w = a[0, 0] - a[0, 0]
-                for u in range(anchor + 1, n):
-                    if (sub >> u) & 1:
-                        w += walk[sub, u] * a[u, v]
-            walk[mask, v] = w
-            C[mask] += w * a[v, anchor]
-    f = np.zeros(size, dtype=a.dtype)
-    f[0] = 1
-    for mask in range(1, size):
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        s = rest
-        while True:
-            f[mask] += C[lowbit | s] * f[rest ^ s]
-            if s == 0:
-                break
-            s = (s - 1) & rest
-        f[mask] *= alpha
-    return f[size - 1]
-
-
-def _permanent_body(a):
-    n = a.shape[0]
-    sums = np.zeros(n, dtype=a.dtype)
-    total = a[0, 0] - a[0, 0]
-    gray = 0
-    for k in range(1, 1 << n):
-        j = 0
-        while not (k >> j) & 1:
-            j += 1
-        bit = 1 << j
-        gray ^= bit
-        if gray & bit:
-            for i in range(n):
-                sums[i] += a[i, j]
-        else:
-            for i in range(n):
-                sums[i] -= a[i, j]
-        prod = sums[0]
-        for i in range(1, n):
-            prod = prod * sums[i]
-        if k & 1:
-            total -= prod
-        else:
-            total += prod
-    if n % 2:
-        total = -total
-    return total
-
-
-def _hafnian_body(a):
-    dim = a.shape[0]
-    size = 1 << dim
-    haf = np.zeros(size, dtype=a.dtype)
-    haf[0] = 1
-    for mask in range(3, size):
-        pc = 0
-        first = -1
-        for b in range(dim):
-            if (mask >> b) & 1:
-                pc += 1
-                if first < 0:
-                    first = b
-        if pc & 1:
-            continue
-        rest = mask ^ (1 << first)
-        acc = a[0, 0] - a[0, 0]
-        for j in range(first + 1, dim):
-            if (rest >> j) & 1:
-                acc += a[first, j] * haf[rest ^ (1 << j)]
-        haf[mask] = acc
-    return haf[size - 1]
-
-
-_BODIES = {
-    "per-alpha-dp": _per_alpha_dp_body,
-    "permanent": _permanent_body,
-    "hafnian": _hafnian_body,
-}
-
-_PYTHON = dict(_BODIES)
-_NUMBA = (
-    {name: _njit(cache=True)(fn) for name, fn in _BODIES.items()}
-    if _njit is not None
-    else None
-)
-
-
-def available_backends() -> tuple:
-    return ("python",) if _NUMBA is None else ("python", "numba")
-
-
-def active_backend() -> str:
-    return "python" if _NUMBA is None else "numba"
-
-
-def get_kernel(name: str, backend: str = None):
-    if name not in _PYTHON:
-        raise ValueError("unknown kernel %r" % (name,))
-    if backend is None:
-        backend = active_backend()
-    if backend == "python":
-        return _PYTHON[name]
-    if backend == "numba":
-        if _NUMBA is None:
-            raise RuntimeError(
-                "numba backend unavailable (not installed or %s set)" % _ENV_FLAG
-            )
-        return _NUMBA[name]
-    raise ValueError("unknown backend %r" % (backend,))
-
-
-def _as_array(a) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _as_matrix(a) -> Matrix:
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square 2-d array")
-    if a.dtype not in (np.float64, np.complex128):
-        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-    return a
-
-
-def per_alpha_dp(a, alpha, backend: str = None):
-    a = _as_array(a)
-    if a.shape[0] == 0:
-        return complex(alpha) ** 0 if np.iscomplexobj(a) else 1.0
     if np.iscomplexobj(a):
-        alpha = complex(alpha)
-        value = get_kernel("per-alpha-dp", backend)(a, alpha)
-        return complex(value)
-    return float(get_kernel("per-alpha-dp", backend)(a, float(alpha)))
+        return Matrix(a.astype(np.complex128).tolist(), kind=COMPLEX_FLOAT)
+    return Matrix(a.astype(np.float64).tolist(), kind=FLOAT)
 
 
-def permanent(a, backend: str = None):
-    a = _as_array(a)
-    if a.shape[0] == 0:
-        return 1.0
-    value = get_kernel("permanent", backend)(a)
-    return complex(value) if np.iscomplexobj(a) else float(value)
+def per_alpha_dp(a, alpha):
+    alpha = complex(alpha) if isinstance(alpha, complex) else float(alpha)
+    return kernels.per_alpha_dp(_as_matrix(a), alpha)
 
 
-def hafnian(a, backend: str = None):
-    a = _as_array(a)
-    if a.shape[0] == 0:
-        return 1.0
-    if a.shape[0] % 2:
-        raise ValueError("hafnian needs even dimension")
-    value = get_kernel("hafnian", backend)(a)
-    return complex(value) if np.iscomplexobj(a) else float(value)
+def permanent(a):
+    return kernels.permanent(_as_matrix(a))
+
+
+def hafnian(a):
+    return kernels.hafnian(_as_matrix(a))

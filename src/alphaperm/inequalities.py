@@ -1,7 +1,7 @@
 """Positivity and block inequalities for PSD matrices, plus a counterexample hunter.
 
 Every check produces ComparisonResult records with exact slacks (float mode
-gets a tolerance band instead). The hunter samples random exactly-PSD
+gets a relative tolerance band instead). The hunter samples random exactly-PSD
 instances, evaluates a target family, and never reports a violation unless
 per_alpha_naive, an algorithm sharing no code with the fast kernels,
 reproduces it; a disagreement between the two kernels raises OracleMismatch
@@ -132,9 +132,11 @@ def compare(name, lhs, rhs, direction=">=", tol=0.0, hypothesis=None) -> Compari
         verdict = EQUALITY if slack == 0 else (HOLDS if slack > 0 else VIOLATED)
         return ComparisonResult(name, lhs, rhs, direction, slack, verdict,
                                 "exact", 0.0, hypothesis)
+    # values grow like n! max|a|^n, so the band scales with them
+    band = tol * (1.0 + max(abs(lhs), abs(rhs)))
     verdict = (
-        EQUALITY if abs(slack) <= tol
-        else (HOLDS if slack > tol else VIOLATED)
+        EQUALITY if abs(slack) <= band
+        else (HOLDS if slack > band else VIOLATED)
     )
     return ComparisonResult(name, lhs, rhs, direction, slack, verdict,
                             "float", tol, hypothesis)
@@ -207,7 +209,7 @@ def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0) -> list:
     hyp = binomials_nonnegative(alpha, n)
     low, high = split_masks(n, m)
     Ap, App = submatrix(A, low), submatrix(A, high)
-    table = cycle_sum_table(A) if kind_is_exact(A.kind) else None
+    table = cycle_sum_table(A)
     per_a = per_alpha_dp(A, alpha, cycle_table=table)
     per_na = per_alpha_dp(A, -alpha, cycle_table=table)
     sign_n = -1 if n % 2 else 1
@@ -249,7 +251,7 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
-    table = cycle_sum_table(A) if kind_is_exact(A.kind) else None
+    table = cycle_sum_table(A)
     diag = diagonal_product(A)
     mid = alpha ** n * diag
     per_a = per_alpha_dp(A, alpha, cycle_table=table)

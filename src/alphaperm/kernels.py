@@ -26,9 +26,11 @@ matchings of the index set, the product of matched entries; the diagonal is
 ignored. haf of the empty matrix is 1.
 
 All kernels accept exact (Fraction / GaussianRational) and float matrices.
-Floating per_alpha_dp, permanent, and hafnian calls are routed to the
-fastpath module. Exact inputs demand exact alpha, float inputs demand float
-alpha; anything else raises MixedModeError.
+Float matrices run on the same cycle-sum, subset-DP, Ryser and hafnian loops
+as the integer lane below, on Python floats and complex numbers; only the
+float determinant uses numpy (pivoted LU). Exact inputs demand exact alpha,
+float inputs demand float alpha; anything else raises MixedModeError. The
+result is complex when A or alpha is, for every n including 0.
 
 Exact kernels run in an integer lane. scalars.clear_denominators scales A
 once by the common denominator L of its entries, so B = L*A has integer
@@ -78,7 +80,6 @@ from .scalars import (
     one_like,
     one_of_kind,
     scalar_kind,
-    to_float_scalar,
 )
 
 DEFAULT_CAPS = {
@@ -121,6 +122,11 @@ def require_alpha_kind(A: Matrix, alpha):
     return alpha
 
 
+def _empty_per_alpha(A: Matrix, alpha):
+    """per_alpha of the empty matrix: 1, complex when A or alpha is."""
+    return one_of_kind(A.kind) if kind_is_complex(A.kind) else one_like(alpha)
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def per_alpha_naive(A: Matrix, alpha, cap=None):
     n = A.n
     _check_cap("naive", n, cap)
     if n == 0:
-        return one_like(alpha)
+        return _empty_per_alpha(A, alpha)
     rows = A.rows
     total = (alpha - alpha) * one_of_kind(A.kind)
     for pi in itertools.permutations(range(n)):
@@ -406,11 +412,7 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     n = A.n
     _check_cap("dp", n, cap)
     if n == 0:
-        return one_like(alpha)
-    if A.kind in FLOAT_KINDS and cycle_table is None:
-        from . import fastpath
-        value = fastpath.per_alpha_dp(A.to_numpy(), to_float_scalar(alpha))
-        return value
+        return _empty_per_alpha(A, alpha)
     C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
     if A.kind in FLOAT_KINDS:
         return _subset_dp(C.values, alpha, n)
@@ -452,9 +454,6 @@ def permanent(A: Matrix, cap=None):
     _check_cap("ryser", n, cap)
     if n == 0:
         return one_of_kind(A.kind)
-    if A.kind in FLOAT_KINDS:
-        from . import fastpath
-        return fastpath.permanent(A.to_numpy())
     if A.kind == RATIONAL:
         L, rows, _ = clear_denominators(A.rows)
         return from_scaled(L ** n, _ryser(rows, n))
@@ -544,9 +543,6 @@ def hafnian(A: Matrix, cap=None):
         raise DomainError("hafnian needs a symmetric matrix")
     if n == 0:
         return one_of_kind(A.kind)
-    if A.kind in FLOAT_KINDS:
-        from . import fastpath
-        return fastpath.hafnian(A.to_numpy())
     if A.kind == RATIONAL:
         L, rows, _ = clear_denominators(A.rows)
         return from_scaled(L ** (n // 2), _hafnian(rows, n, 1))

@@ -19,6 +19,7 @@ from alphaperm.matrices import (
     random_unit_diag_psd,
     write_matrix,
 )
+from alphaperm.scalars import parse_scalar, to_float_scalar
 
 F = Fraction
 
@@ -77,6 +78,17 @@ class TestCompute:
                                plain_file)
         assert code == 0
         assert float(out.strip()) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("quantity", ["per-alpha", "det-alpha"])
+    def test_float_mode_complex_alpha_real_matrix(self, plain_file, quantity):
+        args = ("compute", quantity, "--alpha", "1/2+1/3i", plain_file)
+        code, exact, _ = run_cli(*args)
+        assert code == 0
+        code, out, err = run_cli(*args, "--mode", "float")
+        assert code == 0, err
+        expect = to_float_scalar(parse_scalar(exact.strip(),
+                                              "complex-rational"))
+        assert complex(out.strip()) == pytest.approx(expect, rel=1e-12)
 
     def test_missing_alpha_is_usage_error(self, plain_file):
         code, _, err = run_cli("compute", "per-alpha", plain_file)
@@ -226,14 +238,14 @@ class TestHunt:
 
 
 class TestBench:
-    def test_runs_python_backend(self):
+    def test_runs_float_backend(self):
         code, out, _ = run_cli("bench", "--kernels", "permanent",
-                               "--backends", "python", "--sizes", "4:6",
+                               "--backends", "float", "--sizes", "4:6",
                                "--size-step", "2", "--reps", "1")
         assert code == 0
         lines = [x for x in out.splitlines() if x.startswith("bench ")]
         assert len(lines) == 2
-        assert "kernel=permanent backend=python n=4" in lines[0]
+        assert "kernel=permanent backend=float n=4" in lines[0]
 
     def test_exact_backend(self):
         code, out, _ = run_cli("bench", "--kernels", "per-alpha-dp",
@@ -242,17 +254,23 @@ class TestBench:
         assert code == 0 and "backend=exact" in out
 
     def test_default_backends_are_the_available_ones(self):
-        from alphaperm import fastpath
         code, out, err = run_cli("bench", "--sizes", "4", "--reps", "1")
         assert code == 0, err
         backends = {x.split("backend=")[1].split()[0]
                     for x in out.splitlines() if x.startswith("bench ")}
-        assert backends == {"exact", *fastpath.available_backends()}
+        assert backends == {"exact", "float"}
 
     def test_unknown_kernel(self):
         code, _, err = run_cli("bench", "--kernels", "trace", "--backends",
-                               "python", "--sizes", "4", "--reps", "1")
+                               "float", "--sizes", "4", "--reps", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("backend", ["fortran", "python"])
+    def test_unknown_backend(self, backend):
+        code, out, err = run_cli("bench", "--backends", "exact," + backend,
+                                 "--sizes", "4", "--reps", "1")
+        assert code == 2 and out == ""
+        assert "error: unknown backend" in err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -294,17 +312,22 @@ class TestEntryPoint:
         assert out.returncode == 0
         assert out.stdout.strip() == "10"
 
-    def test_exact_hunt_does_not_load_numpy(self, tmp_path):
+    def test_exact_hunt_does_not_load_numpy(self, psd_file, tmp_path):
+        # float per, per-alpha and haf run on the generic kernels too
         code = (
             "import sys\n"
             "from alphaperm.cli import main\n"
             "rc = main(['hunt', '--target', 'marcus', '--n', '3',\n"
             "           '--trials', '2', '--out', sys.argv[1]])\n"
             "assert rc == 0, rc\n"
+            "for q in ('per', 'per-alpha', 'haf'):\n"
+            "    rc = main(['compute', q, '--alpha', '3/2', '--mode',\n"
+            "               'float', sys.argv[2]])\n"
+            "    assert rc == 0, (q, rc)\n"
             "print('numpy' in sys.modules)\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "f.jsonl")],
+            [sys.executable, "-c", code, str(tmp_path / "f.jsonl"), psd_file],
             capture_output=True, text=True, env=child_env(),
         )
         assert out.returncode == 0, out.stderr

@@ -67,6 +67,16 @@ class TestCompare:
         assert compare("x", 1.0, 1.1, ">=", tol=1e-9).verdict == VIOLATED
         assert compare("x", 1.1, 1.0, ">=", tol=1e-9).verdict == HOLDS
 
+    def test_float_band_is_relative(self):
+        # exact equalities on a large diagonal; in floats both sides round
+        # to about 7.1e19, and their difference is thousands, not zero
+        D = Matrix([[F(20001, 3) if i == j else F(0) for j in range(5)]
+                    for i in range(5)], real_symmetric=True)
+        assert all(r.verdict == EQUALITY for r in check_marcus(D, F(7, 5)))
+        rs = check_marcus(D.to_float(), 1.4, tol=1e-9)
+        assert rs[1].name == "marcus-lower" and rs[1].slack < -1000
+        assert [r.verdict for r in rs] == [EQUALITY] * 3
+
     def test_complex_float_small_imag(self):
         r = compare("x", 2 + 1e-14j, 1 + 0j, ">=", tol=1e-9)
         assert r.verdict == HOLDS
