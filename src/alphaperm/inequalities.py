@@ -34,6 +34,12 @@ Shape averages: for a partition shape of n and sign s in {+1, -1},
 
 where per_{+1} is the permanent and per_{-1}(B) = (-1)^{dim B} det(B).
 check_majorization_step compares p on shapes related by merging two parts.
+
+Blocks come from principal-minor tables (kernels.per_alpha_minors), one
+subset DP per alpha for all of A's index sets: check_lieb_type reads both
+blocks of every split from lieb_type_minors, and p_shape reads every block
+from sign_minors. check_lieb, check_fischer and the oracle _naive_slack
+keep computing each block on its own.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .kernels import (
     diagonal_product,
     hafnian,
     per_alpha_dp,
+    per_alpha_minors,
     per_alpha_naive,
     permanent,
 )
@@ -61,6 +68,7 @@ from .matrices import (
     Matrix,
     doubled,
     dumps_matrix,
+    full_mask,
     loads_matrix,
     matrix_digest,
     random_psd,
@@ -201,32 +209,48 @@ def _is_real_kind(A: Matrix) -> bool:
     return A.kind in ("rational", "float")
 
 
-def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0) -> list:
+def lieb_type_minors(A: Matrix, alpha, cycle_table=None) -> tuple:
+    """What check_lieb_type reads at every split of A, from one cycle table:
+    the principal-minor tables of per_alpha and per_{-alpha}, and
+    per_{alpha/2}(A) on real matrices (None otherwise).
+
+    cycle_table, if given, must be cycle_sum_table(A).
+    """
+    alpha = _real_alpha(alpha)
+    pos = per_alpha_minors(A, alpha, cycle_table=cycle_table)
+    table = pos.cycle_table
+    half = (per_alpha_dp(A, alpha / 2, cycle_table=table)
+            if _is_real_kind(A) else None)
+    return pos, per_alpha_minors(A, -alpha, cycle_table=table), half
+
+
+def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0, minors=None) -> list:
     """The three block families at a given alpha and split; four results
-    on real matrices (half-scaled needs real entries)."""
+    on real matrices (half-scaled needs real entries).
+
+    minors, if given, must be lieb_type_minors(A, alpha); pass it to check
+    every split of A from one set of tables.
+    """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     low, high = split_masks(n, m)
-    Ap, App = submatrix(A, low), submatrix(A, high)
-    table = cycle_sum_table(A)
-    per_a = per_alpha_dp(A, alpha, cycle_table=table)
-    per_na = per_alpha_dp(A, -alpha, cycle_table=table)
+    if minors is None:
+        minors = lieb_type_minors(A, alpha)
+    pos, neg, half = minors
+    per_a = pos[full_mask(n)]
+    per_na = neg[full_mask(n)]
     sign_n = -1 if n % 2 else 1
     sign_m = -1 if m % 2 else 1
     sign_nm = -1 if (n - m) % 2 else 1
     out = [
-        compare("lieb-alpha", per_a,
-                per_alpha_dp(Ap, alpha) * per_alpha_dp(App, alpha),
-                ">=", tol, hyp),
+        compare("lieb-alpha", per_a, pos[low] * pos[high], ">=", tol, hyp),
         compare("neg-nonneg", sign_n * per_na, 0, ">=", tol, hyp),
         compare("neg-block", sign_n * per_na,
-                (sign_m * per_alpha_dp(Ap, -alpha))
-                * (sign_nm * per_alpha_dp(App, -alpha)),
+                (sign_m * neg[low]) * (sign_nm * neg[high]),
                 "<=", tol, hyp),
     ]
-    if _is_real_kind(A):
-        half = per_alpha_dp(A, alpha / 2, cycle_table=table)
+    if half is not None:
         scaled = per_a * (Fraction(1, 2 ** n) if kind_is_exact(A.kind)
                           else 0.5 ** n)
         out.append(compare("half-scaled", half, scaled, ">=", tol, hyp))
@@ -243,15 +267,18 @@ def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
                    ">=", tol, hyp)
 
 
-def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
+def check_marcus(A: Matrix, alpha, tol=0.0, cycle_table=None) -> list:
     """Diagonal chain per_a(A) >= a^n prod a_ii >= (-1)^n per_{-a}(A),
-    plus the half-strength lower bound on real matrices."""
+    plus the half-strength lower bound on real matrices.
+
+    cycle_table, if given, must be cycle_sum_table(A).
+    """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
-    table = cycle_sum_table(A)
+    table = cycle_table if cycle_table is not None else cycle_sum_table(A)
     diag = diagonal_product(A)
     mid = alpha ** n * diag
     per_a = per_alpha_dp(A, alpha, cycle_table=table)
@@ -272,24 +299,32 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
 # shape averages and majorization steps
 # ---------------------------------------------------------------------------
 
-def p_shape(A: Matrix, shape, sign: int, tol=0.0):
+def sign_minors(A: Matrix, sign: int, cycle_table=None):
+    """per_{sign}(A[T]) for every index set T, from one subset DP:
+    permanents for sign +1, (-1)^|T| det(A[T]) for sign -1."""
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
+    alpha = Fraction(sign) if kind_is_exact(A.kind) else float(sign)
+    return per_alpha_minors(A, alpha, cycle_table=cycle_table)
+
+
+def p_shape(A: Matrix, shape, sign: int, tol=0.0, minors=None):
     """Average over set partitions with the given shape of the product of
-    per_{sign} over blocks (sign +1: permanents; sign -1: signed dets)."""
+    per_{sign} over blocks (sign +1: permanents; sign -1: signed dets).
+
+    minors, if given, must be sign_minors(A, sign).
+    """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     n = A.n
     count = shape_partition_count(n, shape)
+    if minors is None:
+        minors = sign_minors(A, sign)
     total = None
     for part in enumerate_shape_partitions(n, shape):
         prod = None
         for mask in part.blocks:
-            B = submatrix(A, mask)
-            if sign == 1:
-                v = permanent(B)
-            else:
-                v = determinant(B)
-                if B.n % 2:
-                    v = -v
+            v = minors[mask]
             prod = v if prod is None else prod * v
         total = prod if total is None else total + prod
     return _real_value(total, tol) / count
@@ -310,13 +345,16 @@ def _merge_of(lam, mu):
     return merged == parts[0] + parts[1]
 
 
-def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0) -> ComparisonResult:
+def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
+                            minors=None) -> ComparisonResult:
     """Compare p(lam) against p(mu) when lam merges two parts of mu.
 
-    Permanent averages go up under merging; signed determinant averages
-    satisfy the reversed unsigned inequality, so the signed direction is
-    >= when (-1)^n = +... concretely: >= for sign +1, and for sign -1 it is
-    >= at odd n and <= at even n.
+    Permanent averages go up under merging, so sign +1 compares with >=.
+    Unsigned determinant averages go down (Fischer), and since the block
+    sizes sum to n, p_-(shape) is (-1)^n times the unsigned average: sign -1
+    compares with <= at even n and with >= at odd n.
+
+    minors, if given, must be sign_minors(A, sign); both shapes read it.
     """
     lam = tuple(sorted(lam, reverse=True))
     mu = tuple(sorted(mu, reverse=True))
@@ -332,8 +370,10 @@ def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0) -> Compariso
         ".".join(str(x) for x in lam),
         ".".join(str(x) for x in mu),
     )
-    return compare(name, p_shape(A, lam, sign, tol), p_shape(A, mu, sign, tol),
-                   direction, tol)
+    if minors is None:
+        minors = sign_minors(A, sign)
+    return compare(name, p_shape(A, lam, sign, tol, minors),
+                   p_shape(A, mu, sign, tol, minors), direction, tol)
 
 
 def merge_pairs(n: int) -> list:
@@ -409,25 +449,32 @@ class Finding:
         return cls(**json.loads(line))
 
 
+_SPLIT_NAMES = ("lieb", "fischer", "lieb-alpha", "neg-nonneg", "neg-block",
+                "half-scaled")
+
+
 def evaluate_comparison(name: str, A: Matrix, alpha, split) -> ComparisonResult:
-    """Recompute a named comparison with the fast kernels."""
+    """Recompute a named comparison with the fast kernels.
+
+    split is the block split m of the split-indexed comparisons and None
+    for the rest; neg-nonneg without a split is check_neg_positivity.
+    """
+    if name == "neg-nonneg" and split is None:
+        return check_neg_positivity(A, alpha)
+    if name in _SPLIT_NAMES and not isinstance(split, int):
+        raise DomainError("comparison %r needs an integer split, got %r"
+                          % (name, split))
     if name == "lieb":
         return check_lieb(A, split)
     if name == "fischer":
         return check_fischer(A, split)
     if name == "haf-per":
         return check_haf_per(A)
-    if name in ("lieb-alpha", "neg-block", "half-scaled"):
+    if name in _SPLIT_NAMES:
         for r in check_lieb_type(A, split, alpha):
             if r.name == name:
                 return r
         raise DomainError("comparison %r not produced for this matrix" % name)
-    if name == "neg-nonneg":
-        if split is None:
-            return check_neg_positivity(A, alpha)
-        for r in check_lieb_type(A, split, alpha):
-            if r.name == name:
-                return r
     if name.startswith("marcus-"):
         for r in check_marcus(A, alpha):
             if r.name == name:
@@ -577,9 +624,15 @@ def _needs_alpha(target: str) -> bool:
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
     """Yield (comparison, split, gated) triples for all configured targets."""
     n = A.n
+    # every split of lieb-type reads these tables; marcus reuses their
+    # cycle table
+    minors = table = None
+    if "lieb-type" in cfg.targets:
+        minors = lieb_type_minors(A, alpha)
+        table = minors[0].cycle_table
     for target in cfg.targets:
         if target == "marcus":
-            for r in check_marcus(A, alpha):
+            for r in check_marcus(A, alpha, cycle_table=table):
                 yield r, None, True
         elif target == "lieb":
             for m in range(1, n):
@@ -591,7 +644,7 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
             yield check_haf_per(A), None, True
         elif target == "lieb-type":
             for m in range(1, n):
-                for r in check_lieb_type(A, m, alpha):
+                for r in check_lieb_type(A, m, alpha, minors=minors):
                     gated = not (r.name == "neg-nonneg" and not r.hypothesis)
                     yield r, m, gated
         elif target == "neg-positivity":

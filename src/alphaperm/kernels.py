@@ -21,6 +21,15 @@ Two independent algorithms compute per_alpha:
     because the cycle through min(T) is distinguished. Cycle sums come from a
     walk dynamic program anchored at the smallest element of each subset.
 
+The DP computes f(T) for every index set T on its way to the full set, so
+one run gives per_alpha of every principal submatrix A[T]. per_alpha_minors
+keeps that table (a PrincipalMinors, indexed by bitmask) and per_alpha_dp
+reads only its full-set entry. The inequality families read their blocks
+from it: the two blocks of every split in the Lieb-type checks, and the
+blocks of every set partition in the shape averages, where per_{+1} and
+per_{-1} stand in for Ryser and Bareiss. A table costs one DP, as one
+per_alpha_dp does.
+
 The hafnian of a symmetric even-dimensional matrix sums, over all perfect
 matchings of the index set, the product of matched entries; the diagonal is
 ignored. haf of the empty matrix is 1.
@@ -41,7 +50,9 @@ for complex-rational A):
     integers, so a table shared across alpha values is never converted;
   * for alpha = p/q, weighting cycle S by q^(|S|-1) keeps the subset DP
     integral, g(T) = p * sum over S of q^(|S|-1) C_B(S) g(T minus S), and
-    per_alpha(A) = g(full) / (q L)^n, one division at the end;
+    per_alpha(A[T]) = g(T) / (q L)^|T|: per_alpha_dp divides once at the
+    end, and the minors table keeps the integers g(T) and divides an entry
+    only when it is read;
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
@@ -356,9 +367,10 @@ def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
     return CycleTable(A.kind, L, values, imag)
 
 
-def _subset_dp(w, p, n: int):
-    """g(full) for g(T) = p * sum over S subseteq T with min(T) in S of
-    w(S) g(T minus S), g(empty) = 1; w and p are ints, floats or complex."""
+def _subset_dp(w, p, n: int) -> list:
+    """g(T) for every T, where g(T) = p * sum over S subseteq T with
+    min(T) in S of w(S) g(T minus S), g(empty) = 1; w and p are ints,
+    floats or complex."""
     size = 1 << n
     g = [1] * size
     for mask in range(1, size):
@@ -372,7 +384,7 @@ def _subset_dp(w, p, n: int):
                 break
             s = (s - 1) & rest
         g[mask] = p * acc
-    return g[size - 1]
+    return g
 
 
 def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int) -> tuple:
@@ -399,7 +411,50 @@ def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int) -> tuple:
             s = (s - 1) & rest
         gr[mask] = pr * ar - pi * ai
         gi[mask] = pr * ai + pi * ar
-    return gr[size - 1], gi[size - 1]
+    return gr, gi
+
+
+def _principal_dp(A: Matrix, alpha, C: CycleTable) -> tuple:
+    """The subset DP of A at alpha over every index set T, on A's cycle
+    table C.
+
+    Returns (base, g, imag). For exact kinds g[T] is the integer
+    base^|T| per_alpha(A[T]) with base = q L for alpha = p/q, and imag[T]
+    its imaginary part, or None when the DP ran on plain ints. For float
+    kinds base is 1, g[T] is per_alpha(A[T]) itself and imag is None.
+    """
+    n = A.n
+    if A.kind in FLOAT_KINDS:
+        return 1, _subset_dp(C.values, alpha, n), None
+    # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral.
+    q, [[p]], p_imag = clear_denominators([[alpha]])
+    size = 1 << n
+    q_pow = [q ** k for k in range(n)]
+
+    def weigh(values):
+        if q == 1:
+            return values
+        return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                      for m in range(1, size)]
+
+    base = q * C.scale
+    if C.imag is None and p_imag is None:
+        return base, _subset_dp(weigh(C.values), p, n), None
+    imag = C.imag if C.imag is not None else [0] * size
+    re, im = _subset_dp_gaussian(weigh(C.values), weigh(imag), p,
+                                 0 if p_imag is None else p_imag[0][0], n)
+    return base, re, im
+
+
+def _minor(kind: str, base: int, g: list, imag, mask: int):
+    """per_alpha(A[mask]) from the entry of _principal_dp's table."""
+    if kind in FLOAT_KINDS:
+        return g[mask]
+    if imag is not None:
+        imag = imag[mask]
+    elif kind == COMPLEX_RATIONAL:
+        imag = 0
+    return from_scaled(base ** mask.bit_count(), g[mask], imag)
 
 
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
@@ -414,29 +469,54 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     if n == 0:
         return _empty_per_alpha(A, alpha)
     C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
+    base, g, imag = _principal_dp(A, alpha, C)
+    return _minor(A.kind, base, g, imag, (1 << n) - 1)
+
+
+class PrincipalMinors(Sequence):
+    """per_alpha(A[T]) for every index set T of A, indexed by bitmask.
+
+    Holds the subset DP's table as it ran: for exact matrices the integers
+    base^|T| per_alpha(A[T]) (base = q L for alpha = p/q) and their
+    imaginary parts, for float matrices the floats themselves. Indexing
+    converts one entry to the value and type per_alpha_dp(submatrix(A, T),
+    alpha) returns; entry 0 is per_alpha of the empty matrix. cycle_table
+    is the table of A the DP ran on, for reuse at another alpha.
+    """
+
+    __slots__ = ("kind", "base", "values", "imag", "cycle_table")
+
+    def __init__(self, kind: str, base: int, values: list, imag,
+                 cycle_table: CycleTable):
+        self.kind = kind
+        self.base = base
+        self.values = values
+        self.imag = imag
+        self.cycle_table = cycle_table
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, mask: int):
+        mask = range(len(self.values))[mask]
+        return _minor(self.kind, self.base, self.values, self.imag, mask)
+
+
+def per_alpha_minors(A: Matrix, alpha, cap=None,
+                     cycle_table=None) -> PrincipalMinors:
+    """per_alpha of every principal submatrix A[T] from one subset DP.
+
+    The DP behind per_alpha_dp computes per_alpha(A[T]) for every T on the
+    way to the full set; this keeps them all. cycle_table, if given, must
+    be cycle_sum_table(A).
+    """
+    alpha = require_alpha_kind(A, alpha)
+    _check_cap("dp", A.n, cap)
+    C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
+    base, g, imag = _principal_dp(A, alpha, C)
     if A.kind in FLOAT_KINDS:
-        return _subset_dp(C.values, alpha, n)
-    # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral, and
-    # the DP then returns (q L)^n per_alpha(A).
-    q, [[p]], p_imag = clear_denominators([[alpha]])
-    size = 1 << n
-    q_pow = [q ** k for k in range(n)]
-
-    def weigh(values):
-        if q == 1:
-            return values
-        return [0] + [q_pow[m.bit_count() - 1] * values[m]
-                      for m in range(1, size)]
-
-    den = (q * C.scale) ** n
-    if C.imag is None and p_imag is None:
-        value = _subset_dp(weigh(C.values), p, n)
-        return from_scaled(den, value,
-                           0 if A.kind == COMPLEX_RATIONAL else None)
-    imag = C.imag if C.imag is not None else [0] * size
-    re, im = _subset_dp_gaussian(weigh(C.values), weigh(imag), p,
-                                 0 if p_imag is None else p_imag[0][0], n)
-    return from_scaled(den, re, im)
+        g[0] = _empty_per_alpha(A, alpha)
+    return PrincipalMinors(A.kind, base, g, imag, C)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,14 @@ from .inequalities import (
     check_lieb_type,
     check_majorization_step,
     check_marcus,
+    lieb_type_minors,
     merge_pairs,
+    sign_minors,
     _naive_slack,
     OracleMismatch,
 )
 from .kernels import (
+    cycle_sum_table,
     determinant,
     hafnian,
     per_alpha_dp,
@@ -296,13 +299,16 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
     if is_real:
         record("haf-per", check_haf_per(A_eval, tol), None, None)
 
+    # one cycle table serves every alpha, both families and both signs
+    table = cycle_sum_table(A_eval)
     alphas = alpha_set_for(alpha_set, n, seed, t)
     for alpha in alphas:
         a_eval = to_float_scalar(alpha) if float_mode else alpha
+        minors = lieb_type_minors(A_eval, a_eval, cycle_table=table)
         for m in range(1, n):
-            for r in check_lieb_type(A_eval, m, a_eval, tol):
+            for r in check_lieb_type(A_eval, m, a_eval, tol, minors):
                 record(r.name, r, alpha, m, r.hypothesis is not False)
-        for r in check_marcus(A_eval, a_eval, tol):
+        for r in check_marcus(A_eval, a_eval, tol, cycle_table=table):
             record(r.name, r, alpha, None, r.hypothesis is not False)
 
     # lifted block sums against the diagonal, small sizes only
@@ -322,9 +328,11 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
         rows.append(("block-lift", ok, worst, None))
 
     if n == 5 and is_real and not float_mode:
+        signed = {s: sign_minors(A, s, cycle_table=table) for s in (1, -1)}
         for lam, mu in merge_pairs(5):
             for sign_ in (1, -1):
-                r = check_majorization_step(A, lam, mu, sign_, tol)
+                r = check_majorization_step(A, lam, mu, sign_, tol,
+                                            signed[sign_])
                 name = "majorization-per" if sign_ == 1 else "majorization-det"
                 rows.append((name, r.verdict != VIOLATED, r.slack, None))
     return rows

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaperm.errors import DomainError
 from alphaperm.inequalities import (
@@ -25,23 +27,32 @@ from alphaperm.inequalities import (
     compare,
     evaluate_comparison,
     hunt,
+    lieb_type_minors,
     merge_pairs,
     p_shape,
     replay_finding,
 )
-from alphaperm.kernels import determinant, hafnian, per_alpha_dp, permanent
+from alphaperm.kernels import (
+    cycle_sum_table,
+    determinant,
+    hafnian,
+    per_alpha_dp,
+    permanent,
+)
 from alphaperm.matrices import (
     HERMITIAN,
     REAL_SYMMETRIC,
     Matrix,
     direct_sum,
     doubled,
+    dumps_matrix,
     matrix_digest,
     random_psd,
     random_unit_diag_psd,
+    split_masks,
     submatrix,
 )
-from alphaperm.scalars import GaussianRational
+from alphaperm.scalars import GaussianRational, to_float_scalar
 
 F = Fraction
 G = GaussianRational
@@ -160,6 +171,46 @@ class TestClassicChecks:
                 assert check_lieb(A, m).ok
 
 
+@st.composite
+def _psd_instances(draw, max_n=5):
+    # largest n first: hypothesis favours (and shrinks towards) the front
+    n = draw(st.sampled_from(range(max_n, 0, -1)))
+    kind = draw(st.sampled_from([REAL_SYMMETRIC, HERMITIAN]))
+    make = draw(st.sampled_from([random_psd, random_unit_diag_psd]))
+    return make(n, kind, 3, draw(st.integers(0, 10 ** 6)))
+
+
+_real_alphas = st.one_of(
+    st.sampled_from([F(0), F(1), F(2), F(-1)]),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 16)),
+)
+
+
+def _lieb_type_by_submatrices(A, m, alpha):
+    """check_lieb_type recomputed per split: every per_alpha by its own DP,
+    the blocks on submatrix copies."""
+    n = A.n
+    hyp = binomials_nonnegative(alpha, n)
+    low, high = split_masks(n, m)
+    Ap, App = submatrix(A, low), submatrix(A, high)
+    per_a, per_na = per_alpha_dp(A, alpha), per_alpha_dp(A, -alpha)
+    sign_n, sign_m, sign_nm = (-1) ** n, (-1) ** m, (-1) ** (n - m)
+    out = [
+        compare("lieb-alpha", per_a,
+                per_alpha_dp(Ap, alpha) * per_alpha_dp(App, alpha),
+                ">=", 0.0, hyp),
+        compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp),
+        compare("neg-block", sign_n * per_na,
+                (sign_m * per_alpha_dp(Ap, -alpha))
+                * (sign_nm * per_alpha_dp(App, -alpha)), "<=", 0.0, hyp),
+    ]
+    if A.kind in ("rational", "float"):
+        scaled = per_a * (F(1, 2 ** n) if A.kind == "rational" else 0.5 ** n)
+        out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2), scaled,
+                           ">=", 0.0, hyp))
+    return out
+
+
 class TestLiebType:
     def test_result_names_real(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=0)
@@ -205,6 +256,18 @@ class TestLiebType:
         assert r.lhs == lhs
         assert r.ok
 
+    @given(_psd_instances(), _real_alphas, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_tables_equal_per_split_recomputation(self, A, alpha,
+                                                         float_mode):
+        if float_mode:
+            A, alpha = A.to_float(), to_float_scalar(alpha)
+        minors = lieb_type_minors(A, alpha, cycle_table=cycle_sum_table(A))
+        for m in range(1, A.n):
+            expect = _lieb_type_by_submatrices(A, m, alpha)
+            assert check_lieb_type(A, m, alpha, minors=minors) == expect
+            assert check_lieb_type(A, m, alpha) == expect
+
 
 class TestMarcus:
     def test_diagonal_equalities(self):
@@ -249,6 +312,27 @@ class TestMarcus:
                 assert rs[0].ok and rs[1].ok
 
 
+def _set_partitions(items):
+    """Every set partition of items, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _shapes(n, largest=None):
+    """Every integer partition of n, parts in decreasing order."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(p,) + rest for p in range(min(n, largest), 0, -1)
+            for rest in _shapes(n - p, p)]
+
+
 class TestPShape:
     def test_single_block_is_kernel(self):
         A = random_psd(4, REAL_SYMMETRIC, 3, seed=17)
@@ -286,6 +370,28 @@ class TestPShape:
             p_shape(A, (2, 2), 1)
         with pytest.raises(DomainError):
             p_shape(A, (3,), 0)
+
+    @given(_psd_instances(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_average_of_block_products(self, A, data):
+        shape = data.draw(st.sampled_from(_shapes(A.n)))
+        sign = data.draw(st.sampled_from([1, -1]))
+        total, count = F(0), 0
+        for blocks in _set_partitions(list(range(A.n))):
+            if sorted(map(len, blocks), reverse=True) != list(shape):
+                continue
+            prod = F(1)
+            for block in blocks:
+                B = submatrix(A, sum(1 << i for i in block))
+                if sign == 1:
+                    prod *= permanent(B)
+                else:
+                    prod *= (-1) ** B.n * determinant(B)
+            total += prod
+            count += 1
+        got = p_shape(A, shape, sign)
+        assert type(got) is F
+        assert got == total / count
 
 
 class TestMajorization:
@@ -337,6 +443,21 @@ class TestMajorization:
                 r = check_majorization_step(A, lam, mu, sign)
                 assert r.ok, (lam, mu, sign)
 
+    def test_reads_the_minors_table_only(self, monkeypatch):
+        import alphaperm.inequalities as ineq
+        import alphaperm.kernels as kernels
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("p_shape called Ryser or Bareiss")
+
+        for module in (ineq, kernels):
+            monkeypatch.setattr(module, "permanent", forbidden)
+            monkeypatch.setattr(module, "determinant", forbidden)
+        A = random_unit_diag_psd(5, REAL_SYMMETRIC, 3, seed=32)
+        for lam, mu in merge_pairs(5):
+            for sign in (1, -1):
+                assert check_majorization_step(A, lam, mu, sign).ok
+
     def test_paper_chain_values(self):
         # p(5) >= max(p(4,1), p(3,2)) on a sampled instance, both signs
         A = random_unit_diag_psd(5, REAL_SYMMETRIC, 3, seed=31)
@@ -372,6 +493,26 @@ class TestFinding:
     def test_replay_reproduces_slack(self):
         f = self._sample()
         assert str(replay_finding(f)) == f.slack
+
+    @pytest.mark.parametrize("name", ["lieb", "fischer", "lieb-alpha",
+                                      "neg-block", "half-scaled"])
+    def test_split_comparison_without_split_is_domain_error(self, name):
+        A = random_psd(4, REAL_SYMMETRIC, 3, seed=43)
+        with pytest.raises(DomainError):
+            evaluate_comparison(name, A, F(3, 2), None)
+        f = Finding(name=name, record="violation", matrix=dumps_matrix(A),
+                    sha256=matrix_digest(A), alpha="3/2", split=None,
+                    slack="0", seed=0, trial=0)
+        with pytest.raises(DomainError):
+            replay_finding(f)
+
+    def test_neg_nonneg_with_and_without_split(self):
+        A = random_psd(4, HERMITIAN, 3, seed=44)
+        full = evaluate_comparison("neg-nonneg", A, F(3), None)
+        for m in (1, 2, 3):
+            assert evaluate_comparison("neg-nonneg", A, F(3), m) == full
+        with pytest.raises(DomainError):
+            evaluate_comparison("neg-nonneg", A, F(3), "2")
 
     def test_evaluate_comparison_dispatch(self):
         A = random_psd(4, HERMITIAN, 3, seed=42)
@@ -464,6 +605,27 @@ class TestHunt:
         cfg = HuntConfig(targets=("lieb-type",), n=4, trials=143, seed=3)
         with pytest.raises(OracleMismatch):
             hunt(cfg)
+
+    @pytest.mark.parametrize("targets", [("lieb-type",),
+                                         ("marcus", "lieb-type"),
+                                         ("lieb-type", "marcus")])
+    def test_one_cycle_table_per_trial(self, monkeypatch, targets):
+        import alphaperm.inequalities as ineq
+        import alphaperm.kernels as kernels
+        built = []
+        original = kernels.cycle_sum_table
+
+        def counting(A, cap=None):
+            built.append(A.n)
+            return original(A, cap=cap)
+
+        for module in (ineq, kernels):
+            monkeypatch.setattr(module, "cycle_sum_table", counting)
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            built.clear()
+            hunt(HuntConfig(targets=targets, n=5, trials=1, seed=6,
+                            kind=kind))
+            assert built == [5]
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

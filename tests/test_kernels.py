@@ -23,6 +23,7 @@ from alphaperm.kernels import (
     diagonal_product,
     hafnian,
     per_alpha_dp,
+    per_alpha_minors,
     per_alpha_naive,
     permanent,
     require_alpha_kind,
@@ -39,6 +40,7 @@ from alphaperm.scalars import (
     GaussianRational,
     clear_denominators,
     from_scaled,
+    to_float_scalar,
 )
 
 F = Fraction
@@ -320,6 +322,8 @@ class TestPerAlpha:
             per_alpha_dp(A, F(1), cap=3)
         with pytest.raises(CapacityError):
             per_alpha_naive(A, F(1), cap=3)
+        with pytest.raises(CapacityError):
+            per_alpha_minors(A, F(1), cap=3)
 
     def test_identity_and_all_ones_values(self):
         a = F(2, 3)
@@ -494,3 +498,44 @@ class TestFloatCycleTable:
         assert got == pytest.approx(per_alpha_naive(Af, a), rel=1e-12)
         _same(got, per_alpha_dp(Af, a))
         _same(got, fastpath.per_alpha_dp(Af.to_numpy(), a))
+
+
+# ---------------------------------------------------------------------------
+# principal-minor table: one DP, every A[T]
+# ---------------------------------------------------------------------------
+
+class TestPrincipalMinors:
+    @given(any_exact_matrices(), _alphas)
+    @settings(max_examples=60, deadline=None)
+    def test_entries_equal_dp_of_submatrix(self, A, alpha):
+        minors = per_alpha_minors(A, alpha)
+        assert len(minors) == 1 << A.n
+        for mask in range(1 << A.n):
+            _same(minors[mask], per_alpha_dp(submatrix(A, mask), alpha))
+        _same(minors[-1], per_alpha_dp(A, alpha))
+
+    @given(any_exact_matrices(max_n=5), _alphas)
+    @settings(max_examples=30, deadline=None)
+    def test_entries_equal_naive(self, A, alpha):
+        minors = per_alpha_minors(A, alpha, cycle_table=cycle_sum_table(A))
+        for mask in range(1 << A.n):
+            _same(minors[mask], per_alpha_naive(submatrix(A, mask), alpha))
+
+    @given(any_exact_matrices(), _alphas)
+    @settings(max_examples=60, deadline=None)
+    def test_float_entries_are_bit_identical(self, A, alpha):
+        Af, a = A.to_float(), to_float_scalar(alpha)
+        minors = per_alpha_minors(Af, a)
+        for mask in range(1 << A.n):
+            expect = per_alpha_dp(submatrix(Af, mask), a)
+            got = minors[mask]
+            assert type(got) is type(expect)
+            assert repr(got) == repr(expect)
+
+    def test_index_range(self):
+        minors = per_alpha_minors(random_matrix(3, "rational", seed=4), F(2))
+        assert minors.cycle_table is not None
+        with pytest.raises(IndexError):
+            minors[8]
+        with pytest.raises(IndexError):
+            minors[-9]
