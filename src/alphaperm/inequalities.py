@@ -37,8 +37,9 @@ check_majorization_step compares p on shapes related by merging two parts.
 
 Blocks come from principal-minor tables (kernels.per_alpha_minors), one
 subset DP per alpha for all of A's index sets: check_lieb_type reads both
-blocks of every split from lieb_type_minors, and p_shape reads every block
-from sign_minors. check_lieb, check_fischer and the oracle _naive_slack
+blocks of every split from lieb_type_minors, check_marcus reads the
+full-set entries of the same tables, and p_shape reads every block from
+sign_minors. check_lieb, check_fischer and the oracle _naive_slack
 keep computing each block on its own.
 """
 
@@ -53,7 +54,6 @@ from numbers import Rational
 
 from .errors import AlphaPermError, DomainError
 from .kernels import (
-    cycle_sum_table,
     determinant,
     diagonal_product,
     hafnian,
@@ -267,29 +267,29 @@ def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
                    ">=", tol, hyp)
 
 
-def check_marcus(A: Matrix, alpha, tol=0.0, cycle_table=None) -> list:
+def check_marcus(A: Matrix, alpha, tol=0.0, minors=None) -> list:
     """Diagonal chain per_a(A) >= a^n prod a_ii >= (-1)^n per_{-a}(A),
     plus the half-strength lower bound on real matrices.
 
-    cycle_table, if given, must be cycle_sum_table(A).
+    minors, if given, must be lieb_type_minors(A, alpha); pass it to share
+    its DPs with check_lieb_type.
     """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
-    table = cycle_table if cycle_table is not None else cycle_sum_table(A)
+    if minors is None:
+        minors = lieb_type_minors(A, alpha)
+    pos, neg, half = minors
     diag = diagonal_product(A)
     mid = alpha ** n * diag
-    per_a = per_alpha_dp(A, alpha, cycle_table=table)
-    per_na = per_alpha_dp(A, -alpha, cycle_table=table)
     sign_n = -1 if n % 2 else 1
     out = [
-        compare("marcus-upper", per_a, mid, ">=", tol, hyp_chain),
-        compare("marcus-lower", mid, sign_n * per_na, ">=", tol, hyp_chain),
+        compare("marcus-upper", pos[-1], mid, ">=", tol, hyp_chain),
+        compare("marcus-lower", mid, sign_n * neg[-1], ">=", tol, hyp_chain),
     ]
-    if _is_real_kind(A):
-        half = per_alpha_dp(A, alpha / 2, cycle_table=table)
+    if half is not None:
         out.append(compare("marcus-half", half, (alpha / 2) ** n * diag,
                            ">=", tol, hyp))
     return out
@@ -624,15 +624,13 @@ def _needs_alpha(target: str) -> bool:
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
     """Yield (comparison, split, gated) triples for all configured targets."""
     n = A.n
-    # every split of lieb-type reads these tables; marcus reuses their
-    # cycle table
-    minors = table = None
-    if "lieb-type" in cfg.targets:
+    # marcus and every split of lieb-type read these tables
+    minors = None
+    if "lieb-type" in cfg.targets or "marcus" in cfg.targets:
         minors = lieb_type_minors(A, alpha)
-        table = minors[0].cycle_table
     for target in cfg.targets:
         if target == "marcus":
-            for r in check_marcus(A, alpha, cycle_table=table):
+            for r in check_marcus(A, alpha, minors=minors):
                 yield r, None, True
         elif target == "lieb":
             for m in range(1, n):
@@ -652,92 +650,84 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
             yield r, None, False
 
 
-def _hunt_chunk(cfg: HuntConfig, lo: int, hi: int) -> list:
-    """Evaluate trials lo..hi-1; return compact, picklable per-trial records."""
-    records = []
-    for t in range(lo, hi):
-        A = _trial_matrix(cfg, t)
-        alpha = _trial_alpha(cfg, t) if any(
-            _needs_alpha(x) for x in cfg.targets) else None
-        violations = []
-        signs = []
-        min_gated = None
-        for result, split, gated in _trial_comparisons(cfg, A, alpha):
-            if gated:
-                if result.verdict == VIOLATED:
-                    naive = _naive_slack(result.name, A, alpha, split)
-                    if naive != result.slack:
-                        raise OracleMismatch(
-                            "%s at trial %d: dp slack %s, naive slack %s"
-                            % (result.name, t, result.slack, naive)
-                        )
-                    violations.append((result.name, split,
-                                       format_scalar(result.slack)))
-                key = (result.slack, result.name, split)
-                if min_gated is None or key[0] < min_gated[0]:
-                    min_gated = key
-            else:
-                if result.slack < 0:
-                    signs.append((result.name, split,
-                                  format_scalar(result.slack)))
-        records.append((
-            t,
-            format_scalar(alpha) if alpha is not None else None,
-            violations,
-            signs,
-            (format_scalar(min_gated[0]), min_gated[1], min_gated[2])
-            if min_gated is not None else None,
-        ))
-    return records
+def _hunt_trial(cfg: HuntConfig, t: int) -> tuple:
+    """Evaluate trial t; return a compact, picklable record of it."""
+    A = _trial_matrix(cfg, t)
+    alpha = _trial_alpha(cfg, t) if any(
+        _needs_alpha(x) for x in cfg.targets) else None
+    violations = []
+    signs = []
+    min_gated = None
+    for result, split, gated in _trial_comparisons(cfg, A, alpha):
+        if gated:
+            if result.verdict == VIOLATED:
+                naive = _naive_slack(result.name, A, alpha, split)
+                if naive != result.slack:
+                    raise OracleMismatch(
+                        "%s at trial %d: dp slack %s, naive slack %s"
+                        % (result.name, t, result.slack, naive)
+                    )
+                violations.append((result.name, split,
+                                   format_scalar(result.slack)))
+            key = (result.slack, result.name, split)
+            if min_gated is None or key[0] < min_gated[0]:
+                min_gated = key
+        elif result.slack < 0:
+            signs.append((result.name, split, format_scalar(result.slack)))
+    return (
+        format_scalar(alpha) if alpha is not None else None,
+        violations,
+        signs,
+        (format_scalar(min_gated[0]), min_gated[1], min_gated[2])
+        if min_gated is not None else None,
+        # the instance's text, only when the trial records a finding
+        (dumps_matrix(A), matrix_digest(A)) if violations or signs else None,
+    )
+
+
+def _trial_chunk(trial, args: tuple, lo: int, hi: int) -> list:
+    return [(t, trial(*args, t)) for t in range(lo, hi)]
+
+
+def run_trials(trial, args: tuple, trials: int, jobs: int) -> list:
+    """[(t, trial(*args, t)) for t in range(trials)], computed in contiguous
+    chunks over jobs worker processes; the result does not depend on jobs.
+    trial must be a module-level function, so that workers can import it."""
+    if jobs <= 1:
+        return _trial_chunk(trial, args, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+    step = max(1, -(-trials // jobs))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_trial_chunk, trial, args, lo,
+                               min(lo + step, trials))
+                   for lo in range(0, trials, step)]
+        return [row for f in futures for row in f.result()]
 
 
 def hunt(cfg: HuntConfig) -> HuntResult:
     """Run the hunter; deterministic in cfg, independent of cfg.jobs."""
     cfg.validate()
-    chunks = []
-    if cfg.jobs <= 1:
-        chunks.append(_hunt_chunk(cfg, 0, cfg.trials))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-cfg.trials // cfg.jobs)
-        ranges = [
-            (lo, min(lo + step, cfg.trials))
-            for lo in range(0, cfg.trials, step)
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_hunt_chunk, cfg, lo, hi)
-                       for lo, hi in ranges]
-            chunks = [f.result() for f in futures]
-
     findings = []
     min_key = None   # (slack, trial, name, split, alpha_text)
     per_trial_min = []
     violations = observations = 0
-    for records in chunks:
-        for t, alpha_text, viol, signs, min_gated in records:
-            for name, split, slack_text in viol:
-                A = _trial_matrix(cfg, t)
+    for t, (alpha_text, viol, signs, min_gated, matrix) in run_trials(
+            _hunt_trial, (cfg,), cfg.trials, cfg.jobs):
+        for record, entries in (("violation", viol), ("sign", signs)):
+            for name, split, slack_text in entries:
                 findings.append(Finding(
-                    name=name, record="violation", matrix=dumps_matrix(A),
-                    sha256=matrix_digest(A), alpha=alpha_text, split=split,
+                    name=name, record=record, matrix=matrix[0],
+                    sha256=matrix[1], alpha=alpha_text, split=split,
                     slack=slack_text, seed=cfg.seed, trial=t,
                 ))
-                violations += 1
-            for name, split, slack_text in signs:
-                A = _trial_matrix(cfg, t)
-                findings.append(Finding(
-                    name=name, record="sign", matrix=dumps_matrix(A),
-                    sha256=matrix_digest(A), alpha=alpha_text, split=split,
-                    slack=slack_text, seed=cfg.seed, trial=t,
-                ))
-                observations += 1
-            if min_gated is not None:
-                slack = Fraction(min_gated[0])
-                per_trial_min.append((slack, t, min_gated[1], min_gated[2],
-                                      alpha_text))
-                if min_key is None or slack < min_key[0]:
-                    min_key = (slack, t, min_gated[1], min_gated[2],
-                               alpha_text)
+        violations += len(viol)
+        observations += len(signs)
+        if min_gated is not None:
+            entry = (Fraction(min_gated[0]), t, min_gated[1], min_gated[2],
+                     alpha_text)
+            per_trial_min.append(entry)
+            if min_key is None or entry[0] < min_key[0]:
+                min_key = entry
 
     if cfg.keep_smallest > 0 and per_trial_min:
         for slack, t, name, split, alpha_text in sorted(

@@ -27,12 +27,13 @@ keeps that table (a PrincipalMinors, indexed by bitmask) and per_alpha_dp
 reads only its full-set entry. The inequality families read their blocks
 from it: the two blocks of every split in the Lieb-type checks, and the
 blocks of every set partition in the shape averages, where per_{+1} and
-per_{-1} stand in for Ryser and Bareiss. A table costs one DP, as one
-per_alpha_dp does.
+per_{-1} stand in for Ryser and Bareiss; so do the expansion formulas in
+partitions. A table costs one DP, as one per_alpha_dp does.
 
 The hafnian of a symmetric even-dimensional matrix sums, over all perfect
 matchings of the index set, the product of matched entries; the diagonal is
-ignored. haf of the empty matrix is 1.
+ignored. haf of the empty matrix is 1. doubled_hafnian_table gives
+haf(doubled(A[T])) for every T from one memoized recursion.
 
 All kernels accept exact (Fraction / GaussianRational) and float matrices.
 Float matrices run on the same cycle-sum, subset-DP, Ryser and hafnian loops
@@ -66,7 +67,7 @@ GaussianRationals, never bare ints.
 
 Size caps are configuration: pass cap=... explicitly or override the
 defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
-_HAFNIAN, _ASSIGNMENTS. Exceeding a cap raises CapacityError.
+_HAFNIAN. Exceeding a cap raises CapacityError.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import os
 from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError, MixedModeError
-from .matrices import Matrix, full_mask
+from .matrices import Matrix, doubled, full_mask
 from .scalars import (
     COMPLEX_RATIONAL,
     FLOAT_KINDS,
@@ -98,7 +99,6 @@ DEFAULT_CAPS = {
     "dp": 18,
     "ryser": 24,
     "hafnian": 20,
-    "assignments": 10_000_000,
 }
 
 
@@ -446,31 +446,14 @@ def _principal_dp(A: Matrix, alpha, C: CycleTable) -> tuple:
     return base, re, im
 
 
-def _minor(kind: str, base: int, g: list, imag, mask: int):
-    """per_alpha(A[mask]) from the entry of _principal_dp's table."""
-    if kind in FLOAT_KINDS:
-        return g[mask]
-    if imag is not None:
-        imag = imag[mask]
-    elif kind == COMPLEX_RATIONAL:
-        imag = 0
-    return from_scaled(base ** mask.bit_count(), g[mask], imag)
-
-
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
-    """per_alpha via the cycle-sum decomposition, O(3^n) subset pairs.
+    """per_alpha via the cycle-sum decomposition, O(3^n) subset pairs: the
+    full-set entry of per_alpha_minors.
 
     cycle_table, if given, must be cycle_sum_table(A); pass it to amortize
     the table across several alpha values.
     """
-    alpha = require_alpha_kind(A, alpha)
-    n = A.n
-    _check_cap("dp", n, cap)
-    if n == 0:
-        return _empty_per_alpha(A, alpha)
-    C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
-    base, g, imag = _principal_dp(A, alpha, C)
-    return _minor(A.kind, base, g, imag, (1 << n) - 1)
+    return per_alpha_minors(A, alpha, cap=cap, cycle_table=cycle_table)[-1]
 
 
 class PrincipalMinors(Sequence):
@@ -499,7 +482,13 @@ class PrincipalMinors(Sequence):
 
     def __getitem__(self, mask: int):
         mask = range(len(self.values))[mask]
-        return _minor(self.kind, self.base, self.values, self.imag, mask)
+        if self.kind in FLOAT_KINDS:
+            return self.values[mask]
+        imag = None if self.kind == RATIONAL else 0
+        if self.imag is not None:
+            imag = self.imag[mask]
+        return from_scaled(self.base ** mask.bit_count(), self.values[mask],
+                           imag)
 
 
 def per_alpha_minors(A: Matrix, alpha, cap=None,
@@ -625,11 +614,13 @@ def hafnian(A: Matrix, cap=None):
         return one_of_kind(A.kind)
     if A.kind == RATIONAL:
         L, rows, _ = clear_denominators(A.rows)
-        return from_scaled(L ** (n // 2), _hafnian(rows, n, 1))
-    return _hafnian(A.rows, n, one_of_kind(A.kind))
+        return from_scaled(L ** (n // 2), _hafnian(rows, 1)(full_mask(n)))
+    return _hafnian(A.rows, one_of_kind(A.kind))(full_mask(n))
 
 
-def _hafnian(rows, n: int, one):
+def _hafnian(rows, one):
+    """haf of rows restricted to an index-set bitmask, memoized across
+    calls."""
     memo = {0: one}
 
     def rec(mask: int):
@@ -654,7 +645,23 @@ def _hafnian(rows, n: int, one):
         memo[mask] = acc
         return acc
 
-    return rec(full_mask(n))
+    return rec
+
+
+def doubled_hafnian_table(A: Matrix, cap=None) -> tuple:
+    """(L, h) with h[T] = L^|T| haf(doubled(A[T])) for every index set T of
+    a real symmetric A: doubled(A) restricted to T and T + n is doubled(A[T]),
+    so one memoized recursion on L*doubled(A) serves every T. L is the
+    common denominator of A's entries (1 for float A)."""
+    D = doubled(A)
+    _check_cap("hafnian", D.n, cap)
+    if A.kind in FLOAT_KINDS:
+        L, rows, one = 1, D.rows, one_of_kind(A.kind)
+    else:
+        L, rows, _ = clear_denominators(D.rows)
+        one = 1
+    haf = _hafnian(rows, one)
+    return L, [haf(T | T << A.n) for T in range(1 << A.n)]
 
 
 def alpha_determinant(A: Matrix, alpha, cap=None):

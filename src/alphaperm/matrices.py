@@ -21,11 +21,14 @@ byte-identical files and the format round-trips exactly.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
+try:  # CPython's SHA-256; hashlib would map OpenSSL's libcrypto, ~3.5 MB
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12 on names it _sha2; hashlib serves too
+    from hashlib import sha256
 
 from .errors import (
     DomainError,
@@ -439,15 +442,6 @@ def random_unit_diag_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
     return _gram(b, complex_entries=True)
 
 
-def random_diagonal_psd(n: int, scale: int = 4, seed: int = 0) -> Matrix:
-    """Random diagonal matrix with nonnegative rational entries."""
-    rng = _rng("diagpsd", n, scale, seed)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(rng.randint(0, scale), rng.randint(1, scale))
-    return Matrix(rows, kind=RATIONAL, real_symmetric=True, hermitian=True)
-
-
 # ---------------------------------------------------------------------------
 # positive semidefiniteness certification
 # ---------------------------------------------------------------------------
@@ -589,4 +583,4 @@ def read_matrix(path) -> Matrix:
 
 def matrix_digest(A: Matrix) -> str:
     """sha256 of the canonical serialization, for tamper-evident findings."""
-    return hashlib.sha256(dumps_matrix(A).encode("ascii")).hexdigest()
+    return sha256(dumps_matrix(A).encode("ascii")).hexdigest()

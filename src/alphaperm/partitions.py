@@ -20,18 +20,39 @@ The expansion formulas (B = A[I] denotes principal submatrices):
   half formula     per_{alpha/2}(A) = 2^-n * sum_{k=1}^n binom(alpha, k)
                    * k! * sum over k-block partitions of
                      prod_j haf(doubled(A[I_j]))   (A real symmetric).
+
+None of them enumerates partitions: they read one table over every index
+set T, per_beta(A[T]) from kernels.per_alpha_minors or haf(doubled(A[T]))
+from kernels.doubled_hafnian_table. graded_partition_sums sums the block
+products over the k-block partitions of every T, by the anchored recursion
+of fast subset convolution (Bjorklund, Husfeldt, Kaski, Koivisto 2007); the
+sum formula is an m-fold subset convolution, O(m 3^n). Exact tables stay
+in the kernels' integers, entry T carrying base^|T|, so a product over a
+partition of the full set carries base^n, divided out once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
+from collections import Counter
 
-from .errors import CapacityError, DomainError
-from .kernels import default_cap, hafnian, per_alpha_dp, require_alpha_kind
-from .matrices import Matrix, doubled, submatrix
-from .scalars import as_scalar, gen_binomial, kind_is_exact, one_like, scalar_kind
+from .errors import DomainError
+from .kernels import (
+    cycle_sum_table,
+    doubled_hafnian_table,
+    per_alpha_minors,
+    require_alpha_kind,
+)
+from .matrices import Matrix
+from .scalars import (
+    FLOAT_KINDS,
+    RATIONAL,
+    GaussianRational,
+    as_scalar,
+    from_scaled,
+    gen_binomial,
+    one_like,
+)
 
 
 class SetPartition:
@@ -159,10 +180,7 @@ def shape_partition_count(n: int, shape) -> int:
     count = math.factorial(n)
     for s in shape:
         count //= math.factorial(s)
-    mult = {}
-    for s in shape:
-        mult[s] = mult.get(s, 0) + 1
-    for m in mult.values():
+    for m in Counter(shape).values():
         count //= math.factorial(m)
     return count
 
@@ -171,78 +189,112 @@ def shape_partition_count(n: int, shape) -> int:
 # expansion formulas
 # ---------------------------------------------------------------------------
 
+def graded_partition_sums(f, n: int) -> list:
+    """P[T][k] = sum over k-block set partitions of T of prod f(block), for
+    every index set T (a bitmask) and 0 <= k <= |T|; P[T][0] is the int 0
+    for nonempty T.
+
+    f is indexed by bitmask (f[0] is not read), over any commutative ring:
+    ints, Fractions, floats, GaussianRationals. As in the subset DP of
+    per_alpha_dp, the block through min(T) is distinguished:
+    P[T][k] = sum over S subseteq T with min(T) in S of f(S) P[T - S][k-1].
+    """
+    size = 1 << n
+    P = [[1]] + [None] * (size - 1)
+    for mask in range(1, size):
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        row = [0] * (mask.bit_count() + 1)
+        s = rest
+        while True:
+            w = f[lowbit | s]
+            for k, v in enumerate(P[rest ^ s]):
+                row[k + 1] += w * v
+            if s == 0:
+                break
+            s = (s - 1) & rest
+        P[mask] = row
+    return P
+
+
+def _subset_convolution(F, G, n: int) -> list:
+    """H(T) = sum over S subseteq T of F(T minus S) G(S), for every T."""
+    H = []
+    for mask in range(1 << n):
+        acc = 0
+        s = mask
+        while True:
+            acc += F[mask ^ s] * G[s]
+            if s == 0:
+                break
+            s = (s - 1) & mask
+        H.append(acc)
+    return H
+
+
+def _ring_table(minors, base: int) -> tuple:
+    """(f, unit) for a PrincipalMinors table: f[T] is entry T as the DP
+    left it (an int or Gaussian integer; floats stay floats), rescaled to
+    carry base^|T|, and unit = 1/base^n turns a sum of products of f over
+    partitions of the full set into a value of the table's kind."""
+    if minors.kind in FLOAT_KINDS:
+        return minors.values, 1
+    r = [(base // minors.base) ** m.bit_count() for m in range(len(minors))]
+    f = [v * x for v, x in zip(minors.values, r)]
+    if minors.imag is not None:
+        f = [GaussianRational(a, b * x) for a, b, x in zip(f, minors.imag, r)]
+    imag = None if minors.kind == RATIONAL else 0
+    return f, from_scaled(base ** (len(r).bit_length() - 1), 1, imag)
+
+
+def per_beta_by_k(minors) -> list:
+    """[per_beta(A, k) for k = 0..n] from minors = per_alpha_minors(A, beta):
+    one graded table serves every k."""
+    f, unit = _ring_table(minors, minors.base)
+    row = graded_partition_sums(f, len(minors).bit_length() - 1)[-1]
+    return [math.factorial(k) * x * unit for k, x in enumerate(row)]
+
+
 def per_beta_k(A: Matrix, beta, k: int, cap=None):
     """per_beta(A, k): ordered k-tuples of nonempty blocks, as k! times the
     unordered sum."""
     n = A.n
     if not 1 <= k <= n:
         raise DomainError("per_beta_k needs 1 <= k <= n, got k=%r n=%d" % (k, n))
-    beta = as_scalar(beta)
-    block_cache = {}
-    total = None
-    for part in enumerate_partitions(n, k=k):
-        prod = None
-        for mask in part.blocks:
-            v = block_cache.get(mask)
-            if v is None:
-                v = per_alpha_dp(submatrix(A, mask), beta, cap=cap)
-                block_cache[mask] = v
-            prod = v if prod is None else prod * v
-        total = prod if total is None else total + prod
-    return math.factorial(k) * total
+    return per_beta_by_k(per_alpha_minors(A, beta, cap=cap))[k]
 
 
 def sum_formula_rhs(A: Matrix, betas, cap=None):
     """Right-hand side of the sum formula for per_{b_1 + ... + b_m}(A).
 
-    Sums over all m^n assignments of indices to the m labels; the number of
-    assignments is capped (default 10_000_000, override via cap or
-    ALPHAPERM_CAP_ASSIGNMENTS).
+    The m-fold subset convolution of the principal-minor tables at
+    b_1..b_m, which share one cycle table: O(m 3^n) subset pairs. cap is
+    the DP size cap.
     """
     betas = [as_scalar(b) for b in betas]
     if not betas:
         raise DomainError("sum_formula_rhs needs at least one beta")
     n = A.n
-    m = len(betas)
-    limit = default_cap("assignments") if cap is None else cap
-    if m ** n > limit:
-        raise CapacityError(
-            "sum formula: %d^%d assignments exceed cap %d" % (m, n, limit)
-        )
-    one = one_like(betas[0])
     if n == 0:
-        return one
-    cache = {}
-    total = None
-    for assignment in itertools.product(range(m), repeat=n):
-        masks = [0] * m
-        for i, label in enumerate(assignment):
-            masks[label] |= 1 << i
-        prod = one
-        for j, mask in enumerate(masks):
-            if mask == 0:
-                continue
-            key = (j, mask)
-            v = cache.get(key)
-            if v is None:
-                v = per_alpha_dp(submatrix(A, mask), betas[j])
-                cache[key] = v
-            prod = prod * v
-        total = prod if total is None else total + prod
-    return total
+        return one_like(betas[0])
+    C = cycle_sum_table(A, cap=cap)
+    tables = [per_alpha_minors(A, b, cap=cap, cycle_table=C) for b in betas]
+    base = math.lcm(*(M.base for M in tables))
+    total, unit = _ring_table(tables[0], base)
+    for M in tables[1:]:
+        total = _subset_convolution(total, _ring_table(M, base)[0], n)
+    return total[-1] * unit
 
 
 def product_formula_rhs(A: Matrix, alpha, beta, cap=None):
-    """sum_{k=1}^n binom(alpha, k) per_beta(A, k), equal to per_{alpha beta}(A)."""
+    """sum_{k=1}^n binom(alpha, k) per_beta(A, k), equal to per_{alpha beta}(A);
+    every k reads one graded table."""
     n = A.n
     if n < 1:
         raise DomainError("product_formula_rhs needs n >= 1")
     alpha = require_alpha_kind(A, alpha)
-    total = None
-    for k in range(1, n + 1):
-        term = gen_binomial(alpha, k) * per_beta_k(A, beta, k, cap=cap)
-        total = term if total is None else total + term
-    return total
+    ks = per_beta_by_k(per_alpha_minors(A, beta, cap=cap))
+    return sum(gen_binomial(alpha, k) * ks[k] for k in range(1, n + 1))
 
 
 def half_formula_rhs(A: Matrix, alpha, cap=None):
@@ -250,6 +302,9 @@ def half_formula_rhs(A: Matrix, alpha, cap=None):
 
         2^-n sum_{k=1}^n binom(alpha, k) k!
              sum over k-block partitions of prod_j haf(doubled(A[I_j]))
+
+    The blocks come from doubled_hafnian_table(A); cap is the hafnian cap
+    on dimension 2n.
     """
     n = A.n
     if n < 1:
@@ -257,27 +312,8 @@ def half_formula_rhs(A: Matrix, alpha, cap=None):
     if not A.is_symmetric_entrywise():
         raise DomainError("half_formula_rhs needs a symmetric matrix")
     alpha = require_alpha_kind(A, alpha)
-    haf_cache = {}
-
-    def block_haf(mask):
-        v = haf_cache.get(mask)
-        if v is None:
-            v = hafnian(doubled(submatrix(A, mask)), cap=cap)
-            haf_cache[mask] = v
-        return v
-
-    by_k = {}
-    for part in enumerate_partitions(n):
-        prod = None
-        for mask in part.blocks:
-            v = block_haf(mask)
-            prod = v if prod is None else prod * v
-        k = part.k
-        by_k[k] = prod if k not in by_k else by_k[k] + prod
-    total = None
-    for k in range(1, n + 1):
-        term = gen_binomial(alpha, k) * math.factorial(k) * by_k[k]
-        total = term if total is None else total + term
-    if kind_is_exact(scalar_kind(alpha)) and kind_is_exact(A.kind):
-        return total * Fraction(1, 2 ** n)
-    return total / float(2 ** n)
+    L, haf = doubled_hafnian_table(A, cap=cap)
+    row = graded_partition_sums(haf, n)[-1]
+    total = sum(gen_binomial(alpha, k) * math.factorial(k) * row[k]
+                for k in range(1, n + 1))
+    return total / (2 * L) ** n

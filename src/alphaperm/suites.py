@@ -3,6 +3,11 @@
 Both suites are deterministic functions of (n_max, trials, seed, ...) and
 split cleanly across worker processes: each trial is evaluated from its
 index alone, so results are byte-identical whatever the job count.
+
+The expansion checks read their blocks from the DP that per_alpha_dp runs
+and stay real checks: each compares the DP at one alpha with products of
+minors at other alphas (or of hafnians), equal only if the expansion
+formula holds, and per-dp-vs-naive guards the DP against the oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .inequalities import (
     check_marcus,
     lieb_type_minors,
     merge_pairs,
+    run_trials,
     sign_minors,
     _naive_slack,
     OracleMismatch,
@@ -50,7 +56,7 @@ from .partitions import (
     bell_number,
     enumerate_partitions,
     half_formula_rhs,
-    per_beta_k,
+    per_beta_by_k,
     product_formula_rhs,
     stirling2,
     sum_formula_rhs,
@@ -130,8 +136,8 @@ def _exact_eq(a, b, tol, float_mode: bool) -> bool:
     return _close(a, b, tol)
 
 
-def _identity_trial(n_max: int, seed: int, t: int, float_mode: bool,
-                    tol: float) -> list:
+def _identity_trial(n_max: int, seed: int, float_mode: bool, tol: float,
+                    t: int) -> list:
     """Evaluate every identity check once; return (name, ok) pairs."""
     out = []
 
@@ -262,8 +268,8 @@ def _trial_psd(n_max: int, seed: int, t: int) -> Matrix:
     return random_psd(n, kind, 3, seed ^ t)
 
 
-def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
-                      float_mode: bool, tol: float) -> list:
+def _inequality_trial(n_max: int, seed: int, alpha_set: str,
+                      float_mode: bool, tol: float, t: int) -> list:
     """Evaluate the inequality checks on one PSD instance.
 
     Returns (check_name, ok, slack_or_None, violation_record_or_None) rows.
@@ -273,8 +279,10 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
     A_eval = A.to_float() if float_mode else A
     is_real = A.kind == "rational"
     rows = []
+    matrix = None   # the instance's (text, digest), made at a first violation
 
     def record(check_name, result, alpha, split, gated=True):
+        nonlocal matrix
         if not gated:
             # outside the proven regime the verdict is conjecture evidence,
             # not a check; the hunter is the tool for collecting it
@@ -288,9 +296,11 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
                     "%s at trial %d: dp %s vs naive %s"
                     % (result.name, t, result.slack, naive)
                 )
+            if matrix is None:
+                matrix = (dumps_matrix(A), matrix_digest(A))
             viol = (result.name, split,
                     format_scalar(alpha) if alpha is not None else None,
-                    format_scalar(result.slack))
+                    format_scalar(result.slack)) + matrix
         rows.append((check_name, ok, result.slack, viol))
 
     for m in range(1, n):
@@ -308,20 +318,22 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
         for m in range(1, n):
             for r in check_lieb_type(A_eval, m, a_eval, tol, minors):
                 record(r.name, r, alpha, m, r.hypothesis is not False)
-        for r in check_marcus(A_eval, a_eval, tol, cycle_table=table):
+        for r in check_marcus(A_eval, a_eval, tol, minors):
             record(r.name, r, alpha, None, r.hypothesis is not False)
 
-    # lifted block sums against the diagonal, small sizes only
+    # lifted block sums against the diagonal; a graded table per matrix, sign
     if n <= 4 and not float_mode:
         D = _diag_of(A)
+        per_A, det_A, per_D, det_D = (
+            per_beta_by_k(sign_minors(B, s, cycle_table=C))
+            for B, C in ((A, table), (D, cycle_sum_table(D)))
+            for s in (1, -1))
         sign = -1 if n % 2 else 1
         ok = True
         worst = None
         for k in range(1, n + 1):
-            per_lift = (per_beta_k(A, Fraction(1), k)
-                        - per_beta_k(D, Fraction(1), k))
-            det_lift = sign * (per_beta_k(D, Fraction(-1), k)
-                               - per_beta_k(A, Fraction(-1), k))
+            per_lift = per_A[k] - per_D[k]
+            det_lift = sign * (det_D[k] - det_A[k])
             for s in (exact_real(per_lift), exact_real(det_lift)):
                 ok = ok and s >= 0
                 worst = s if worst is None else min(worst, s)
@@ -342,46 +354,12 @@ def _inequality_trial(n_max: int, seed: int, t: int, alpha_set: str,
 # drivers
 # ---------------------------------------------------------------------------
 
-def _identity_chunk(args):
-    n_max, seed, lo, hi, float_mode, tol = args
-    return [
-        (t, _identity_trial(n_max, seed, t, float_mode, tol))
-        for t in range(lo, hi)
-    ]
-
-
-def _inequality_chunk(args):
-    n_max, seed, lo, hi, alpha_set, float_mode, tol = args
-    return [
-        (t, _inequality_trial(n_max, seed, t, alpha_set, float_mode, tol))
-        for t in range(lo, hi)
-    ]
-
-
-def _run_chunked(worker, arg_builder, trials: int, jobs: int) -> list:
-    if jobs <= 1:
-        return worker(arg_builder(0, trials))
-    from concurrent.futures import ProcessPoolExecutor
-    step = -(-trials // jobs)
-    ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, arg_builder(lo, hi))
-                   for lo, hi in ranges]
-        merged = []
-        for f in futures:
-            merged.extend(f.result())
-    return merged
-
-
 def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                        jobs: int = 1, float_mode: bool = False,
                        tol: float = 1e-9) -> list:
     outcomes = {name: CheckOutcome(name) for name in IDENTITY_CHECKS}
-    rows = _run_chunked(
-        _identity_chunk,
-        lambda lo, hi: (n_max, seed, lo, hi, float_mode, tol),
-        trials, jobs,
-    )
+    rows = run_trials(_identity_trial, (n_max, seed, float_mode, tol),
+                      trials, jobs)
     for _t, pairs in rows:
         for name, ok in pairs:
             outcomes[name].absorb(ok)
@@ -392,11 +370,8 @@ def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                          alpha_set: str = "theorem2", jobs: int = 1,
                          float_mode: bool = False, tol: float = 1e-9) -> list:
     outcomes = {name: CheckOutcome(name) for name in INEQUALITY_CHECKS}
-    rows = _run_chunked(
-        _inequality_chunk,
-        lambda lo, hi: (n_max, seed, lo, hi, alpha_set, float_mode, tol),
-        trials, jobs,
-    )
+    rows = run_trials(_inequality_trial,
+                      (n_max, seed, alpha_set, float_mode, tol), trials, jobs)
     for t, entries in rows:
         for name, ok, slack, viol in entries:
             oc = outcomes[name]
@@ -404,12 +379,10 @@ def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
             if slack is not None:
                 oc.see_slack(slack, t)
             if viol is not None:
-                cmp_name, split, alpha_text, slack_text = viol
-                A = _trial_psd(n_max, seed, t)
+                cmp_name, split, alpha_text, slack_text, text, digest = viol
                 oc.findings.append(Finding(
-                    name=cmp_name, record="violation",
-                    matrix=dumps_matrix(A), sha256=matrix_digest(A),
-                    alpha=alpha_text, split=split, slack=slack_text,
-                    seed=seed, trial=t,
+                    name=cmp_name, record="violation", matrix=text,
+                    sha256=digest, alpha=alpha_text, split=split,
+                    slack=slack_text, seed=seed, trial=t,
                 ))
     return [outcomes[name] for name in INEQUALITY_CHECKS]

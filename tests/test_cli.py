@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, deterministic output."""
 
+import importlib.util
 import io
 import json
 import os
@@ -331,6 +332,28 @@ class TestEntryPoint:
             capture_output=True, text=True, env=child_env(),
         )
         assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                        reason="no built-in _sha256 module")
+    def test_finding_digests_do_not_load_openssl(self, tmp_path):
+        # matrix_digest uses the built-in sha256, not hashlib's libcrypto
+        out_path = tmp_path / "f.jsonl"
+        code = (
+            "import sys\n"
+            "from alphaperm.cli import main\n"
+            "rc = main(['hunt', '--target', 'lieb-type', '--kind',\n"
+            "           'hermitian', '--n', '5', '--trials', '8',\n"
+            "           '--out', sys.argv[1]])\n"
+            "assert rc in (0, 1), rc\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(out_path)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        assert '"sha256"' in out_path.read_text()
         assert out.stdout.splitlines()[-1] == "False"
 
     def test_usage_error_exit_code(self):

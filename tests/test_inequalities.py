@@ -608,24 +608,54 @@ class TestHunt:
 
     @pytest.mark.parametrize("targets", [("lieb-type",),
                                          ("marcus", "lieb-type"),
-                                         ("lieb-type", "marcus")])
+                                         ("lieb-type", "marcus"),
+                                         ("marcus",)])
     def test_one_cycle_table_per_trial(self, monkeypatch, targets):
-        import alphaperm.inequalities as ineq
+        # one cycle table and one DP per alpha in {a, -a, a/2}, shared by
+        # both families; a/2 is only read on real input
         import alphaperm.kernels as kernels
         built = []
-        original = kernels.cycle_sum_table
+        runs = []
+        table, dp = kernels.cycle_sum_table, kernels._principal_dp
 
-        def counting(A, cap=None):
+        def counting_table(A, cap=None):
             built.append(A.n)
-            return original(A, cap=cap)
+            return table(A, cap=cap)
 
-        for module in (ineq, kernels):
-            monkeypatch.setattr(module, "cycle_sum_table", counting)
-        for kind in (REAL_SYMMETRIC, HERMITIAN):
+        def counting_dp(A, alpha, C):
+            runs.append(alpha)
+            return dp(A, alpha, C)
+
+        monkeypatch.setattr(kernels, "cycle_sum_table", counting_table)
+        monkeypatch.setattr(kernels, "_principal_dp", counting_dp)
+        for kind, dps in ((REAL_SYMMETRIC, 3), (HERMITIAN, 2)):
             built.clear()
+            runs.clear()
             hunt(HuntConfig(targets=targets, n=5, trials=1, seed=6,
                             kind=kind))
             assert built == [5]
+            assert len(runs) == dps
+
+    def test_findings_build_no_extra_matrices(self, monkeypatch):
+        # the merge reads each trial's matrix text from its chunk; only
+        # keep-smallest and the argmin may build a matrix again
+        import alphaperm.inequalities as ineq
+        built = []
+        original = ineq._trial_matrix
+
+        def counting(cfg, t):
+            built.append(t)
+            return original(cfg, t)
+
+        monkeypatch.setattr(ineq, "_trial_matrix", counting)
+        cfg = HuntConfig(targets=("lieb-type",), n=5, trials=16, seed=0,
+                         kind=HERMITIAN, keep_smallest=2)
+        r = hunt(cfg)
+        assert r.observations > 0
+        assert len(built) <= cfg.trials + cfg.keep_smallest + 1
+        for f in r.findings:
+            assert f.sha256 == matrix_digest(original(cfg, f.trial))
+            assert str(replay_finding(f)) == f.slack
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

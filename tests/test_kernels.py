@@ -21,6 +21,7 @@ from alphaperm.kernels import (
     cycle_sum_table,
     determinant,
     diagonal_product,
+    doubled_hafnian_table,
     hafnian,
     per_alpha_dp,
     per_alpha_minors,
@@ -465,6 +466,19 @@ class TestIntegerLane:
     @settings(max_examples=30, deadline=None)
     def test_hafnian_of_doubled_equals_naive_half(self, S):
         _same(hafnian(doubled(S)), 2 ** S.n * per_alpha_naive(S, F(1, 2)))
+
+    @given(exact_matrices(max_n=4, kind="rational", hermitian=True))
+    @settings(max_examples=30, deadline=None)
+    def test_doubled_hafnian_table_equals_block_hafnians(self, S):
+        # the float table runs the same recursion in the same order as the
+        # hafnian of each block, so it is bit-identical to it
+        L, table = doubled_hafnian_table(S)
+        one, float_table = doubled_hafnian_table(S.to_float())
+        assert len(table) == len(float_table) == 1 << S.n and one == 1
+        for T in range(1 << S.n):
+            B = submatrix(S, T)
+            _same(F(table[T], L ** T.bit_count()), hafnian(doubled(B)))
+            _same(float_table[T], hafnian(doubled(B.to_float())))
 
     @given(exact_matrices())
     @settings(max_examples=60, deadline=None)

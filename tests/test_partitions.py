@@ -23,6 +23,7 @@ from alphaperm.partitions import (
     bell_number,
     enumerate_partitions,
     enumerate_shape_partitions,
+    graded_partition_sums,
     half_formula_rhs,
     per_beta_k,
     product_formula_rhs,
@@ -126,6 +127,59 @@ class TestCountingFunctions:
             shape_partition_count(3, (3, 0))
 
 
+def _brute_partition_sums(f, n):
+    """P[T][k] by listing the set partitions of every T."""
+    P = []
+    for T in range(1 << n):
+        idx = [i for i in range(n) if T >> i & 1]
+        row = [0] * (len(idx) + 1)
+        for part in enumerate_partitions(len(idx)):
+            prod = 1
+            for block in part.blocks:
+                prod = prod * f[sum(1 << idx[i] for i in range(len(idx))
+                                    if block >> i & 1)]
+            row[part.k] += prod
+        P.append(row)
+    return P
+
+
+_RING_ENTRIES = {
+    "int": st.integers(-20, 20),
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    "float": st.floats(-3, 3, allow_nan=False),
+    "gaussian": st.builds(G, st.fractions(-3, 3, max_denominator=5),
+                          st.fractions(-3, 3, max_denominator=5)),
+}
+
+
+class TestGradedPartitionSums:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6),
+           ring=st.sampled_from(sorted(_RING_ENTRIES)))
+    def test_against_enumeration(self, data, n, ring):
+        f = [None] + data.draw(st.lists(_RING_ENTRIES[ring],
+                                        min_size=(1 << n) - 1,
+                                        max_size=(1 << n) - 1))
+        got = graded_partition_sums(f, n)
+        want = _brute_partition_sums(f, n)
+        assert [len(row) for row in got] == [len(row) for row in want]
+        if ring != "float":
+            assert got == want
+            return
+        # summation order differs; bound the error by the terms' size
+        scale = _brute_partition_sums([None] + [abs(x) for x in f[1:]], n)
+        for T in range(1 << n):
+            for g, w, s in zip(got[T], want[T], scale[T]):
+                assert abs(g - w) <= 1e-12 * (1 + s)
+
+    def test_pinned_counts(self):
+        # f = 1 counts partitions: the full-set row is Stirling's row
+        P = graded_partition_sums([1] * 32, 5)
+        assert P[31] == [stirling2(5, k) for k in range(6)]
+        assert P[0] == [1]
+        assert P[0b10100] == [0, 1, 1]
+
+
 class TestPerBetaK:
     def test_identity_blocks(self):
         # on I_3 with beta=1 each block contributes 1, so per(I_3, k) counts
@@ -181,10 +235,39 @@ class TestSumFormula:
         with pytest.raises(DomainError):
             sum_formula_rhs(Matrix.identity(2, "rational"), [])
 
-    def test_assignment_cap(self):
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 4), m=st.integers(1, 3),
+           kind=st.sampled_from(["rational", "complex-rational"]),
+           seed=st.integers(0, 10 ** 6),
+           nums=st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+           dens=st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    def test_against_assignment_sum(self, n, m, kind, seed, nums, dens):
+        # the sum over all m^n assignments of indices to the m summands
+        A = (random_matrix(n, kind, scale=3, seed=seed) if n
+             else Matrix([], kind=kind))
+        betas = [F(a, d) for a, d in zip(nums, dens)][:m]
+        want = F(0)
+        for assignment in itertools.product(range(m), repeat=n):
+            masks = [0] * m
+            for i, label in enumerate(assignment):
+                masks[label] |= 1 << i
+            prod = F(1)
+            for mask, beta in zip(masks, betas):
+                if mask:
+                    prod = prod * per_alpha_dp(submatrix(A, mask), beta)
+            want = want + prod
+        assert sum_formula_rhs(A, betas) == want
+
+    def test_many_betas_past_the_old_assignment_count(self):
+        # 7^9 (about 4.0e7) assignments; the convolution costs 7 * 3^9
+        A = random_matrix(9, "rational", scale=2, seed=34)
+        betas = [F(1), F(-1, 2), F(2, 3), F(3), F(-5, 4), F(1, 6), F(7, 5)]
+        assert sum_formula_rhs(A, betas) == per_alpha_dp(A, sum(betas))
+
+    def test_cap_is_the_dp_cap(self):
         A = random_matrix(5, "rational", scale=2, seed=34)
         with pytest.raises(CapacityError):
-            sum_formula_rhs(A, [F(1)] * 3, cap=200)
+            sum_formula_rhs(A, [F(1)] * 3, cap=4)
 
 
 class TestProductFormula:

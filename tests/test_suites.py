@@ -62,6 +62,11 @@ class TestIdentitySuite:
         b = run_identity_suite(n_max=4, trials=6, seed=2, jobs=2)
         assert _snapshot(a) == _snapshot(b)
 
+    def test_no_trials_with_jobs(self):
+        for jobs in (1, 2):
+            outcomes = run_identity_suite(trials=0, jobs=jobs)
+            assert all(oc.total == 0 for oc in outcomes)
+
     def test_float_mode(self):
         outcomes = run_identity_suite(n_max=4, trials=5, seed=3,
                                       float_mode=True, tol=1e-7)
