@@ -187,7 +187,6 @@ def cmd_hunt(args) -> int:
             print("error: --alpha-range wants LO:HI", file=sys.stderr)
             return 2
         lo, hi = parts
-        Fraction(lo), Fraction(hi)  # validate early
     cfg = HuntConfig(
         targets=tuple(args.target.split(",")),
         n=args.n,

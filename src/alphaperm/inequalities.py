@@ -23,9 +23,13 @@ Checked families on a PSD A with unit split A' = A[{0..m-1}], A'' = A[rest]:
 
 The alpha-indexed families are proved for alpha a nonnegative integer or
 alpha >= n-1 (exactly when binom(alpha, k) >= 0 for all k <= n, see
-binomials_nonnegative) and conjectured for 1 <= alpha < n-1 except that
-neg-nonneg is genuinely open there; the hunter treats it as sign data, not
-as a gate.
+binomials_nonnegative). For 1 <= alpha < n-1 lieb-alpha, half-scaled and
+the marcus bounds are conjectured; neg-nonneg and neg-block are not, as
+both fail at some such alpha on the all-ones matrix J_n, which is PSD of
+rank 1: (-1)^n per_{-alpha}(J_n) = alpha (alpha-1) ... (alpha-n+1) is
+negative when an odd number of its factors are (neg-nonneg at n = 3,
+alpha = 3/2; neg-block at n = 4, alpha = 13/10). Outside the proven
+regime the hunter records neg-nonneg as sign data, not as a gate.
 
 Shape averages: for a partition shape of n and sign s in {+1, -1},
 
@@ -38,9 +42,13 @@ check_majorization_step compares p on shapes related by merging two parts.
 Blocks come from principal-minor tables (kernels.per_alpha_minors), one
 subset DP per alpha for all of A's index sets: check_lieb_type reads both
 blocks of every split from lieb_type_minors, check_marcus reads the
-full-set entries of the same tables, and p_shape reads every block from
-sign_minors. check_lieb, check_fischer and the oracle _naive_slack
-keep computing each block on its own.
+full-set entries of the same tables, check_lieb and check_fischer read
+every split from sign_minors(A, +1) and sign_minors(A, -1) when given
+them, and shape_averages sums block products over the partitions of every
+shape from sign_minors in one shape-keyed partition DP
+(partitions.shape_partition_sums). Without tables, check_lieb and
+check_fischer run Ryser and Bareiss on A and on each block; the oracle
+_naive_slack computes each block on its own.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import AlphaPermError, DomainError
+from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
     determinant,
     diagonal_product,
@@ -76,7 +84,11 @@ from .matrices import (
     split_masks,
     submatrix,
 )
-from .partitions import enumerate_shape_partitions, shape_partition_count
+from .partitions import (
+    _ring_table,
+    shape_partition_count,
+    shape_partition_sums,
+)
 from .scalars import (
     GaussianRational,
     as_scalar,
@@ -181,17 +193,43 @@ def _real_alpha(alpha):
 # base inequalities (alpha-free)
 # ---------------------------------------------------------------------------
 
-def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
+def _signed(x, k: int):
+    """(-1)^k x."""
+    return -x if k % 2 else x
+
+
+def check_lieb(A: Matrix, m: int, tol=0.0, minors=None) -> ComparisonResult:
+    """Lieb's inequality per(A) >= per(A') per(A'') at the split m.
+
+    minors, if given, must be sign_minors(A, +1); pass it to read A and both
+    blocks of every split from one table. Without it Ryser runs on A and on
+    each block, which is also the only path above the DP's size cap.
+    """
     low, high = split_masks(A.n, m)
-    lhs = permanent(A)
-    rhs = permanent(submatrix(A, low)) * permanent(submatrix(A, high))
+    if minors is None:
+        lhs = permanent(A)
+        rhs = permanent(submatrix(A, low)) * permanent(submatrix(A, high))
+    else:
+        lhs = minors[-1]
+        rhs = minors[low] * minors[high]
     return compare("lieb", lhs, rhs, ">=", tol)
 
 
-def check_fischer(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
-    low, high = split_masks(A.n, m)
-    lhs = determinant(A)
-    rhs = determinant(submatrix(A, low)) * determinant(submatrix(A, high))
+def check_fischer(A: Matrix, m: int, tol=0.0, minors=None) -> ComparisonResult:
+    """Fischer's inequality det(A) <= det(A') det(A'') at the split m.
+
+    minors, if given, must be sign_minors(A, -1), whose entry T is
+    (-1)^|T| det(A[T]); pass it to read A and both blocks of every split
+    from one table. Without it Bareiss runs on A and on each block.
+    """
+    n = A.n
+    low, high = split_masks(n, m)
+    if minors is None:
+        lhs = determinant(A)
+        rhs = determinant(submatrix(A, low)) * determinant(submatrix(A, high))
+    else:
+        lhs = _signed(minors[-1], n)
+        rhs = _signed(minors[low], m) * _signed(minors[high], n - m)
     return compare("fischer", lhs, rhs, "<=", tol)
 
 
@@ -308,26 +346,36 @@ def sign_minors(A: Matrix, sign: int, cycle_table=None):
     return per_alpha_minors(A, alpha, cycle_table=cycle_table)
 
 
-def p_shape(A: Matrix, shape, sign: int, tol=0.0, minors=None):
-    """Average over set partitions with the given shape of the product of
+def shape_averages(A: Matrix, sign: int, tol=0.0, minors=None) -> dict:
+    """{shape: p_sign(shape)} for every partition shape of n = A.n: the
+    average over set partitions with that shape of the product of
     per_{sign} over blocks (sign +1: permanents; sign -1: signed dets).
 
-    minors, if given, must be sign_minors(A, sign).
+    One shape-keyed partition DP serves every shape; exact tables run it on
+    the DP's integers and divide once per shape. minors, if given, must be
+    sign_minors(A, sign).
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     n = A.n
-    count = shape_partition_count(n, shape)
     if minors is None:
         minors = sign_minors(A, sign)
-    total = None
-    for part in enumerate_shape_partitions(n, shape):
-        prod = None
-        for mask in part.blocks:
-            v = minors[mask]
-            prod = v if prod is None else prod * v
-        total = prod if total is None else total + prod
-    return _real_value(total, tol) / count
+    f, unit = _ring_table(minors, minors.base)
+    return {shape: _real_value(total * unit, tol)
+            / shape_partition_count(n, shape)
+            for shape, total in shape_partition_sums(f, n).items()}
+
+
+def p_shape(A: Matrix, shape, sign: int, tol=0.0, minors=None):
+    """Average over set partitions with the given shape of the product of
+    per_{sign} over blocks (sign +1: permanents; sign -1: signed dets):
+    one entry of shape_averages.
+
+    minors, if given, must be sign_minors(A, sign).
+    """
+    shape = tuple(sorted(shape, reverse=True))
+    shape_partition_count(A.n, shape)  # rejects a shape that is not of n
+    return shape_averages(A, sign, tol, minors)[shape]
 
 
 def _merge_of(lam, mu):
@@ -346,7 +394,7 @@ def _merge_of(lam, mu):
 
 
 def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
-                            minors=None) -> ComparisonResult:
+                            averages=None) -> ComparisonResult:
     """Compare p(lam) against p(mu) when lam merges two parts of mu.
 
     Permanent averages go up under merging, so sign +1 compares with >=.
@@ -354,14 +402,15 @@ def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
     sizes sum to n, p_-(shape) is (-1)^n times the unsigned average: sign -1
     compares with <= at even n and with >= at odd n.
 
-    minors, if given, must be sign_minors(A, sign); both shapes read it.
+    averages, if given, must be shape_averages(A, sign); both shapes read
+    it.
     """
     lam = tuple(sorted(lam, reverse=True))
     mu = tuple(sorted(mu, reverse=True))
     if not _merge_of(lam, mu):
         raise DomainError("%r is not a two-part merge of %r" % (lam, mu))
     n = A.n
-    if sum(lam) != n:
+    if sum(lam) != n or min(mu) < 1:
         raise DomainError("shapes must partition %d" % n)
     direction = ">=" if (sign == 1 or n % 2 == 1) else "<="
     label = "per" if sign == 1 else "det"
@@ -370,10 +419,9 @@ def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
         ".".join(str(x) for x in lam),
         ".".join(str(x) for x in mu),
     )
-    if minors is None:
-        minors = sign_minors(A, sign)
-    return compare(name, p_shape(A, lam, sign, tol, minors),
-                   p_shape(A, mu, sign, tol, minors), direction, tol)
+    if averages is None:
+        averages = shape_averages(A, sign, tol)
+    return compare(name, averages[lam], averages[mu], direction, tol)
 
 
 def merge_pairs(n: int) -> list:
@@ -580,6 +628,20 @@ class HuntConfig:
                     raise DomainError("haf-per needs real matrices")
         if self.alpha_max_den < 1:
             raise DomainError("alpha_max_den must be >= 1")
+        if self.alpha_fixed is not None:
+            _hunt_alpha(self.alpha_fixed)
+        elif _hunt_alpha(self.alpha_lo) > _hunt_alpha(self.alpha_hi):
+            raise DomainError("alpha range %s:%s has lo > hi"
+                              % (self.alpha_lo, self.alpha_hi))
+
+
+def _hunt_alpha(text) -> Fraction:
+    """A hunt alpha from its text; decimals are exact ("1.5" is 3/2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ScalarFormatError("bad alpha %r: want a rational such as 3/2"
+                                % (text,)) from None
 
 
 @dataclass
@@ -606,8 +668,8 @@ def _trial_matrix(cfg: HuntConfig, t: int) -> Matrix:
 
 def _trial_alpha(cfg: HuntConfig, t: int) -> Fraction:
     if cfg.alpha_fixed is not None:
-        return Fraction(cfg.alpha_fixed)
-    lo, hi = Fraction(cfg.alpha_lo), Fraction(cfg.alpha_hi)
+        return _hunt_alpha(cfg.alpha_fixed)
+    lo, hi = _hunt_alpha(cfg.alpha_lo), _hunt_alpha(cfg.alpha_hi)
     if t % 64 == 0:
         return lo
     if t % 64 == 1:

@@ -26,9 +26,11 @@ set T, per_beta(A[T]) from kernels.per_alpha_minors or haf(doubled(A[T]))
 from kernels.doubled_hafnian_table. graded_partition_sums sums the block
 products over the k-block partitions of every T, by the anchored recursion
 of fast subset convolution (Bjorklund, Husfeldt, Kaski, Koivisto 2007); the
-sum formula is an m-fold subset convolution, O(m 3^n). Exact tables stay
-in the kernels' integers, entry T carrying base^|T|, so a product over a
-partition of the full set carries base^n, divided out once.
+sum formula is an m-fold subset convolution, O(m 3^n). shape_partition_sums
+runs the same recursion keyed by block shape, for the shape averages of
+inequalities. Exact tables stay in the kernels' integers, entry T carrying
+base^|T|, so a product over a partition of the full set carries base^n,
+divided out once.
 """
 
 from __future__ import annotations
@@ -215,6 +217,37 @@ def graded_partition_sums(f, n: int) -> list:
             s = (s - 1) & rest
         P[mask] = row
     return P
+
+
+def shape_partition_sums(f, n: int) -> dict:
+    """{shape: sum over set partitions of {0..n-1} with that shape of
+    prod f(block)}, shapes as block sizes largest first; a shape no
+    partition has is absent, and n = 0 gives {(): 1}.
+
+    f is read as by graded_partition_sums, whose anchored recursion this
+    runs keyed by shape instead of block count:
+    P[T][shape] = sum over S subseteq T with min(T) in S of
+    f(S) P[T - S][shape minus one part |S|].
+    """
+    size = 1 << n
+    P = [{(): 1}] + [None] * (size - 1)
+    for mask in range(1, size):
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        row = {}
+        s = rest
+        while True:
+            block = lowbit | s
+            w = f[block]
+            b = block.bit_count()
+            for shape, v in P[rest ^ s].items():
+                key = tuple(sorted(shape + (b,), reverse=True))
+                row[key] = row.get(key, 0) + w * v
+            if s == 0:
+                break
+            s = (s - 1) & rest
+        P[mask] = row
+    return P[-1]
 
 
 def _subset_convolution(F, G, n: int) -> list:

@@ -28,6 +28,7 @@ from .inequalities import (
     lieb_type_minors,
     merge_pairs,
     run_trials,
+    shape_averages,
     sign_minors,
     _naive_slack,
     OracleMismatch,
@@ -303,14 +304,17 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
                     format_scalar(result.slack)) + matrix
         rows.append((check_name, ok, result.slack, viol))
 
+    # one cycle table serves every alpha, every family and both signs; the
+    # tables at alpha = +1 and -1 serve lieb, fischer, block-lift and the
+    # majorization steps
+    table = cycle_sum_table(A_eval)
+    signed = {s: sign_minors(A_eval, s, cycle_table=table) for s in (1, -1)}
     for m in range(1, n):
-        record("lieb", check_lieb(A_eval, m, tol), None, m)
-        record("fischer", check_fischer(A_eval, m, tol), None, m)
+        record("lieb", check_lieb(A_eval, m, tol, signed[1]), None, m)
+        record("fischer", check_fischer(A_eval, m, tol, signed[-1]), None, m)
     if is_real:
         record("haf-per", check_haf_per(A_eval, tol), None, None)
 
-    # one cycle table serves every alpha, both families and both signs
-    table = cycle_sum_table(A_eval)
     alphas = alpha_set_for(alpha_set, n, seed, t)
     for alpha in alphas:
         a_eval = to_float_scalar(alpha) if float_mode else alpha
@@ -324,10 +328,12 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
     # lifted block sums against the diagonal; a graded table per matrix, sign
     if n <= 4 and not float_mode:
         D = _diag_of(A)
+        D_table = cycle_sum_table(D)
         per_A, det_A, per_D, det_D = (
-            per_beta_by_k(sign_minors(B, s, cycle_table=C))
-            for B, C in ((A, table), (D, cycle_sum_table(D)))
-            for s in (1, -1))
+            per_beta_by_k(M) for M in (
+                signed[1], signed[-1],
+                sign_minors(D, 1, cycle_table=D_table),
+                sign_minors(D, -1, cycle_table=D_table)))
         sign = -1 if n % 2 else 1
         ok = True
         worst = None
@@ -340,11 +346,11 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         rows.append(("block-lift", ok, worst, None))
 
     if n == 5 and is_real and not float_mode:
-        signed = {s: sign_minors(A, s, cycle_table=table) for s in (1, -1)}
+        averages = {s: shape_averages(A, s, tol, signed[s]) for s in (1, -1)}
         for lam, mu in merge_pairs(5):
             for sign_ in (1, -1):
                 r = check_majorization_step(A, lam, mu, sign_, tol,
-                                            signed[sign_])
+                                            averages[sign_])
                 name = "majorization-per" if sign_ == 1 else "majorization-det"
                 rows.append((name, r.verdict != VIOLATED, r.slack, None))
     return rows

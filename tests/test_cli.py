@@ -232,6 +232,19 @@ class TestHunt:
                                "1-2", "--out", str(tmp_path / "y.jsonl"))
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--alpha", "x"),
+                                       ("--alpha", "1/0"),
+                                       ("--alpha", "1+1i"),
+                                       ("--alpha-range", "1:x"),
+                                       ("--alpha-range", "2:1")])
+    def test_bad_alpha_is_input_error(self, tmp_path, flags):
+        code, out, err = run_cli("hunt", "--target", "marcus", "--n", "3",
+                                 "--trials", "2", *flags, "--out",
+                                 str(tmp_path / "a.jsonl"))
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
     def test_bad_target_is_input_error(self, tmp_path):
         code, _, err = run_cli("hunt", "--target", "nonsense", "--out",
                                str(tmp_path / "z.jsonl"))

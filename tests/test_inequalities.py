@@ -1,13 +1,14 @@
 """Comparisons, inequality checks, shape averages, findings, and the hunter."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaperm.errors import DomainError
+from alphaperm.errors import DomainError, ScalarFormatError
 from alphaperm.inequalities import (
     EQUALITY,
     HOLDS,
@@ -31,12 +32,16 @@ from alphaperm.inequalities import (
     merge_pairs,
     p_shape,
     replay_finding,
+    shape_averages,
+    sign_minors,
+    _real_value,
 )
 from alphaperm.kernels import (
     cycle_sum_table,
     determinant,
     hafnian,
     per_alpha_dp,
+    per_alpha_naive,
     permanent,
 )
 from alphaperm.matrices import (
@@ -51,6 +56,10 @@ from alphaperm.matrices import (
     random_unit_diag_psd,
     split_masks,
     submatrix,
+)
+from alphaperm.partitions import (
+    enumerate_shape_partitions,
+    shape_partition_count,
 )
 from alphaperm.scalars import GaussianRational, to_float_scalar
 
@@ -180,6 +189,29 @@ def _psd_instances(draw, max_n=5):
     return make(n, kind, 3, draw(st.integers(0, 10 ** 6)))
 
 
+class TestSignTables:
+    @given(_psd_instances(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lieb_fischer_tables_equal_ryser_bareiss(self, A, float_mode):
+        tol = 1e-9 if float_mode else 0.0
+        if float_mode:
+            A = A.to_float()
+        C = cycle_sum_table(A)
+        tables = {s: sign_minors(A, s, cycle_table=C) for s in (1, -1)}
+        for m in range(1, A.n):
+            for check, sign in ((check_lieb, 1), (check_fischer, -1)):
+                want = check(A, m, tol)
+                got = check(A, m, tol, minors=tables[sign])
+                if not float_mode:
+                    assert got == want
+                    assert [type(x) for x in (got.lhs, got.rhs, got.slack)] \
+                        == [type(x) for x in (want.lhs, want.rhs, want.slack)]
+                    continue
+                assert got.verdict == want.verdict
+                band = tol * (1.0 + max(abs(want.lhs), abs(want.rhs)))
+                assert abs(got.slack - want.slack) <= band
+
+
 _real_alphas = st.one_of(
     st.sampled_from([F(0), F(1), F(2), F(-1)]),
     st.builds(F, st.integers(-40, 40), st.integers(1, 16)),
@@ -255,6 +287,29 @@ class TestLiebType:
         lhs = -per_alpha_dp(A, F(-2))  # (-1)^3 per_{-2}
         assert r.lhs == lhs
         assert r.ok
+
+    def test_all_ones_matrix_breaks_the_signed_families(self):
+        # J_n is PSD of rank 1, and (-1)^n per_{-a}(J_n) is the falling
+        # factorial a (a-1) ... (a-n+1): negative when an odd number of its
+        # factors are, inside 1 <= a < n-1
+        def ones(n):
+            return Matrix([[F(1)] * n for _ in range(n)], real_symmetric=True)
+
+        for n in range(1, 6):
+            J = ones(n)
+            for a in (F(3, 2), F(13, 10), F(7, 3), F(2)):
+                falling = math.prod(a - j for j in range(n))
+                assert (-1) ** n * per_alpha_naive(J, -a) == falling
+                assert (-1) ** n * per_alpha_dp(J, -a) == falling
+        for m in (1, 2):
+            r = {r.name: r for r in check_lieb_type(ones(3), m, F(3, 2))}
+            assert r["neg-nonneg"].slack == F(-3, 8)
+            assert r["neg-nonneg"].hypothesis is False
+        for m, want in ((1, F(-819, 1000)), (2, F(-39, 125)),
+                        (3, F(-819, 1000))):
+            r = {r.name: r for r in check_lieb_type(ones(4), m, F(13, 10))}
+            assert r["neg-block"].slack == want
+            assert r["neg-block"].hypothesis is False
 
     @given(_psd_instances(), _real_alphas, st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -392,6 +447,31 @@ class TestPShape:
         got = p_shape(A, shape, sign)
         assert type(got) is F
         assert got == total / count
+
+
+    @given(_psd_instances(), st.sampled_from([1, -1]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_shape_averages_equal_enumeration(self, A, sign, float_mode):
+        tol = 1e-9 if float_mode else 0.0
+        if float_mode:
+            A = A.to_float()
+        minors = sign_minors(A, sign)
+        got = shape_averages(A, sign, tol, minors)
+        assert sorted(got) == sorted(_shapes(A.n))
+        for shape in _shapes(A.n):
+            total = size = 0
+            for part in enumerate_shape_partitions(A.n, shape):
+                prod = 1
+                for mask in part.blocks:
+                    prod = prod * minors[mask]
+                total += prod
+                if float_mode:
+                    size += abs(prod)
+            want = _real_value(total, tol) / shape_partition_count(A.n, shape)
+            if float_mode:
+                assert abs(got[shape] - want) <= 1e-12 * (1 + size)
+            else:
+                assert type(got[shape]) is F and got[shape] == want
 
 
 class TestMajorization:
@@ -567,6 +647,11 @@ class TestHunt:
                          alpha_fixed="7/4")
         from alphaperm.inequalities import _trial_alpha
         assert all(_trial_alpha(cfg, t) == F(7, 4) for t in range(5))
+        # a decimal alpha is exact
+        cfg = HuntConfig(targets=("marcus",), n=3, trials=5, seed=0,
+                         alpha_fixed="1.5")
+        cfg.validate()
+        assert _trial_alpha(cfg, 0) == F(3, 2)
 
     def test_keep_smallest(self):
         cfg = HuntConfig(targets=("marcus",), n=4, trials=25, seed=11,
@@ -663,3 +748,71 @@ class TestHunt:
         with pytest.raises(DomainError):
             HuntConfig(targets=("haf-per",), n=3, trials=1, seed=0,
                        kind=HERMITIAN).validate()
+        for bad in ({"alpha_fixed": "x"}, {"alpha_fixed": "1/0"},
+                    {"alpha_fixed": "1+1i"}, {"alpha_hi": "x"}):
+            with pytest.raises(ScalarFormatError):
+                HuntConfig(n=3, trials=1, **bad).validate()
+        with pytest.raises(DomainError):
+            HuntConfig(n=3, trials=1, alpha_lo="2", alpha_hi="1").validate()
+        HuntConfig(n=3, trials=1, alpha_lo="3/2", alpha_hi="1.5").validate()
+
+
+class TestInequalityTrial:
+    def test_one_table_pair_per_instance(self, monkeypatch):
+        # trial 3 is an n = 5 real instance: one cycle table, the two sign
+        # tables plus three DPs per alpha, one shape-average build per sign,
+        # and Ryser only inside check_haf_per
+        import alphaperm.inequalities as ineq
+        import alphaperm.kernels as kernels
+        import alphaperm.partitions as partitions
+        import alphaperm.suites as suites
+        from alphaperm.suites import alpha_set_for
+
+        calls = {"table": [], "dp": [], "averages": [], "ryser": [],
+                 "bareiss": []}
+        inside_haf_per = []
+
+        def counting(key, original, note=lambda *a: None):
+            def wrapper(*args, **kwargs):
+                calls[key].append(note(*args))
+                return original(*args, **kwargs)
+            return wrapper
+
+        originals = {name: getattr(kernels, name)
+                     for name in ("cycle_sum_table", "_principal_dp",
+                                  "permanent", "determinant")}
+        originals["shape_averages"] = ineq.shape_averages
+        originals["check_haf_per"] = ineq.check_haf_per
+        patches = {
+            "cycle_sum_table": counting("table", originals["cycle_sum_table"],
+                                        lambda A, *a: A.n),
+            "_principal_dp": counting("dp", originals["_principal_dp"]),
+            "permanent": counting("ryser", originals["permanent"],
+                                  lambda *a: bool(inside_haf_per)),
+            "determinant": counting("bareiss", originals["determinant"]),
+            "shape_averages": counting("averages", originals["shape_averages"],
+                                       lambda A, sign, *a: sign),
+        }
+
+        def haf_per(*args, **kwargs):
+            inside_haf_per.append(True)
+            try:
+                return originals["check_haf_per"](*args, **kwargs)
+            finally:
+                inside_haf_per.pop()
+
+        patches["check_haf_per"] = haf_per
+        for module in (kernels, ineq, partitions, suites):
+            for name, fn in patches.items():
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, fn)
+        rows = suites._inequality_trial(5, 0, "theorem2", False, 1e-9, 3)
+        assert {name for name, *_ in rows} >= {"lieb", "fischer", "haf-per",
+                                               "majorization-per",
+                                               "majorization-det"}
+        assert calls["table"] == [5]
+        assert len(calls["dp"]) == 2 + 3 * len(alpha_set_for("theorem2", 5,
+                                                             0, 3))
+        assert calls["averages"] == [1, -1]
+        assert calls["ryser"] == [True]
+        assert calls["bareiss"] == []

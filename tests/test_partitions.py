@@ -28,6 +28,7 @@ from alphaperm.partitions import (
     per_beta_k,
     product_formula_rhs,
     shape_partition_count,
+    shape_partition_sums,
     stirling2,
     sum_formula_rhs,
 )
@@ -178,6 +179,48 @@ class TestGradedPartitionSums:
         assert P[31] == [stirling2(5, k) for k in range(6)]
         assert P[0] == [1]
         assert P[0b10100] == [0, 1, 1]
+
+
+def _brute_shape_sums(f, n):
+    """{shape: sum of block products} by listing the partitions of the full
+    set."""
+    out = {}
+    for part in enumerate_partitions(n):
+        prod = 1
+        for block in part.blocks:
+            prod = prod * f[block]
+        out[part.shape()] = out.get(part.shape(), 0) + prod
+    return out
+
+
+class TestShapePartitionSums:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6),
+           ring=st.sampled_from(sorted(_RING_ENTRIES)))
+    def test_against_enumeration(self, data, n, ring):
+        f = [None] + data.draw(st.lists(_RING_ENTRIES[ring],
+                                        min_size=(1 << n) - 1,
+                                        max_size=(1 << n) - 1))
+        got = shape_partition_sums(f, n)
+        want = _brute_shape_sums(f, n)
+        assert sorted(got) == sorted(want)
+        if ring != "float":
+            assert got == want
+            assert all(type(got[s]) is type(want[s]) for s in want)
+            return
+        # summation order differs; bound the error by the terms' size
+        scale = _brute_shape_sums([None] + [abs(x) for x in f[1:]], n)
+        for shape, w in want.items():
+            assert abs(got[shape] - w) <= 1e-12 * (1 + scale[shape])
+
+    def test_counts_shapes(self):
+        # f = 1 counts the partitions of each shape
+        got = shape_partition_sums([1] * 64, 6)
+        assert got == {shape: shape_partition_count(6, shape)
+                       for shape in got}
+        assert len(got) == 11           # integer partitions of 6
+        assert sum(got.values()) == bell_number(6)
+        assert shape_partition_sums([None], 0) == {(): 1}
 
 
 class TestPerBetaK:
