@@ -76,7 +76,6 @@ from .matrices import (
     Matrix,
     doubled,
     dumps_matrix,
-    full_mask,
     loads_matrix,
     matrix_digest,
     random_psd,
@@ -127,6 +126,8 @@ class ComparisonResult:
 
 def _real_value(x, tol):
     """Collapse a (should-be) real scalar to Fraction or float."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, GaussianRational):
         if x.im != 0:
             raise ArithmeticError("imaginary residue %s in a real quantity" % x.im)
@@ -276,8 +277,8 @@ def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0, minors=None) -> list:
     if minors is None:
         minors = lieb_type_minors(A, alpha)
     pos, neg, half = minors
-    per_a = pos[full_mask(n)]
-    per_na = neg[full_mask(n)]
+    per_a = pos[-1]
+    per_na = neg[-1]
     sign_n = -1 if n % 2 else 1
     sign_m = -1 if m % 2 else 1
     sign_nm = -1 if (n - m) % 2 else 1
@@ -628,9 +629,8 @@ class HuntConfig:
                     raise DomainError("haf-per needs real matrices")
         if self.alpha_max_den < 1:
             raise DomainError("alpha_max_den must be >= 1")
-        if self.alpha_fixed is not None:
-            _hunt_alpha(self.alpha_fixed)
-        elif _hunt_alpha(self.alpha_lo) > _hunt_alpha(self.alpha_hi):
+        lo, hi = _alpha_bounds(self)
+        if lo > hi:
             raise DomainError("alpha range %s:%s has lo > hi"
                               % (self.alpha_lo, self.alpha_hi))
 
@@ -666,10 +666,21 @@ def _trial_matrix(cfg: HuntConfig, t: int) -> Matrix:
     return random_psd(cfg.n, cfg.kind, cfg.scale, seed)
 
 
-def _trial_alpha(cfg: HuntConfig, t: int) -> Fraction:
+def _alpha_bounds(cfg: HuntConfig) -> tuple:
+    """(lo, hi) of the hunt's alpha range, parsed once per hunt; a fixed
+    alpha a is the range (a, a)."""
     if cfg.alpha_fixed is not None:
-        return _hunt_alpha(cfg.alpha_fixed)
-    lo, hi = _hunt_alpha(cfg.alpha_lo), _hunt_alpha(cfg.alpha_hi)
+        fixed = _hunt_alpha(cfg.alpha_fixed)
+        return fixed, fixed
+    return _hunt_alpha(cfg.alpha_lo), _hunt_alpha(cfg.alpha_hi)
+
+
+def _trial_alpha(cfg: HuntConfig, bounds: tuple, t: int) -> Fraction:
+    """Trial t's alpha in bounds = _alpha_bounds(cfg): lo at t = 0 mod 64,
+    hi at t = 1 mod 64, else a random rational in between."""
+    lo, hi = bounds
+    if lo == hi:
+        return lo
     if t % 64 == 0:
         return lo
     if t % 64 == 1:
@@ -712,10 +723,11 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
             yield r, None, False
 
 
-def _hunt_trial(cfg: HuntConfig, t: int) -> tuple:
-    """Evaluate trial t; return a compact, picklable record of it."""
+def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
+    """Evaluate trial t, with alpha bounds = _alpha_bounds(cfg); return a
+    compact, picklable record of it."""
     A = _trial_matrix(cfg, t)
-    alpha = _trial_alpha(cfg, t) if any(
+    alpha = _trial_alpha(cfg, bounds, t) if any(
         _needs_alpha(x) for x in cfg.targets) else None
     violations = []
     signs = []
@@ -774,7 +786,7 @@ def hunt(cfg: HuntConfig) -> HuntResult:
     per_trial_min = []
     violations = observations = 0
     for t, (alpha_text, viol, signs, min_gated, matrix) in run_trials(
-            _hunt_trial, (cfg,), cfg.trials, cfg.jobs):
+            _hunt_trial, (cfg, _alpha_bounds(cfg)), cfg.trials, cfg.jobs):
         for record, entries in (("violation", viol), ("sign", signs)):
             for name, split, slack_text in entries:
                 findings.append(Finding(

@@ -42,10 +42,13 @@ float determinant uses numpy (pivoted LU). Exact inputs demand exact alpha,
 float inputs demand float alpha; anything else raises MixedModeError. The
 result is complex when A or alpha is, for every n including 0.
 
-Exact kernels run in an integer lane. scalars.clear_denominators scales A
-once by the common denominator L of its entries, so B = L*A has integer
-entries (Gaussian integers, kept as integer real and imaginary parts,
-for complex-rational A):
+Exact kernels run in an integer lane, on A.cleared: the common
+denominator L of A's entries and B = L*A as integers (Gaussian integers,
+kept as integer real and imaginary parts, for complex-rational A), as
+scalars.clear_denominators computes them. A is cleared once: the Gram
+generators build their instances in integers and hand this form to the
+constructor, and any other exact matrix computes it on first use and keeps
+it, so no kernel clears the same matrix twice.
 
   * cycle sums scale as C_B(S) = L^|S| C_A(S); cycle_sum_table keeps the
     integers, so a table shared across alpha values is never converted;
@@ -358,7 +361,7 @@ def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
     _check_cap("dp", n, cap)
     if A.kind in FLOAT_KINDS:
         return CycleTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
-    L, re, im = clear_denominators(A.rows)
+    L, re, im = A.cleared
     if im is None:
         return CycleTable(A.kind, L, _walk_cycle_sums(re, n), None)
     values, imag = _walk_cycle_sums_gaussian(re, im, n)
@@ -463,11 +466,13 @@ class PrincipalMinors(Sequence):
     base^|T| per_alpha(A[T]) (base = q L for alpha = p/q) and their
     imaginary parts, for float matrices the floats themselves. Indexing
     converts one entry to the value and type per_alpha_dp(submatrix(A, T),
-    alpha) returns; entry 0 is per_alpha of the empty matrix. cycle_table
-    is the table of A the DP ran on, for reuse at another alpha.
+    alpha) returns; entry 0 is per_alpha of the empty matrix. The full-set
+    entry, per_alpha(A), which every split and family reads, is converted
+    once and kept. cycle_table is the table of A the DP ran on, for reuse
+    at another alpha.
     """
 
-    __slots__ = ("kind", "base", "values", "imag", "cycle_table")
+    __slots__ = ("kind", "base", "values", "imag", "cycle_table", "_full")
 
     def __init__(self, kind: str, base: int, values: list, imag,
                  cycle_table: CycleTable):
@@ -476,12 +481,21 @@ class PrincipalMinors(Sequence):
         self.values = values
         self.imag = imag
         self.cycle_table = cycle_table
+        self._full = None
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, mask: int):
-        mask = range(len(self.values))[mask]
+        full = len(self.values) - 1
+        mask = range(full + 1)[mask]
+        if mask == full:
+            if self._full is None:
+                self._full = self._entry(full)
+            return self._full
+        return self._entry(mask)
+
+    def _entry(self, mask: int):
         if self.kind in FLOAT_KINDS:
             return self.values[mask]
         imag = None if self.kind == RATIONAL else 0
@@ -524,7 +538,7 @@ def permanent(A: Matrix, cap=None):
     if n == 0:
         return one_of_kind(A.kind)
     if A.kind == RATIONAL:
-        L, rows, _ = clear_denominators(A.rows)
+        L, rows, _ = A.cleared
         return from_scaled(L ** n, _ryser(rows, n))
     return _ryser(A.rows, n)
 
@@ -567,7 +581,7 @@ def determinant(A: Matrix):
         value = np.linalg.det(A.to_numpy())
         return complex(value) if kind_is_complex(A.kind) else float(value)
     if A.kind == RATIONAL:
-        L, rows, _ = clear_denominators(A.rows)
+        L, rows, _ = A.cleared
         return from_scaled(L ** n, _bareiss(rows, n, 1, operator.floordiv))
     return _bareiss(A.rows, n, one_of_kind(A.kind), operator.truediv)
 
@@ -613,7 +627,7 @@ def hafnian(A: Matrix, cap=None):
     if n == 0:
         return one_of_kind(A.kind)
     if A.kind == RATIONAL:
-        L, rows, _ = clear_denominators(A.rows)
+        L, rows, _ = A.cleared
         return from_scaled(L ** (n // 2), _hafnian(rows, 1)(full_mask(n)))
     return _hafnian(A.rows, one_of_kind(A.kind))(full_mask(n))
 
@@ -658,7 +672,7 @@ def doubled_hafnian_table(A: Matrix, cap=None) -> tuple:
     if A.kind in FLOAT_KINDS:
         L, rows, one = 1, D.rows, one_of_kind(A.kind)
     else:
-        L, rows, _ = clear_denominators(D.rows)
+        L, rows, _ = D.cleared
         one = 1
     haf = _hafnian(rows, one)
     return L, [haf(T | T << A.n) for T in range(1 << A.n)]

@@ -22,6 +22,8 @@ byte-identical files and the format round-trips exactly.
 from __future__ import annotations
 
 import io
+import math
+import operator
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -46,7 +48,6 @@ from .scalars import (
     clear_denominators,
     conj_scalar,
     format_scalar,
-    from_scaled,
     kind_is_complex,
     kind_is_exact,
     parse_scalar,
@@ -111,9 +112,15 @@ class Matrix:
     matrix (set by constructors that guarantee them, or by file flags, which
     are verified on read). Operations that mathematically require symmetry
     check entries directly rather than trusting the claim.
+
+    An exact matrix also has a cleared form, the (L, re, im) of
+    scalars.clear_denominators(rows) that the integer kernels run on. The
+    Gram generators hand it over at construction; any other exact matrix
+    computes it on first use of `cleared`.
     """
 
-    __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian")
+    __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",
+                 "_cleared")
 
     def __init__(self, rows, kind=None, real_symmetric=False, hermitian=False):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -158,7 +165,59 @@ class Matrix:
         object.__setattr__(self, "real_symmetric", bool(real_symmetric))
         object.__setattr__(self, "hermitian", bool(hermitian or
                                                    real_symmetric))
+        object.__setattr__(self, "_cleared", None)
         self.validate_flags()
+
+    @classmethod
+    def _from_cleared(cls, kind: str, cleared: tuple, real_symmetric=False,
+                      hermitian=False) -> "Matrix":
+        """Trusted constructor of the exact matrix whose cleared form is
+        cleared = (L, re, im): entry (i, j) is (re[i][j] + i im[i][j]) / L.
+
+        The caller guarantees that cleared is what clear_denominators would
+        return for the entries (L least, im None exactly when kind is
+        rational or n is 0). Claimed flags are checked on the integers:
+        re symmetric, im antisymmetric.
+        """
+        L, re, im = cleared
+        # one Fraction per distinct integer: a Gram matrix repeats most
+        parts = (re,) if im is None else (re, im)
+        frac = {x: Fraction(x, L)
+                for x in {x for part in parts for row in part for x in row}}
+        if im is None:
+            rows = tuple(tuple(frac[x] for x in row) for row in re)
+        else:
+            rows = tuple(
+                tuple(GaussianRational(frac[x], frac[y])
+                      for x, y in zip(row_re, row_im))
+                for row_re, row_im in zip(re, im)
+            )
+        if real_symmetric and (kind_is_complex(kind) or not _mirrored(re, 1)):
+            raise MatrixFormatError("real-symmetric flag does not hold")
+        if hermitian and not (_mirrored(re, 1)
+                              and (im is None or _mirrored(im, -1))):
+            raise MatrixFormatError("hermitian flag does not hold")
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "real_symmetric", bool(real_symmetric))
+        object.__setattr__(self, "hermitian", bool(hermitian or
+                                                   real_symmetric))
+        object.__setattr__(self, "_cleared", cleared)
+        return self
+
+    @property
+    def cleared(self) -> tuple:
+        """(L, re, im) = clear_denominators(rows): the integer form of an
+        exact matrix, computed once and kept. Float matrices have none."""
+        if self._cleared is None:
+            if not kind_is_exact(self.kind):
+                raise DomainError("a %s matrix has no cleared form"
+                                  % self.kind)
+            object.__setattr__(self, "_cleared",
+                               clear_denominators(self.rows))
+        return self._cleared
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -252,6 +311,13 @@ class Matrix:
         return Matrix(rows, kind=self.kind,
                       real_symmetric=self.real_symmetric,
                       hermitian=self.hermitian)
+
+
+def _mirrored(part, sign: int) -> bool:
+    """part[j][i] == sign * part[i][j] for every i <= j."""
+    n = len(part)
+    return all(part[j][i] == sign * part[i][j]
+               for i in range(n) for j in range(i, n))
 
 
 def submatrix(A: Matrix, mask: int) -> Matrix:
@@ -352,28 +418,65 @@ def random_symmetric_matrix(n: int, scale: int = 4, seed: int = 0) -> Matrix:
     return Matrix(rows, kind=RATIONAL, real_symmetric=True, hermitian=True)
 
 
+def _rand_row(rng: random.Random, d: int, scale: int) -> tuple:
+    """d draws of _rand_fraction as integers (D, U): draw k is U[k] / D."""
+    draws = [(rng.randint(-scale, scale), rng.randint(1, scale))
+             for _ in range(d)]
+    D = math.lcm(*[q for _, q in draws])
+    return D, [p * (D // q) for p, q in draws]
+
+
+def _reduced(den: int, xs: list) -> tuple:
+    """(den, xs) divided by the gcd of den and every entry of xs."""
+    g = math.gcd(den, *xs)
+    if g == 1:
+        return den, xs
+    return den // g, [x // g for x in xs]
+
+
 def _gram(b_rows, complex_entries: bool) -> Matrix:
-    """G = B B* of exact rows, from integer dot products of L*B: one
-    Fraction per entry, over L^2."""
+    """G = B B* in integers, handed to Matrix with its cleared form.
+
+    b_rows are the rows of B as pairs (den, X) of integers, row i of B
+    being X / den; a complex row interleaves real and imaginary parts,
+    (Re b_i1, Im b_i1, Re b_i2, ...). With L the lcm of the dens, every
+    entry of G is an integer dot product of the rows of L*B over L^2;
+    dividing out g = gcd(L^2, all of them) leaves exactly the form
+    clear_denominators would compute from G's entries.
+    """
     n = len(b_rows)
-    L, re, im = clear_denominators(b_rows)
-    den = L * L
-    rows = [[None] * n for _ in range(n)]
+    L = math.lcm(*[den for den, _ in b_rows])
+    X = [xs if den == L else [L // den * x for x in xs] for den, xs in b_rows]
+    re = [[0] * n for _ in range(n)]
+    im = None
+    if complex_entries and n:
+        im = [[0] * n for _ in range(n)]
+        # (a + bi)(c - di) = (ac + bd) + (bc - ad)i: over interleaved
+        # parts, the real part is the dot product with (c, d) and the
+        # imaginary part the dot product with (-d, c)
+        turned = [[z for k in range(0, 2 * n, 2) for z in (-x[k + 1], x[k])]
+                  for x in X]
     for i in range(n):
+        xi = X[i]
         for j in range(i, n):
-            # (a + bi)(c - di) = (ac + bd) + (bc - ad)i
-            dot = sum(a * c for a, c in zip(re[i], re[j]))
-            if complex_entries:
-                dot += sum(b * d for b, d in zip(im[i], im[j]))
-                cross = (sum(b * c for b, c in zip(im[i], re[j]))
-                         - sum(a * d for a, d in zip(re[i], im[j])))
-                rows[i][j] = from_scaled(den, dot, cross)
-                rows[j][i] = from_scaled(den, dot, -cross)
-            else:
-                rows[i][j] = rows[j][i] = from_scaled(den, dot)
+            re[i][j] = re[j][i] = sum(map(operator.mul, xi, X[j]))
+            if im is not None:
+                cross = sum(map(operator.mul, xi, turned[j]))
+                im[i][j] = cross
+                im[j][i] = -cross
+    den = L * L
+    g = math.gcd(den, *[x for part in (re, im or ()) for row in part
+                        for x in row])
+    if g > 1:
+        den //= g
+        re = [[x // g for x in row] for row in re]
+        if im is not None:
+            im = [[x // g for x in row] for row in im]
     if complex_entries:
-        return Matrix(rows, kind=COMPLEX_RATIONAL, hermitian=True)
-    return Matrix(rows, kind=RATIONAL, real_symmetric=True, hermitian=True)
+        return Matrix._from_cleared(COMPLEX_RATIONAL, (den, re, im),
+                                    hermitian=True)
+    return Matrix._from_cleared(RATIONAL, (den, re, None),
+                                real_symmetric=True)
 
 
 def random_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
@@ -381,7 +484,9 @@ def random_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
     """Random Gram matrix G = B B*, exactly PSD by construction.
 
     kind is "real-symmetric" (rational G) or "hermitian" (complex-rational G).
-    Deterministic in (n, kind, scale, seed).
+    B has entries p/q, |p| <= scale, 1 <= q <= scale (both parts, for
+    hermitian), drawn as integers; G is built in integers and carries its
+    cleared form. Deterministic in (n, kind, scale, seed).
     """
     if kind not in (REAL_SYMMETRIC, HERMITIAN):
         raise DomainError("random_psd kind must be %r or %r" %
@@ -389,57 +494,42 @@ def random_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
     if scale < 1:
         raise DomainError("scale must be >= 1")
     rng = _rng("psd", kind, n, scale, seed)
-    if kind == REAL_SYMMETRIC:
-        b = [[_rand_fraction(rng, scale) for _ in range(n)] for _ in range(n)]
-        return _gram(b, complex_entries=False)
-    b = [
-        [GaussianRational(_rand_fraction(rng, scale), _rand_fraction(rng, scale))
-         for _ in range(n)]
-        for _ in range(n)
-    ]
-    return _gram(b, complex_entries=True)
+    width = n if kind == REAL_SYMMETRIC else 2 * n
+    b = [_rand_row(rng, width, scale) for _ in range(n)]
+    return _gram(b, complex_entries=kind == HERMITIAN)
 
 
-def _rational_unit_vector(rng: random.Random, d: int, scale: int) -> list:
-    """An exactly rational point on the unit sphere of R^d.
+def _rational_unit_vector(rng: random.Random, d: int, scale: int) -> tuple:
+    """An exactly rational point X / den on the unit sphere of R^d, as the
+    integers (den, X) in lowest terms.
 
     Inverse stereographic projection: for u in Q^(d-1),
-    x = (2u, 1 - |u|^2) / (1 + |u|^2) has |x| = 1 exactly.
+    x = (2u, 1 - |u|^2) / (1 + |u|^2) has |x| = 1 exactly; with u = U / D
+    in integers, x = (2 U D, D^2 - |U|^2) / (D^2 + |U|^2).
     """
-    u = [_rand_fraction(rng, scale) for _ in range(d - 1)]
-    # with u = U / D in integers: x = (2 U D, D^2 - |U|^2) / (D^2 + |U|^2)
-    D, [U], _ = clear_denominators([u])
+    D, U = _rand_row(rng, d - 1, scale)
     norm = sum(x * x for x in U)
-    den = D * D + norm
-    return ([from_scaled(den, 2 * D * x) for x in U]
-            + [from_scaled(den, D * D - norm)])
+    return _reduced(D * D + norm, [2 * D * x for x in U] + [D * D - norm])
 
 
 def random_unit_diag_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
                          seed: int = 0) -> Matrix:
     """Random exactly PSD matrix with exact unit diagonal.
 
-    Rows of the Gram factor are exactly rational unit vectors, so every
-    diagonal entry of G = B B* is exactly 1.
+    Rows of the Gram factor are exactly rational unit vectors (in R^n, or
+    in R^2n read as C^n for hermitian), so every diagonal entry of
+    G = B B* is exactly 1. G is built in integers and carries its cleared
+    form.
     """
     if kind not in (REAL_SYMMETRIC, HERMITIAN):
         raise DomainError("random_unit_diag_psd kind must be %r or %r" %
                           (REAL_SYMMETRIC, HERMITIAN))
     if scale < 1:
         raise DomainError("scale must be >= 1")
-    if n == 0:
-        return Matrix([], kind=RATIONAL if kind == REAL_SYMMETRIC
-                      else COMPLEX_RATIONAL,
-                      real_symmetric=kind == REAL_SYMMETRIC, hermitian=True)
     rng = _rng("unitpsd", kind, n, scale, seed)
-    if kind == REAL_SYMMETRIC:
-        b = [_rational_unit_vector(rng, n, scale) for _ in range(n)]
-        return _gram(b, complex_entries=False)
-    b = []
-    for _ in range(n):
-        x = _rational_unit_vector(rng, 2 * n, scale)
-        b.append([GaussianRational(x[2 * k], x[2 * k + 1]) for k in range(n)])
-    return _gram(b, complex_entries=True)
+    d = n if kind == REAL_SYMMETRIC else 2 * n
+    b = [_rational_unit_vector(rng, d, scale) for _ in range(n)]
+    return _gram(b, complex_entries=kind == HERMITIAN)
 
 
 # ---------------------------------------------------------------------------

@@ -635,23 +635,57 @@ class TestHunt:
         assert r.min_slack is not None and r.min_slack >= 0
 
     def test_boundary_alphas_first(self):
-        from alphaperm.inequalities import _trial_alpha
+        from alphaperm.inequalities import _alpha_bounds, _trial_alpha
         cfg = HuntConfig(targets=("marcus",), n=4, trials=10, seed=0)
-        assert _trial_alpha(cfg, 0) == F(1)
-        assert _trial_alpha(cfg, 1) == F(2)
-        a = _trial_alpha(cfg, 7)
+        bounds = _alpha_bounds(cfg)
+        assert bounds == (F(1), F(2))
+        assert _trial_alpha(cfg, bounds, 0) == F(1)
+        assert _trial_alpha(cfg, bounds, 1) == F(2)
+        a = _trial_alpha(cfg, bounds, 7)
         assert F(1) <= a <= F(2) and a.denominator <= 16
 
     def test_fixed_alpha(self):
         cfg = HuntConfig(targets=("marcus",), n=3, trials=5, seed=0,
                          alpha_fixed="7/4")
-        from alphaperm.inequalities import _trial_alpha
-        assert all(_trial_alpha(cfg, t) == F(7, 4) for t in range(5))
+        from alphaperm.inequalities import _alpha_bounds, _trial_alpha
+        bounds = _alpha_bounds(cfg)
+        assert all(_trial_alpha(cfg, bounds, t) == F(7, 4) for t in range(5))
         # a decimal alpha is exact
         cfg = HuntConfig(targets=("marcus",), n=3, trials=5, seed=0,
                          alpha_fixed="1.5")
         cfg.validate()
-        assert _trial_alpha(cfg, 0) == F(3, 2)
+        assert _trial_alpha(cfg, _alpha_bounds(cfg), 0) == F(3, 2)
+
+    def test_alpha_bounds_parsed_once_per_hunt(self, monkeypatch):
+        # the range is parsed by validate and once for the trials, not per
+        # trial, and the alpha stream does not depend on it
+        import alphaperm.inequalities as ineq
+        cfg = HuntConfig(targets=("marcus",), n=3, trials=70, seed=5,
+                         alpha_lo="3/2", alpha_hi="2.25")
+        expected = hunt(cfg)
+        parsed = []
+        original = ineq._hunt_alpha
+
+        def counting(text):
+            parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(ineq, "_hunt_alpha", counting)
+        again = hunt(cfg)
+        assert len(parsed) == 4
+        assert again.min_alpha == expected.min_alpha
+        assert again.min_slack == expected.min_slack
+        bounds = ineq._alpha_bounds(cfg)
+        alphas = {ineq._trial_alpha(cfg, bounds, t) for t in range(70)}
+        assert min(alphas) == F(3, 2) and max(alphas) == F(9, 4)
+
+    def test_equal_bounds_give_that_alpha(self):
+        from alphaperm.inequalities import _alpha_bounds, _trial_alpha
+        cfg = HuntConfig(targets=("marcus",), n=3, trials=5, seed=0,
+                         alpha_lo="5/4", alpha_hi="1.25")
+        bounds = _alpha_bounds(cfg)
+        assert all(_trial_alpha(cfg, bounds, t) == F(5, 4)
+                   for t in range(70))
 
     def test_keep_smallest(self):
         cfg = HuntConfig(targets=("marcus",), n=4, trials=25, seed=11,

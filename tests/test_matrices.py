@@ -6,12 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alphaperm.matrices as matrices
 from alphaperm.errors import DomainError, MatrixFormatError, MixedModeError
-from alphaperm.kernels import determinant
+from alphaperm.kernels import (
+    cycle_sum_table,
+    determinant,
+    doubled_hafnian_table,
+    hafnian,
+    per_alpha_dp,
+    permanent,
+)
 from alphaperm.matrices import (
     HERMITIAN,
     REAL_SYMMETRIC,
     Matrix,
+    _rand_fraction,
+    _rng,
     certify_psd,
     direct_sum,
     doubled,
@@ -31,7 +41,11 @@ from alphaperm.matrices import (
     submatrix,
     write_matrix,
 )
-from alphaperm.scalars import GaussianRational
+from alphaperm.scalars import (
+    GaussianRational,
+    clear_denominators,
+    from_scaled,
+)
 
 G = GaussianRational
 F = Fraction
@@ -263,6 +277,191 @@ class TestGenerators:
         rows[0][0] -= F(10 ** 6)
         B = Matrix(rows, real_symmetric=True)
         assert not certify_psd(B)
+
+
+# The Gram generators as they were before they moved to integers, on
+# Fraction and GaussianRational scalars through Matrix's checked
+# constructor: the reference the integer generators must reproduce.
+
+def _ref_gram(b_rows, complex_entries: bool) -> Matrix:
+    n = len(b_rows)
+    L, re, im = clear_denominators(b_rows)
+    den = L * L
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            dot = sum(a * c for a, c in zip(re[i], re[j]))
+            if complex_entries:
+                dot += sum(b * d for b, d in zip(im[i], im[j]))
+                cross = (sum(b * c for b, c in zip(im[i], re[j]))
+                         - sum(a * d for a, d in zip(re[i], im[j])))
+                rows[i][j] = from_scaled(den, dot, cross)
+                rows[j][i] = from_scaled(den, dot, -cross)
+            else:
+                rows[i][j] = rows[j][i] = from_scaled(den, dot)
+    if complex_entries:
+        return Matrix(rows, kind="complex-rational", hermitian=True)
+    return Matrix(rows, kind="rational", real_symmetric=True, hermitian=True)
+
+
+def _ref_random_psd(n, kind, scale, seed):
+    rng = _rng("psd", kind, n, scale, seed)
+    if kind == REAL_SYMMETRIC:
+        b = [[_rand_fraction(rng, scale) for _ in range(n)] for _ in range(n)]
+        return _ref_gram(b, complex_entries=False)
+    b = [[G(_rand_fraction(rng, scale), _rand_fraction(rng, scale))
+          for _ in range(n)] for _ in range(n)]
+    return _ref_gram(b, complex_entries=True)
+
+
+def _ref_rational_unit_vector(rng, d, scale):
+    u = [_rand_fraction(rng, scale) for _ in range(d - 1)]
+    D, [U], _ = clear_denominators([u])
+    norm = sum(x * x for x in U)
+    den = D * D + norm
+    return ([from_scaled(den, 2 * D * x) for x in U]
+            + [from_scaled(den, D * D - norm)])
+
+
+def _ref_random_unit_diag_psd(n, kind, scale, seed):
+    if n == 0:
+        return Matrix([], kind="rational" if kind == REAL_SYMMETRIC
+                      else "complex-rational",
+                      real_symmetric=kind == REAL_SYMMETRIC, hermitian=True)
+    rng = _rng("unitpsd", kind, n, scale, seed)
+    if kind == REAL_SYMMETRIC:
+        b = [_ref_rational_unit_vector(rng, n, scale) for _ in range(n)]
+        return _ref_gram(b, complex_entries=False)
+    b = []
+    for _ in range(n):
+        x = _ref_rational_unit_vector(rng, 2 * n, scale)
+        b.append([G(x[2 * k], x[2 * k + 1]) for k in range(n)])
+    return _ref_gram(b, complex_entries=True)
+
+
+_GENERATORS = {
+    "random_psd": (random_psd, _ref_random_psd),
+    "random_unit_diag_psd": (random_unit_diag_psd, _ref_random_unit_diag_psd),
+}
+
+
+def _same_matrix(A, B):
+    assert A == B
+    assert (A.n, A.kind, A.real_symmetric, A.hermitian) == \
+        (B.n, B.kind, B.real_symmetric, B.hermitian)
+    assert dumps_matrix(A) == dumps_matrix(B)
+
+
+class TestIntegerGenerators:
+    @given(st.sampled_from(sorted(_GENERATORS)),
+           st.sampled_from([REAL_SYMMETRIC, HERMITIAN]),
+           st.integers(0, 7), st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_generator(self, name, kind, n, scale, seed):
+        gen, ref = _GENERATORS[name]
+        A = gen(n, kind, scale, seed)
+        _same_matrix(A, ref(n, kind, scale, seed))
+        # the carried form is exactly what clearing the entries gives
+        assert A._cleared is not None
+        assert A.cleared == clear_denominators(A.rows)
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    @pytest.mark.parametrize("kind", [REAL_SYMMETRIC, HERMITIAN])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_n_kind_and_flags(self, name, kind, n):
+        gen, ref = _GENERATORS[name]
+        A = gen(n, kind, 3, 7)
+        _same_matrix(A, ref(n, kind, 3, 7))
+        exact = "rational" if kind == REAL_SYMMETRIC else "complex-rational"
+        assert A.kind == exact
+        assert A.real_symmetric == (kind == REAL_SYMMETRIC) and A.hermitian
+        assert A.cleared == clear_denominators(A.rows)
+        if n == 0:
+            assert A.cleared == (1, [], None)
+
+    def test_generated_instance_is_never_cleared(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(matrices, "clear_denominators",
+                            lambda rows: calls.append(rows))
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            A = random_unit_diag_psd(4, kind, 3, seed=2)
+            B = random_psd(4, kind, 3, seed=2)
+            cycle_sum_table(A)
+            per_alpha_dp(B, F(3, 2))
+        R = random_psd(4, REAL_SYMMETRIC, 3, seed=3)
+        permanent(R), determinant(R), hafnian(R)
+        assert calls == []
+
+
+class TestClearedForm:
+    def test_trusted_constructor_builds_the_entries(self):
+        A = Matrix._from_cleared("rational", (4, [[4, 2], [2, 1]], None),
+                                 real_symmetric=True)
+        assert A.rows == ((F(1), F(1, 2)), (F(1, 2), F(1, 4)))
+        assert A.real_symmetric and A.hermitian
+        H = Matrix._from_cleared(
+            "complex-rational", (2, [[2, 1], [1, 2]], [[0, 3], [-3, 0]]),
+            hermitian=True)
+        assert H.rows[0][1] == G(F(1, 2), F(3, 2))
+        assert H.rows[1][0] == G(F(1, 2), F(-3, 2))
+        assert H.hermitian and not H.real_symmetric
+        assert H.cleared == clear_denominators(H.rows)
+
+    def test_trusted_constructor_checks_flags(self):
+        lopsided = [[1, 2], [3, 1]]
+        with pytest.raises(MatrixFormatError):
+            Matrix._from_cleared("rational", (1, lopsided, None),
+                                 real_symmetric=True)
+        with pytest.raises(MatrixFormatError):
+            Matrix._from_cleared("rational", (1, lopsided, None),
+                                 hermitian=True)
+        assert Matrix._from_cleared("rational", (1, lopsided, None)).n == 2
+        sym = [[1, 2], [2, 1]]
+        with pytest.raises(MatrixFormatError):   # imaginary diagonal
+            Matrix._from_cleared("complex-rational",
+                                 (1, sym, [[1, 0], [0, 0]]), hermitian=True)
+        with pytest.raises(MatrixFormatError):   # im symmetric, not anti
+            Matrix._from_cleared("complex-rational",
+                                 (1, sym, [[0, 1], [1, 0]]), hermitian=True)
+        with pytest.raises(MatrixFormatError):   # complex is never real
+            Matrix._from_cleared("complex-rational",
+                                 (1, sym, [[0, 1], [-1, 0]]),
+                                 real_symmetric=True)
+
+    def test_lazy_form_of_other_matrices(self, monkeypatch):
+        A = random_unit_diag_psd(4, HERMITIAN, 3, seed=5)
+        R = random_psd(3, REAL_SYMMETRIC, 3, seed=5)
+        built = [loads_matrix(dumps_matrix(A)), loads_matrix(dumps_matrix(R)),
+                 submatrix(A, 0b1011), submatrix(R, 0), doubled(R),
+                 Matrix.identity(3, "complex-rational")]
+        calls = []
+        original = matrices.clear_denominators
+
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(matrices, "clear_denominators", counting)
+        for B in built:
+            assert B._cleared is None
+            assert B.cleared == original(B.rows)
+            assert B.cleared is B.cleared
+        assert len(calls) == len(built)
+        D = doubled(R)
+        doubled_hafnian_table(R)
+        hafnian(D), hafnian(D)
+        assert len(calls) == len(built) + 2   # one doubled(R) per call
+
+    def test_float_matrices_never_fill_it(self):
+        A = random_psd(3, REAL_SYMMETRIC, 3, seed=1).to_float()
+        H = random_unit_diag_psd(3, HERMITIAN, 3, seed=1).to_float()
+        for B in (A, H):
+            per_alpha_dp(B, 1.5), permanent(B), determinant(B)
+            assert B._cleared is None
+            with pytest.raises(DomainError):
+                B.cleared
+        doubled_hafnian_table(A), hafnian(doubled(A))
+        assert A._cleared is None
 
 
 class TestTextFormat:
