@@ -42,12 +42,14 @@ check_majorization_step compares p on shapes related by merging two parts.
 Blocks come from principal-minor tables (kernels.per_alpha_minors), one
 subset DP per alpha for all of A's index sets: check_lieb_type reads both
 blocks of every split from lieb_type_minors, check_marcus reads the
-full-set entries of the same tables, check_lieb and check_fischer read
-every split from sign_minors(A, +1) and sign_minors(A, -1) when given
-them, and shape_averages sums block products over the partitions of every
-shape from sign_minors in one shape-keyed partition DP
-(partitions.shape_partition_sums). Without tables, check_lieb and
-check_fischer run Ryser and Bareiss on A and on each block; the oracle
+full-set entries of the same tables when given them and otherwise runs
+three full-set DPs (kernels.per_alpha_dp) on one cycle table, as a
+marcus-only hunt does; per_{alpha/2} is always a full-set DP. check_lieb
+and check_fischer read every split from sign_minors(A, +1) and
+sign_minors(A, -1) when given them, and shape_averages sums block products
+over the partitions of every shape from sign_minors in one shape-keyed
+partition DP (partitions.shape_partition_sums). Without tables, check_lieb
+and check_fischer run Ryser and Bareiss on A and on each block; the oracle
 _naive_slack computes each block on its own.
 """
 
@@ -62,6 +64,7 @@ from numbers import Rational
 
 from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
+    cycle_sum_table,
     determinant,
     diagonal_product,
     hafnian,
@@ -258,9 +261,16 @@ def lieb_type_minors(A: Matrix, alpha, cycle_table=None) -> tuple:
     alpha = _real_alpha(alpha)
     pos = per_alpha_minors(A, alpha, cycle_table=cycle_table)
     table = pos.cycle_table
-    half = (per_alpha_dp(A, alpha / 2, cycle_table=table)
-            if _is_real_kind(A) else None)
-    return pos, per_alpha_minors(A, -alpha, cycle_table=table), half
+    # -alpha before alpha/2: the table keeps the weights of the last q
+    neg = per_alpha_minors(A, -alpha, cycle_table=table)
+    return pos, neg, _half_value(A, alpha, table)
+
+
+def _half_value(A: Matrix, alpha, table):
+    """per_{alpha/2}(A) on real matrices, None otherwise."""
+    if not _is_real_kind(A):
+        return None
+    return per_alpha_dp(A, alpha / 2, cycle_table=table)
 
 
 def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0, minors=None) -> list:
@@ -311,7 +321,8 @@ def check_marcus(A: Matrix, alpha, tol=0.0, minors=None) -> list:
     plus the half-strength lower bound on real matrices.
 
     minors, if given, must be lieb_type_minors(A, alpha); pass it to share
-    its DPs with check_lieb_type.
+    its DPs with check_lieb_type. Without it the three values come from
+    full-set DPs (per_alpha_dp) on one cycle table.
     """
     alpha = _real_alpha(alpha)
     n = A.n
@@ -319,14 +330,19 @@ def check_marcus(A: Matrix, alpha, tol=0.0, minors=None) -> list:
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
     if minors is None:
-        minors = lieb_type_minors(A, alpha)
-    pos, neg, half = minors
+        table = cycle_sum_table(A)
+        per_a = per_alpha_dp(A, alpha, cycle_table=table)
+        per_na = per_alpha_dp(A, -alpha, cycle_table=table)
+        half = _half_value(A, alpha, table)
+    else:
+        pos, neg, half = minors
+        per_a, per_na = pos[-1], neg[-1]
     diag = diagonal_product(A)
     mid = alpha ** n * diag
     sign_n = -1 if n % 2 else 1
     out = [
-        compare("marcus-upper", pos[-1], mid, ">=", tol, hyp_chain),
-        compare("marcus-lower", mid, sign_n * neg[-1], ">=", tol, hyp_chain),
+        compare("marcus-upper", per_a, mid, ">=", tol, hyp_chain),
+        compare("marcus-lower", mid, sign_n * per_na, ">=", tol, hyp_chain),
     ]
     if half is not None:
         out.append(compare("marcus-half", half, (alpha / 2) ** n * diag,
@@ -697,9 +713,10 @@ def _needs_alpha(target: str) -> bool:
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
     """Yield (comparison, split, gated) triples for all configured targets."""
     n = A.n
-    # marcus and every split of lieb-type read these tables
+    # every split of lieb-type reads these tables, and marcus their
+    # full-set entries; marcus alone runs three full-set DPs instead
     minors = None
-    if "lieb-type" in cfg.targets or "marcus" in cfg.targets:
+    if "lieb-type" in cfg.targets:
         minors = lieb_type_minors(A, alpha)
     for target in cfg.targets:
         if target == "marcus":

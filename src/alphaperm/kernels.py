@@ -21,14 +21,20 @@ Two independent algorithms compute per_alpha:
     because the cycle through min(T) is distinguished. Cycle sums come from a
     walk dynamic program anchored at the smallest element of each subset.
 
-The DP computes f(T) for every index set T on its way to the full set, so
-one run gives per_alpha of every principal submatrix A[T]. per_alpha_minors
-keeps that table (a PrincipalMinors, indexed by bitmask) and per_alpha_dp
-reads only its full-set entry. The inequality families read their blocks
-from it: the two blocks of every split in the Lieb-type checks, and the
-blocks of every set partition in the shape averages, where per_{+1} and
-per_{-1} stand in for Ryser and Bareiss; so do the expansion formulas in
-partitions. A table costs one DP, as one per_alpha_dp does.
+Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
+per_alpha of every principal submatrix A[T]. per_alpha_minors keeps that
+table (a PrincipalMinors, indexed by bitmask). The inequality families read
+their blocks from it: the two blocks of every split in the Lieb-type
+checks, and the blocks of every set partition in the shape averages, where
+per_{+1} and per_{-1} stand in for Ryser and Bareiss; so do the expansion
+formulas in partitions.
+
+per_alpha_dp reads only the full-set entry. f(full) reads f only on the
+subsets of {1..n-1}, so it fills those (the masks without bit 0, in
+ascending order) and then the full set: (3^(n-1) - 1)/2 + 2^(n-1) subset
+pairs, about a third of the table's. Each entry it fills is computed by
+the table's loop in the table's order, so its value, exact or float, is
+bit-identical to per_alpha_minors(A, alpha)[-1].
 
 The hafnian of a symmetric even-dimensional matrix sums, over all perfect
 matchings of the index set, the product of matched entries; the diagonal is
@@ -56,7 +62,8 @@ it, so no kernel clears the same matrix twice.
     integral, g(T) = p * sum over S of q^(|S|-1) C_B(S) g(T minus S), and
     per_alpha(A[T]) = g(T) / (q L)^|T|: per_alpha_dp divides once at the
     end, and the minors table keeps the integers g(T) and divides an entry
-    only when it is read;
+    only when it is read. The cycle table keeps the weighted sums of the
+    last q, which alpha and -alpha share;
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
@@ -244,13 +251,14 @@ class CycleTable(Sequence):
     Indexing returns C(S) as a scalar of A's kind; entry 0 is None.
     """
 
-    __slots__ = ("kind", "scale", "values", "imag")
+    __slots__ = ("kind", "scale", "values", "imag", "_weighed")
 
     def __init__(self, kind: str, scale: int, values: list, imag):
         self.kind = kind
         self.scale = scale
         self.values = values
         self.imag = imag
+        self._weighed = None
 
     def __len__(self):
         return len(self.values)
@@ -264,6 +272,24 @@ class CycleTable(Sequence):
         if self.kind == COMPLEX_RATIONAL:
             imag = 0 if self.imag is None else self.imag[mask]
         return from_scaled(self.scale ** mask.bit_count(), value, imag)
+
+    def weighed(self, q: int) -> tuple:
+        """(values, imag) of an exact table with entry S multiplied by
+        q^(|S|-1), the weights of the DP at alpha = p/q. The last q's lists
+        are kept, so alpha and -alpha weigh the table once."""
+        if q == 1:
+            return self.values, self.imag
+        if self._weighed is None or self._weighed[0] != q:
+            size = len(self.values)
+            q_pow = [q ** k for k in range(size.bit_length() - 1)]
+
+            def weigh(values):
+                return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                              for m in range(1, size)]
+
+            self._weighed = (q, weigh(self.values),
+                             None if self.imag is None else weigh(self.imag))
+        return self._weighed[1:]
 
 
 def _walk_cycle_sums(rows, n: int) -> list:
@@ -370,13 +396,22 @@ def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
     return CycleTable(A.kind, L, values, imag)
 
 
-def _subset_dp(w, p, n: int) -> list:
-    """g(T) for every T, where g(T) = p * sum over S subseteq T with
-    min(T) in S of w(S) g(T minus S), g(empty) = 1; w and p are ints,
-    floats or complex."""
+def _dp_masks(n: int, full_set: bool):
+    """The index sets the subset DP fills, in an order where every proper
+    subset comes first: all of them, or for the full set alone the sets
+    without element 0 (the only ones f(full) reads) and then the full set."""
     size = 1 << n
-    g = [1] * size
-    for mask in range(1, size):
+    if not full_set:
+        return range(1, size)
+    return itertools.chain(range(2, size, 2), (size - 1,) if n else ())
+
+
+def _subset_dp(w, p, n: int, masks) -> list:
+    """g(T) for T in masks, where g(T) = p * sum over S subseteq T with
+    min(T) in S of w(S) g(T minus S), g(empty) = 1; w and p are ints,
+    floats or complex. Entries not in masks are left at 1."""
+    g = [1] * (1 << n)
+    for mask in masks:
         lowbit = mask & -mask
         rest = mask ^ lowbit
         acc = 0
@@ -390,12 +425,12 @@ def _subset_dp(w, p, n: int) -> list:
     return g
 
 
-def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int) -> tuple:
+def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int, masks) -> tuple:
     """_subset_dp over the Gaussian integers, as real and imaginary parts."""
     size = 1 << n
     gr = [1] * size
     gi = [0] * size
-    for mask in range(1, size):
+    for mask in masks:
         lowbit = mask & -mask
         rest = mask ^ lowbit
         ar = ai = 0
@@ -417,46 +452,62 @@ def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int) -> tuple:
     return gr, gi
 
 
-def _principal_dp(A: Matrix, alpha, C: CycleTable) -> tuple:
-    """The subset DP of A at alpha over every index set T, on A's cycle
-    table C.
+def _principal_dp(A: Matrix, alpha, C: CycleTable, full_set=False) -> tuple:
+    """The subset DP of A at alpha on A's cycle table C, over every index
+    set T, or with full_set over the sets per_alpha(A) reads.
 
     Returns (base, g, imag). For exact kinds g[T] is the integer
     base^|T| per_alpha(A[T]) with base = q L for alpha = p/q, and imag[T]
     its imaginary part, or None when the DP ran on plain ints. For float
     kinds base is 1, g[T] is per_alpha(A[T]) itself and imag is None.
+    With full_set, entries of sets that contain element 0 but are not the
+    full set are left unfilled.
     """
     n = A.n
+    masks = _dp_masks(n, full_set)
     if A.kind in FLOAT_KINDS:
-        return 1, _subset_dp(C.values, alpha, n), None
+        g = _subset_dp(C.values, alpha, n, masks)
+        g[0] = _empty_per_alpha(A, alpha)
+        return 1, g, None
     # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral.
     q, [[p]], p_imag = clear_denominators([[alpha]])
-    size = 1 << n
-    q_pow = [q ** k for k in range(n)]
-
-    def weigh(values):
-        if q == 1:
-            return values
-        return [0] + [q_pow[m.bit_count() - 1] * values[m]
-                      for m in range(1, size)]
-
+    wr, wi = C.weighed(q)
     base = q * C.scale
-    if C.imag is None and p_imag is None:
-        return base, _subset_dp(weigh(C.values), p, n), None
-    imag = C.imag if C.imag is not None else [0] * size
-    re, im = _subset_dp_gaussian(weigh(C.values), weigh(imag), p,
-                                 0 if p_imag is None else p_imag[0][0], n)
+    if wi is None and p_imag is None:
+        return base, _subset_dp(wr, p, n, masks), None
+    if wi is None:
+        wi = [0] * (1 << n)
+    re, im = _subset_dp_gaussian(wr, wi, p,
+                                 0 if p_imag is None else p_imag[0][0], n,
+                                 masks)
     return base, re, im
 
 
+def _principal_value(kind: str, base: int, values: list, imag, mask: int):
+    """Entry mask of a _principal_dp result (base, values, imag) of a
+    matrix of the given kind: per_alpha(A[mask]), with the value and type
+    per_alpha_dp(submatrix(A, mask), alpha) returns."""
+    if kind in FLOAT_KINDS:
+        return values[mask]
+    part = None if kind == RATIONAL else 0
+    if imag is not None:
+        part = imag[mask]
+    return from_scaled(base ** mask.bit_count(), values[mask], part)
+
+
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
-    """per_alpha via the cycle-sum decomposition, O(3^n) subset pairs: the
-    full-set entry of per_alpha_minors.
+    """per_alpha via the cycle-sum decomposition: the full-set entry of
+    per_alpha_minors, from a DP over only the index sets it reads,
+    (3^(n-1) - 1)/2 + 2^(n-1) subset pairs.
 
     cycle_table, if given, must be cycle_sum_table(A); pass it to amortize
     the table across several alpha values.
     """
-    return per_alpha_minors(A, alpha, cap=cap, cycle_table=cycle_table)[-1]
+    alpha = require_alpha_kind(A, alpha)
+    _check_cap("dp", A.n, cap)
+    C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
+    base, g, imag = _principal_dp(A, alpha, C, full_set=True)
+    return _principal_value(A.kind, base, g, imag, len(g) - 1)
 
 
 class PrincipalMinors(Sequence):
@@ -496,13 +547,8 @@ class PrincipalMinors(Sequence):
         return self._entry(mask)
 
     def _entry(self, mask: int):
-        if self.kind in FLOAT_KINDS:
-            return self.values[mask]
-        imag = None if self.kind == RATIONAL else 0
-        if self.imag is not None:
-            imag = self.imag[mask]
-        return from_scaled(self.base ** mask.bit_count(), self.values[mask],
-                           imag)
+        return _principal_value(self.kind, self.base, self.values, self.imag,
+                                mask)
 
 
 def per_alpha_minors(A: Matrix, alpha, cap=None,
@@ -516,10 +562,7 @@ def per_alpha_minors(A: Matrix, alpha, cap=None,
     alpha = require_alpha_kind(A, alpha)
     _check_cap("dp", A.n, cap)
     C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
-    base, g, imag = _principal_dp(A, alpha, C)
-    if A.kind in FLOAT_KINDS:
-        g[0] = _empty_per_alpha(A, alpha)
-    return PrincipalMinors(A.kind, base, g, imag, C)
+    return PrincipalMinors(A.kind, *_principal_dp(A, alpha, C), C)
 
 
 # ---------------------------------------------------------------------------

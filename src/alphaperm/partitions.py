@@ -118,18 +118,19 @@ def enumerate_partitions(n: int, k: int = None):
     if k is not None and not 1 <= k <= n:
         raise DomainError("block count k=%r outside 1..%d" % (k, n))
     rgs = [0] * n
+    top = [0] * n   # top[i] = max(rgs[:i + 1]); the block count is top[-1] + 1
     while True:
-        part = SetPartition(rgs)
-        if k is None or part.k == k:
-            yield part
+        if k is None or top[-1] + 1 == k:
+            yield SetPartition(rgs)
         # Advance: rightmost position that can grow by one; reset the tail.
         i = n - 1
         while i > 0:
-            prefix_max = max(rgs[:i])
-            if rgs[i] <= prefix_max:
+            if rgs[i] <= top[i - 1]:
                 rgs[i] += 1
+                top[i] = max(top[i - 1], rgs[i])
                 for j in range(i + 1, n):
                     rgs[j] = 0
+                    top[j] = top[i]
                 break
             i -= 1
         else:

@@ -4,14 +4,16 @@ Both suites are deterministic functions of (n_max, trials, seed, ...) and
 split cleanly across worker processes: each trial is evaluated from its
 index alone, so results are byte-identical whatever the job count.
 
-The expansion checks read their blocks from the DP that per_alpha_dp runs
-and stay real checks: each compares the DP at one alpha with products of
+The expansion checks read their blocks from per_alpha_minors, the
+whole-table form of the DP per_alpha_dp runs over the full set, and stay
+real checks: each compares the DP at one alpha with products of
 minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -217,10 +219,9 @@ def _identity_trial(n_max: int, seed: int, float_mode: bool, tol: float,
 
     # enumeration counts against the closed recurrences
     n = 1 + t % 8
-    parts = list(enumerate_partitions(n))
-    ok = len(parts) == bell_number(n)
-    for k in range(1, n + 1):
-        ok = ok and sum(1 for p in parts if p.k == k) == stirling2(n, k)
+    blocks = Counter(p.k for p in enumerate_partitions(n))
+    ok = sum(blocks.values()) == bell_number(n) and all(
+        blocks[k] == stirling2(n, k) for k in range(1, n + 1))
     out.append(("partition-counts", ok))
     return out
 

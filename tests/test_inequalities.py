@@ -731,7 +731,10 @@ class TestHunt:
                                          ("marcus",)])
     def test_one_cycle_table_per_trial(self, monkeypatch, targets):
         # one cycle table and one DP per alpha in {a, -a, a/2}, shared by
-        # both families; a/2 is only read on real input
+        # both families; a/2 is only read on real input. lieb-type reads
+        # whole tables at a and -a, and only the full set at a/2; marcus
+        # alone reads only full sets
+        import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         built = []
         runs = []
@@ -741,19 +744,25 @@ class TestHunt:
             built.append(A.n)
             return table(A, cap=cap)
 
-        def counting_dp(A, alpha, C):
-            runs.append(alpha)
-            return dp(A, alpha, C)
+        def counting_dp(A, alpha, C, full_set=False):
+            runs.append((alpha, full_set))
+            return dp(A, alpha, C, full_set=full_set)
 
-        monkeypatch.setattr(kernels, "cycle_sum_table", counting_table)
+        for module in (kernels, ineq):
+            monkeypatch.setattr(module, "cycle_sum_table", counting_table)
         monkeypatch.setattr(kernels, "_principal_dp", counting_dp)
-        for kind, dps in ((REAL_SYMMETRIC, 3), (HERMITIAN, 2)):
+        alpha = Fraction(1)     # trial 0 takes the low end of the range
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
             built.clear()
             runs.clear()
             hunt(HuntConfig(targets=targets, n=5, trials=1, seed=6,
                             kind=kind))
             assert built == [5]
-            assert len(runs) == dps
+            full_set = "lieb-type" not in targets
+            expect = [(alpha, full_set), (-alpha, full_set)]
+            if kind == REAL_SYMMETRIC:
+                expect.append((alpha / 2, True))
+            assert runs == expect
 
     def test_findings_build_no_extra_matrices(self, monkeypatch):
         # the merge reads each trial's matrix text from its chunk; only

@@ -515,6 +515,71 @@ class TestFloatCycleTable:
 
 
 # ---------------------------------------------------------------------------
+# full-set DP: per_alpha_dp fills only the index sets per_alpha(A) reads
+# ---------------------------------------------------------------------------
+
+_full_set_alphas = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, -1), st.integers(1, 5)),
+    st.just(F(1, 2)),
+    st.builds(G, _rationals(), _rationals()),
+)
+
+
+def _abs_matrix(A):
+    return Matrix([[abs(x) for x in row] for row in A.rows], kind="float")
+
+
+class TestFullSetDP:
+    @given(any_exact_matrices(max_n=7), _full_set_alphas, st.booleans())
+    @example(Matrix([], kind="rational"), F(0), False)
+    @example(Matrix([], kind="complex-rational"), F(-3, 2), True)
+    @example(Matrix([[F(5, 3)]], kind="rational"), F(1, 2), False)
+    @example(Matrix([[G(F(1, 3), F(-2))]], kind="complex-rational"),
+             G(F(1, 2), F(1)), True)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_whole_table_and_naive(self, A, alpha, to_float):
+        # all four kinds: exact values and float bits equal the whole
+        # table's full-set entry, and the oracle's value
+        if to_float:
+            A, alpha = A.to_float(), to_float_scalar(alpha)
+        got = per_alpha_dp(A, alpha)
+        _same(got, per_alpha_minors(A, alpha)[-1])
+        if A.n > 6:
+            return
+        naive = per_alpha_naive(A, alpha)
+        if not to_float:
+            _same(got, naive)
+            return
+        assert type(got) is type(naive)
+        # rounding is bounded by the sum of the terms' magnitudes
+        bound = per_alpha_naive(_abs_matrix(A), abs(alpha))
+        assert abs(got - naive) <= 1e-9 * bound
+
+    @given(any_exact_matrices(max_n=6), _full_set_alphas)
+    @settings(max_examples=30, deadline=None)
+    def test_shared_table_weighs_once_per_q(self, A, alpha):
+        # alpha and -alpha share the table's weights; a shared table gives
+        # the values an unshared one does, in any order of alphas
+        table = cycle_sum_table(A)
+        for a in (alpha, -alpha, alpha / 2, alpha, -alpha):
+            _same(per_alpha_dp(A, a, cycle_table=table), per_alpha_dp(A, a))
+            _same(per_alpha_minors(A, a, cycle_table=table)[-1],
+                  per_alpha_dp(A, a))
+
+    def test_weights_kept_for_the_last_q(self):
+        C = cycle_sum_table(random_matrix(4, "complex-rational", seed=2))
+        values, imag = C.weighed(3)
+        for m in range(1, 16):
+            assert values[m] == 3 ** (m.bit_count() - 1) * C.values[m]
+            assert imag[m] == 3 ** (m.bit_count() - 1) * C.imag[m]
+        assert C.weighed(3)[0] is values
+        assert C.weighed(1) == (C.values, C.imag)
+        assert C.weighed(6)[0] is not values
+        assert C.weighed(3)[0] is not values
+
+
+# ---------------------------------------------------------------------------
 # principal-minor table: one DP, every A[T]
 # ---------------------------------------------------------------------------
 

@@ -63,6 +63,18 @@ class TestEnumeration:
                 got = sum(1 for _ in enumerate_partitions(n, k))
                 assert got == stirling2(n, k)
 
+    def test_every_rgs_in_lexicographic_order(self):
+        # against every restricted-growth string, filtered from all words
+        for n in range(7):
+            words = [w for w in itertools.product(range(n), repeat=n)
+                     if all(w[i] <= max(w[:i], default=-1) + 1
+                            for i in range(n))]
+            got = [p.rgs for p in enumerate_partitions(n)]
+            assert got == sorted(words)
+            for k in range(1, n + 1):
+                assert [p.rgs for p in enumerate_partitions(n, k)] == [
+                    w for w in got if max(w) + 1 == k]
+
     def test_all_distinct_and_valid(self):
         seen = set()
         for p in enumerate_partitions(5):
