@@ -243,15 +243,18 @@ BENCH_BACKENDS = ("exact", "float")
 
 
 def _bench_call(kernel: str, A, backend: str):
+    """(A, call): A in the backend's kind, with its integer form made, and
+    the kernel as a call on a matrix."""
     if backend == "exact":
+        A.cleared  # made once, as a kernel's first call on A makes it
         alpha = Fraction(3, 2)
     else:
         A, alpha = A.to_float(), 1.5
     if kernel == "per-alpha-dp":
-        return lambda: per_alpha_dp(A, alpha)
+        return A, lambda M: per_alpha_dp(M, alpha)
     if kernel == "permanent":
-        return lambda: permanent(A)
-    return lambda: hafnian(A)
+        return A, permanent
+    return A, hafnian
 
 
 def cmd_bench(args) -> int:
@@ -261,9 +264,14 @@ def cmd_bench(args) -> int:
         if b not in BENCH_BACKENDS:
             print("error: unknown backend %r" % b, file=sys.stderr)
             return 2
-    lo, hi = args.sizes.split(":") if ":" in args.sizes else (args.sizes,
-                                                              args.sizes)
-    sizes = list(range(int(lo), int(hi) + 1, args.size_step))
+    lo, _, hi = args.sizes.partition(":")
+    hi = hi or lo
+    if not (lo.isdecimal() and hi.isdecimal() and args.size_step >= 1
+            and args.reps >= 1):
+        print("error: want --sizes N or LO:HI of integers >= 0, and "
+              "--size-step and --reps >= 1", file=sys.stderr)
+        return 2
+    sizes = range(int(lo), int(hi) + 1, args.size_step)
     for kernel in kernels:
         if kernel not in ("per-alpha-dp", "permanent", "hafnian"):
             print("error: unknown kernel %r" % kernel, file=sys.stderr)
@@ -271,14 +279,16 @@ def cmd_bench(args) -> int:
         for n in sizes:
             A = _bench_instance(kernel, n)
             for backend in backends:
-                call = _bench_call(kernel, A, backend)
-                call()  # warm-up
+                A_run, call = _bench_call(kernel, A, backend)
                 best = None
-                for _ in range(args.reps):
+                for rep in range(args.reps + 1):  # rep 0 warms up
+                    # a copy that keeps no table: every rep runs the kernel
+                    M = A_run.fresh()
                     t0 = time.perf_counter()
-                    call()
+                    call(M)
                     dt = time.perf_counter() - t0
-                    best = dt if best is None else min(best, dt)
+                    if rep:
+                        best = dt if best is None else min(best, dt)
                 print("bench kernel=%s backend=%s n=%d reps=%d best=%.6fs"
                       % (kernel, backend, A.n, args.reps, best))
     return 0

@@ -40,17 +40,14 @@ where per_{+1} is the permanent and per_{-1}(B) = (-1)^{dim B} det(B).
 check_majorization_step compares p on shapes related by merging two parts.
 
 Blocks come from principal-minor tables (kernels.per_alpha_minors), one
-subset DP per alpha for all of A's index sets: check_lieb_type reads both
-blocks of every split from lieb_type_minors, check_marcus reads the
-full-set entries of the same tables when given them and otherwise runs
-three full-set DPs (kernels.per_alpha_dp) on one cycle table, as a
-marcus-only hunt does; per_{alpha/2} is always a full-set DP. check_lieb
-and check_fischer read every split from sign_minors(A, +1) and
-sign_minors(A, -1) when given them, and shape_averages sums block products
-over the partitions of every shape from sign_minors in one shape-keyed
-partition DP (partitions.shape_partition_sums). Without tables, check_lieb
-and check_fischer run Ryser and Bareiss on A and on each block; the oracle
-_naive_slack computes each block on its own.
+subset DP per alpha for all of A's index sets, which A keeps (see Matrix):
+check_lieb_type reads every split from lieb_type_minors, check_lieb and
+check_fischer from sign_minors(A, +1) and sign_minors(A, -1) up to n = 10
+(above, from Ryser and Bareiss), and shape_averages sums block products
+over the partitions of every shape in one shape-keyed partition DP
+(partitions.shape_partition_sums). check_marcus calls per_alpha_dp, which
+reads the full-set entry of a kept table and otherwise runs a full-set DP.
+The oracle _naive_slack computes each block with per_alpha_naive.
 """
 
 from __future__ import annotations
@@ -58,16 +55,17 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
-    cycle_sum_table,
+    alpha_key,
     determinant,
     diagonal_product,
     hafnian,
+    kept,
     per_alpha_dp,
     per_alpha_minors,
     per_alpha_naive,
@@ -202,39 +200,38 @@ def _signed(x, k: int):
     return -x if k % 2 else x
 
 
-def check_lieb(A: Matrix, m: int, tol=0.0, minors=None) -> ComparisonResult:
-    """Lieb's inequality per(A) >= per(A') per(A'') at the split m.
-
-    minors, if given, must be sign_minors(A, +1); pass it to read A and both
-    blocks of every split from one table. Without it Ryser runs on A and on
-    each block, which is also the only path above the DP's size cap.
-    """
-    low, high = split_masks(A.n, m)
-    if minors is None:
-        lhs = permanent(A)
-        rhs = permanent(submatrix(A, low)) * permanent(submatrix(A, high))
-    else:
-        lhs = minors[-1]
-        rhs = minors[low] * minors[high]
-    return compare("lieb", lhs, rhs, ">=", tol)
+# Above this n one subset DP costs more than Ryser or Bareiss on A and both
+# blocks at every split (lieb and fischer hunts cross over at n = 10..14).
+_SPLIT_TABLE_MAX_N = 10
 
 
-def check_fischer(A: Matrix, m: int, tol=0.0, minors=None) -> ComparisonResult:
-    """Fischer's inequality det(A) <= det(A') det(A'') at the split m.
-
-    minors, if given, must be sign_minors(A, -1), whose entry T is
-    (-1)^|T| det(A[T]); pass it to read A and both blocks of every split
-    from one table. Without it Bareiss runs on A and on each block.
-    """
+def _split_values(A: Matrix, m: int, sign: int) -> tuple:
+    """per (sign +1) or det (sign -1) of A and of its blocks A', A'' at the
+    split m: up to _SPLIT_TABLE_MAX_N read from sign_minors(A, sign), which
+    A keeps for every split, above it by Ryser or Bareiss."""
     n = A.n
     low, high = split_masks(n, m)
-    if minors is None:
-        lhs = determinant(A)
-        rhs = determinant(submatrix(A, low)) * determinant(submatrix(A, high))
-    else:
-        lhs = _signed(minors[-1], n)
-        rhs = _signed(minors[low], m) * _signed(minors[high], n - m)
-    return compare("fischer", lhs, rhs, "<=", tol)
+    if n > _SPLIT_TABLE_MAX_N:
+        value = permanent if sign == 1 else determinant
+        return value(A), value(submatrix(A, low)), value(submatrix(A, high))
+    minors = sign_minors(A, sign)
+    if sign == 1:
+        return minors[-1], minors[low], minors[high]
+    # entry T of the sign -1 table is (-1)^|T| det(A[T])
+    return (_signed(minors[-1], n), _signed(minors[low], m),
+            _signed(minors[high], n - m))
+
+
+def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
+    """Lieb's inequality per(A) >= per(A') per(A'') at the split m."""
+    whole, low, high = _split_values(A, m, 1)
+    return compare("lieb", whole, low * high, ">=", tol)
+
+
+def check_fischer(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
+    """Fischer's inequality det(A) <= det(A') det(A'') at the split m."""
+    whole, low, high = _split_values(A, m, -1)
+    return compare("fischer", whole, low * high, "<=", tol)
 
 
 def check_haf_per(A: Matrix, tol=0.0) -> ComparisonResult:
@@ -251,42 +248,25 @@ def _is_real_kind(A: Matrix) -> bool:
     return A.kind in ("rational", "float")
 
 
-def lieb_type_minors(A: Matrix, alpha, cycle_table=None) -> tuple:
-    """What check_lieb_type reads at every split of A, from one cycle table:
-    the principal-minor tables of per_alpha and per_{-alpha}, and
-    per_{alpha/2}(A) on real matrices (None otherwise).
-
-    cycle_table, if given, must be cycle_sum_table(A).
-    """
+def lieb_type_minors(A: Matrix, alpha) -> tuple:
+    """What check_lieb_type reads at every split of A, kept on A: the
+    principal-minor tables of per_alpha and per_{-alpha}, and
+    per_{alpha/2}(A) on real matrices (None otherwise)."""
     alpha = _real_alpha(alpha)
-    pos = per_alpha_minors(A, alpha, cycle_table=cycle_table)
-    table = pos.cycle_table
-    # -alpha before alpha/2: the table keeps the weights of the last q
-    neg = per_alpha_minors(A, -alpha, cycle_table=table)
-    return pos, neg, _half_value(A, alpha, table)
+    # -alpha before alpha/2: the cycle table keeps the weights of the last q
+    return kept(A, ("lieb-type", alpha_key(alpha)), lambda: (
+        per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha),
+        per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None))
 
 
-def _half_value(A: Matrix, alpha, table):
-    """per_{alpha/2}(A) on real matrices, None otherwise."""
-    if not _is_real_kind(A):
-        return None
-    return per_alpha_dp(A, alpha / 2, cycle_table=table)
-
-
-def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0, minors=None) -> list:
+def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0) -> list:
     """The three block families at a given alpha and split; four results
-    on real matrices (half-scaled needs real entries).
-
-    minors, if given, must be lieb_type_minors(A, alpha); pass it to check
-    every split of A from one set of tables.
-    """
-    alpha = _real_alpha(alpha)
+    on real matrices (half-scaled needs real entries). Every split reads
+    the tables lieb_type_minors(A, alpha) keeps on A."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     low, high = split_masks(n, m)
-    if minors is None:
-        minors = lieb_type_minors(A, alpha)
-    pos, neg, half = minors
+    pos, neg, half = lieb_type_minors(A, alpha)
     per_a = pos[-1]
     per_na = neg[-1]
     sign_n = -1 if n % 2 else 1
@@ -316,27 +296,21 @@ def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
                    ">=", tol, hyp)
 
 
-def check_marcus(A: Matrix, alpha, tol=0.0, minors=None) -> list:
+def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     """Diagonal chain per_a(A) >= a^n prod a_ii >= (-1)^n per_{-a}(A),
     plus the half-strength lower bound on real matrices.
 
-    minors, if given, must be lieb_type_minors(A, alpha); pass it to share
-    its DPs with check_lieb_type. Without it the three values come from
-    full-set DPs (per_alpha_dp) on one cycle table.
+    The three values are full-set DPs (per_alpha_dp), or the full-set
+    entries of the Lieb-type tables when A already keeps them.
     """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
-    if minors is None:
-        table = cycle_sum_table(A)
-        per_a = per_alpha_dp(A, alpha, cycle_table=table)
-        per_na = per_alpha_dp(A, -alpha, cycle_table=table)
-        half = _half_value(A, alpha, table)
-    else:
-        pos, neg, half = minors
-        per_a, per_na = pos[-1], neg[-1]
+    per_a = per_alpha_dp(A, alpha)
+    per_na = per_alpha_dp(A, -alpha)
+    half = per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None
     diag = diagonal_product(A)
     mid = alpha ** n * diag
     sign_n = -1 if n % 2 else 1
@@ -354,45 +328,43 @@ def check_marcus(A: Matrix, alpha, tol=0.0, minors=None) -> list:
 # shape averages and majorization steps
 # ---------------------------------------------------------------------------
 
-def sign_minors(A: Matrix, sign: int, cycle_table=None):
-    """per_{sign}(A[T]) for every index set T, from one subset DP:
-    permanents for sign +1, (-1)^|T| det(A[T]) for sign -1."""
+def sign_minors(A: Matrix, sign: int):
+    """per_{sign}(A[T]) for every index set T, from one subset DP that A
+    keeps: permanents for sign +1, (-1)^|T| det(A[T]) for sign -1."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    alpha = Fraction(sign) if kind_is_exact(A.kind) else float(sign)
-    return per_alpha_minors(A, alpha, cycle_table=cycle_table)
+    return per_alpha_minors(A, sign if kind_is_exact(A.kind) else float(sign))
 
 
-def shape_averages(A: Matrix, sign: int, tol=0.0, minors=None) -> dict:
+def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:
     """{shape: p_sign(shape)} for every partition shape of n = A.n: the
     average over set partitions with that shape of the product of
     per_{sign} over blocks (sign +1: permanents; sign -1: signed dets).
 
-    One shape-keyed partition DP serves every shape; exact tables run it on
-    the DP's integers and divide once per shape. minors, if given, must be
-    sign_minors(A, sign).
+    One shape-keyed partition DP over sign_minors(A, sign) serves every
+    shape; exact tables run it on the DP's integers and divide once per
+    shape. A keeps the result for each (sign, tol).
     """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+    return kept(A, ("shape-averages", sign, tol),
+                lambda: _shape_averages(A, sign, tol))
+
+
+def _shape_averages(A: Matrix, sign: int, tol) -> dict:
     n = A.n
-    if minors is None:
-        minors = sign_minors(A, sign)
+    minors = sign_minors(A, sign)
     f, unit = _ring_table(minors, minors.base)
     return {shape: _real_value(total * unit, tol)
             / shape_partition_count(n, shape)
             for shape, total in shape_partition_sums(f, n).items()}
 
 
-def p_shape(A: Matrix, shape, sign: int, tol=0.0, minors=None):
+def p_shape(A: Matrix, shape, sign: int, tol=0.0):
     """Average over set partitions with the given shape of the product of
     per_{sign} over blocks (sign +1: permanents; sign -1: signed dets):
-    one entry of shape_averages.
-
-    minors, if given, must be sign_minors(A, sign).
-    """
+    one entry of shape_averages."""
     shape = tuple(sorted(shape, reverse=True))
     shape_partition_count(A.n, shape)  # rejects a shape that is not of n
-    return shape_averages(A, sign, tol, minors)[shape]
+    return shape_averages(A, sign, tol)[shape]
 
 
 def _merge_of(lam, mu):
@@ -410,17 +382,15 @@ def _merge_of(lam, mu):
     return merged == parts[0] + parts[1]
 
 
-def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
-                            averages=None) -> ComparisonResult:
+def check_majorization_step(A: Matrix, lam, mu, sign: int,
+                            tol=0.0) -> ComparisonResult:
     """Compare p(lam) against p(mu) when lam merges two parts of mu.
 
     Permanent averages go up under merging, so sign +1 compares with >=.
     Unsigned determinant averages go down (Fischer), and since the block
     sizes sum to n, p_-(shape) is (-1)^n times the unsigned average: sign -1
-    compares with <= at even n and with >= at odd n.
-
-    averages, if given, must be shape_averages(A, sign); both shapes read
-    it.
+    compares with <= at even n and with >= at odd n. Both shapes read
+    shape_averages(A, sign, tol), which A keeps for every step.
     """
     lam = tuple(sorted(lam, reverse=True))
     mu = tuple(sorted(mu, reverse=True))
@@ -436,8 +406,7 @@ def check_majorization_step(A: Matrix, lam, mu, sign: int, tol=0.0,
         ".".join(str(x) for x in lam),
         ".".join(str(x) for x in mu),
     )
-    if averages is None:
-        averages = shape_averages(A, sign, tol)
+    averages = shape_averages(A, sign, tol)
     return compare(name, averages[lam], averages[mu], direction, tol)
 
 
@@ -493,21 +462,7 @@ class Finding:
     timestamp: str = None  # left None so outputs stay byte-identical
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "record": self.record,
-                "matrix": self.matrix,
-                "sha256": self.sha256,
-                "alpha": self.alpha,
-                "split": self.split,
-                "slack": self.slack,
-                "seed": self.seed,
-                "trial": self.trial,
-                "timestamp": self.timestamp,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "Finding":
@@ -536,16 +491,15 @@ def evaluate_comparison(name: str, A: Matrix, alpha, split) -> ComparisonResult:
     if name == "haf-per":
         return check_haf_per(A)
     if name in _SPLIT_NAMES:
-        for r in check_lieb_type(A, split, alpha):
-            if r.name == name:
-                return r
-        raise DomainError("comparison %r not produced for this matrix" % name)
-    if name.startswith("marcus-"):
-        for r in check_marcus(A, alpha):
-            if r.name == name:
-                return r
-        raise DomainError("comparison %r not produced for this matrix" % name)
-    raise DomainError("unknown comparison %r" % name)
+        results = check_lieb_type(A, split, alpha)
+    elif name.startswith("marcus-"):
+        results = check_marcus(A, alpha)
+    else:
+        raise DomainError("unknown comparison %r" % name)
+    for r in results:
+        if r.name == name:
+            return r
+    raise DomainError("comparison %r not produced for this matrix" % name)
 
 
 def replay_finding(finding: Finding):
@@ -713,14 +667,13 @@ def _needs_alpha(target: str) -> bool:
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
     """Yield (comparison, split, gated) triples for all configured targets."""
     n = A.n
-    # every split of lieb-type reads these tables, and marcus their
-    # full-set entries; marcus alone runs three full-set DPs instead
-    minors = None
     if "lieb-type" in cfg.targets:
-        minors = lieb_type_minors(A, alpha)
+        # built first, so marcus reads their full-set entries whatever the
+        # target order; marcus alone runs three full-set DPs instead
+        lieb_type_minors(A, alpha)
     for target in cfg.targets:
         if target == "marcus":
-            for r in check_marcus(A, alpha, minors=minors):
+            for r in check_marcus(A, alpha):
                 yield r, None, True
         elif target == "lieb":
             for m in range(1, n):
@@ -732,7 +685,7 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
             yield check_haf_per(A), None, True
         elif target == "lieb-type":
             for m in range(1, n):
-                for r in check_lieb_type(A, m, alpha, minors=minors):
+                for r in check_lieb_type(A, m, alpha):
                     gated = not (r.name == "neg-nonneg" and not r.hypothesis)
                     yield r, m, gated
         elif target == "neg-positivity":

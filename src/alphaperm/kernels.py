@@ -29,6 +29,10 @@ checks, and the blocks of every set partition in the shape averages, where
 per_{+1} and per_{-1} stand in for Ryser and Bareiss; so do the expansion
 formulas in partitions.
 
+A keeps these tables, built on first use by kept(A, key, build): the cycle
+table, and per alpha_key the minors table and per_alpha_dp's value. The
+oracle, Ryser, Bareiss and the hafnian neither read nor fill them.
+
 per_alpha_dp reads only the full-set entry. f(full) reads f only on the
 subsets of {1..n-1}, so it fills those (the masks without bit 0, in
 ascending order) and then the full set: (3^(n-1) - 1)/2 + 2^(n-1) subset
@@ -77,7 +81,8 @@ GaussianRationals, never bare ints.
 
 Size caps are configuration: pass cap=... explicitly or override the
 defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
-_HAFNIAN. Exceeding a cap raises CapacityError.
+_HAFNIAN. Exceeding a cap raises CapacityError. A kept table is returned
+under the default caps; an explicit cap is checked either way.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ import math
 import operator
 import os
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .errors import CapacityError, DomainError, MixedModeError
 from .matrices import Matrix, doubled, full_mask
@@ -94,6 +100,7 @@ from .scalars import (
     COMPLEX_RATIONAL,
     FLOAT_KINDS,
     RATIONAL,
+    GaussianRational,
     as_scalar,
     clear_denominators,
     from_scaled,
@@ -133,9 +140,7 @@ def _check_cap(name: str, size: int, cap) -> None:
 def require_alpha_kind(A: Matrix, alpha):
     """Normalize alpha and reject exact/float mixing against A's kind."""
     alpha = as_scalar(alpha)
-    a_exact = kind_is_exact(scalar_kind(alpha))
-    m_exact = kind_is_exact(A.kind)
-    if a_exact != m_exact:
+    if isinstance(alpha, (float, complex)) == kind_is_exact(A.kind):
         raise MixedModeError(
             "matrix kind %s with alpha of kind %s; convert explicitly"
             % (A.kind, scalar_kind(alpha))
@@ -379,21 +384,46 @@ def _walk_cycle_sums_gaussian(re, im, n: int) -> tuple:
 def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
     """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
 
-    Entry 0 is None. The table drives per_alpha_dp and can be shared across
-    several alpha values for the same matrix; it keeps the integer form the
-    DP runs on, so sharing it costs no conversion per alpha.
+    Entry 0 is None. The table drives the subset DP at every alpha, and A
+    keeps it; it holds the integer form the DP runs on, so sharing it
+    costs no conversion per alpha.
     """
+    return kept(A, "cycle", lambda: _cycle_sums(A), cap)
+
+
+def _cycle_sums(A: Matrix) -> CycleTable:
     n = A.n
-    _check_cap("dp", n, cap)
     if A.kind in FLOAT_KINDS:
         return CycleTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
     L, re, im = A.cleared
     if im is None:
         return CycleTable(A.kind, L, _walk_cycle_sums(re, n), None)
     values, imag = _walk_cycle_sums_gaussian(re, im, n)
-    if not any(imag[1:]):
-        imag = None
-    return CycleTable(A.kind, L, values, imag)
+    return CycleTable(A.kind, L, values, imag if any(imag[1:]) else None)
+
+
+def kept(A: Matrix, key, build, cap=None):
+    """What A keeps under key: build() on first use, after that the kept
+    value. An explicit cap is checked on every call, the default DP cap
+    only before a build: reading a kept table costs nothing."""
+    got = A._tables.get(key)
+    if got is None or cap is not None:
+        _check_cap("dp", A.n, cap)
+        if got is None:
+            got = A._tables[key] = build()
+    return got
+
+
+def alpha_key(alpha) -> tuple:
+    """The key A keeps its tables at alpha under, equal only for alphas the
+    kernels give equal results of one type: an exact alpha's integer parts
+    (Fraction(1), GaussianRational(1) differ), else type and repr (0.0, -0.0
+    differ)."""
+    if type(alpha) in (Fraction, int):
+        return alpha.as_integer_ratio()
+    if isinstance(alpha, GaussianRational):
+        return alpha.re.as_integer_ratio() + alpha.im.as_integer_ratio()
+    return type(alpha), repr(alpha)
 
 
 def _dp_masks(n: int, full_set: bool):
@@ -500,14 +530,17 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     per_alpha_minors, from a DP over only the index sets it reads,
     (3^(n-1) - 1)/2 + 2^(n-1) subset pairs.
 
-    cycle_table, if given, must be cycle_sum_table(A); pass it to amortize
-    the table across several alpha values.
+    A keeps the value; when A keeps the whole table at alpha, the value is
+    its full-set entry, bit-identical. cycle_table, if given, must be
+    cycle_sum_table(A), the table A keeps anyway.
     """
-    alpha = require_alpha_kind(A, alpha)
-    _check_cap("dp", A.n, cap)
-    C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
-    base, g, imag = _principal_dp(A, alpha, C, full_set=True)
-    return _principal_value(A.kind, base, g, imag, len(g) - 1)
+    def build():
+        a = require_alpha_kind(A, alpha)
+        C = cycle_sum_table(A, cap=cap) if cycle_table is None else cycle_table
+        base, g, imag = _principal_dp(A, a, C, full_set=True)
+        return _principal_value(A.kind, base, g, imag, len(g) - 1)
+
+    return kept(A, ("full-set", alpha_key(alpha)), build, cap)
 
 
 class PrincipalMinors(Sequence):
@@ -519,50 +552,47 @@ class PrincipalMinors(Sequence):
     converts one entry to the value and type per_alpha_dp(submatrix(A, T),
     alpha) returns; entry 0 is per_alpha of the empty matrix. The full-set
     entry, per_alpha(A), which every split and family reads, is converted
-    once and kept. cycle_table is the table of A the DP ran on, for reuse
-    at another alpha.
+    once, when the table is made.
     """
 
-    __slots__ = ("kind", "base", "values", "imag", "cycle_table", "_full")
+    __slots__ = ("kind", "base", "values", "imag", "full")
 
-    def __init__(self, kind: str, base: int, values: list, imag,
-                 cycle_table: CycleTable):
+    def __init__(self, kind: str, base: int, values: list, imag):
         self.kind = kind
         self.base = base
         self.values = values
         self.imag = imag
-        self.cycle_table = cycle_table
-        self._full = None
+        self.full = _principal_value(kind, base, values, imag, len(values) - 1)
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, mask: int):
-        full = len(self.values) - 1
-        mask = range(full + 1)[mask]
-        if mask == full:
-            if self._full is None:
-                self._full = self._entry(full)
-            return self._full
-        return self._entry(mask)
-
-    def _entry(self, mask: int):
+        size = len(self.values)
+        mask = range(size)[mask]
+        if mask == size - 1:
+            return self.full
         return _principal_value(self.kind, self.base, self.values, self.imag,
                                 mask)
 
 
-def per_alpha_minors(A: Matrix, alpha, cap=None,
-                     cycle_table=None) -> PrincipalMinors:
+def per_alpha_minors(A: Matrix, alpha, cap=None) -> PrincipalMinors:
     """per_alpha of every principal submatrix A[T] from one subset DP.
 
     The DP behind per_alpha_dp computes per_alpha(A[T]) for every T on the
-    way to the full set; this keeps them all. cycle_table, if given, must
-    be cycle_sum_table(A).
+    way to the full set; this keeps them all, and A keeps the table: one
+    DP per matrix and alpha key, on A's cycle table.
     """
-    alpha = require_alpha_kind(A, alpha)
-    _check_cap("dp", A.n, cap)
-    C = cycle_table if cycle_table is not None else cycle_sum_table(A, cap=cap)
-    return PrincipalMinors(A.kind, *_principal_dp(A, alpha, C), C)
+    key = alpha_key(alpha)
+
+    def build():
+        minors = PrincipalMinors(A.kind, *_principal_dp(
+            A, require_alpha_kind(A, alpha), cycle_sum_table(A, cap=cap)))
+        # per_alpha_dp at alpha reads the full-set entry, bit-identical
+        A._tables["full-set", key] = minors.full
+        return minors
+
+    return kept(A, ("minors", key), build, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,14 @@ class Matrix:
     scalars.clear_denominators(rows) that the integer kernels run on. The
     Gram generators hand it over at construction; any other exact matrix
     computes it on first use of `cleared`.
+
+    It also keeps the tables kernels and inequalities build from it in
+    `_tables`, filled on first use through kernels.kept; keeping one
+    changes no value, and fresh() makes a copy that keeps none.
     """
 
     __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",
-                 "_cleared")
+                 "_cleared", "_tables")
 
     def __init__(self, rows, kind=None, real_symmetric=False, hermitian=False):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -166,6 +170,7 @@ class Matrix:
         object.__setattr__(self, "hermitian", bool(hermitian or
                                                    real_symmetric))
         object.__setattr__(self, "_cleared", None)
+        object.__setattr__(self, "_tables", {})
         self.validate_flags()
 
     @classmethod
@@ -205,6 +210,7 @@ class Matrix:
         object.__setattr__(self, "hermitian", bool(hermitian or
                                                    real_symmetric))
         object.__setattr__(self, "_cleared", cleared)
+        object.__setattr__(self, "_tables", {})
         return self
 
     @property
@@ -218,6 +224,15 @@ class Matrix:
             object.__setattr__(self, "_cleared",
                                clear_denominators(self.rows))
         return self._cleared
+
+    def fresh(self) -> "Matrix":
+        """A copy with the same entries, flags and cleared form that keeps
+        no table yet: kernels called on it compute afresh."""
+        copy = object.__new__(Matrix)
+        for name in Matrix.__slots__:
+            object.__setattr__(copy, name, {} if name == "_tables"
+                               else getattr(self, name))
+        return copy
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

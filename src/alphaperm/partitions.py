@@ -40,7 +40,6 @@ from collections import Counter
 
 from .errors import DomainError
 from .kernels import (
-    cycle_sum_table,
     doubled_hafnian_table,
     per_alpha_minors,
     require_alpha_kind,
@@ -302,7 +301,7 @@ def sum_formula_rhs(A: Matrix, betas, cap=None):
     """Right-hand side of the sum formula for per_{b_1 + ... + b_m}(A).
 
     The m-fold subset convolution of the principal-minor tables at
-    b_1..b_m, which share one cycle table: O(m 3^n) subset pairs. cap is
+    b_1..b_m, which share A's cycle table: O(m 3^n) subset pairs. cap is
     the DP size cap.
     """
     betas = [as_scalar(b) for b in betas]
@@ -311,8 +310,7 @@ def sum_formula_rhs(A: Matrix, betas, cap=None):
     n = A.n
     if n == 0:
         return one_like(betas[0])
-    C = cycle_sum_table(A, cap=cap)
-    tables = [per_alpha_minors(A, b, cap=cap, cycle_table=C) for b in betas]
+    tables = [per_alpha_minors(A, b, cap=cap) for b in betas]
     base = math.lcm(*(M.base for M in tables))
     total, unit = _ring_table(tables[0], base)
     for M in tables[1:]:

@@ -9,6 +9,8 @@ whole-table form of the DP per_alpha_dp runs over the full set, and stay
 real checks: each compares the DP at one alpha with products of
 minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
+The DP side runs first, so it never reads a table the formula side kept
+(a test guards the order); an inequality instance keeps its tables.
 """
 
 from __future__ import annotations
@@ -27,16 +29,13 @@ from .inequalities import (
     check_lieb_type,
     check_majorization_step,
     check_marcus,
-    lieb_type_minors,
     merge_pairs,
     run_trials,
-    shape_averages,
     sign_minors,
     _naive_slack,
     OracleMismatch,
 )
 from .kernels import (
-    cycle_sum_table,
     determinant,
     hafnian,
     per_alpha_dp,
@@ -261,8 +260,7 @@ def _diag_of(A: Matrix) -> Matrix:
 def _trial_psd(n_max: int, seed: int, t: int) -> Matrix:
     """The PSD instance of inequality trial t; n, field, and unit-diagonal
     choice cycle with coprime periods so every combination occurs."""
-    n_top = max(2, min(n_max, 5))
-    n = 2 + t % (n_top - 1) if n_top > 2 else 2
+    n = 2 + t % (min(n_max, 5) - 1)
     kind = HERMITIAN if t % 3 == 2 else REAL_SYMMETRIC
     unit = t % 2 == 0
     if unit:
@@ -305,36 +303,28 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
                     format_scalar(result.slack)) + matrix
         rows.append((check_name, ok, result.slack, viol))
 
-    # one cycle table serves every alpha, every family and both signs; the
-    # tables at alpha = +1 and -1 serve lieb, fischer, block-lift and the
-    # majorization steps
-    table = cycle_sum_table(A_eval)
-    signed = {s: sign_minors(A_eval, s, cycle_table=table) for s in (1, -1)}
+    # the tables A_eval keeps at alpha = +1 and -1 serve lieb, fischer,
+    # block-lift, the majorization steps and alpha = 1
     for m in range(1, n):
-        record("lieb", check_lieb(A_eval, m, tol, signed[1]), None, m)
-        record("fischer", check_fischer(A_eval, m, tol, signed[-1]), None, m)
+        record("lieb", check_lieb(A_eval, m, tol), None, m)
+        record("fischer", check_fischer(A_eval, m, tol), None, m)
     if is_real:
         record("haf-per", check_haf_per(A_eval, tol), None, None)
 
     alphas = alpha_set_for(alpha_set, n, seed, t)
     for alpha in alphas:
         a_eval = to_float_scalar(alpha) if float_mode else alpha
-        minors = lieb_type_minors(A_eval, a_eval, cycle_table=table)
         for m in range(1, n):
-            for r in check_lieb_type(A_eval, m, a_eval, tol, minors):
+            for r in check_lieb_type(A_eval, m, a_eval, tol):
                 record(r.name, r, alpha, m, r.hypothesis is not False)
-        for r in check_marcus(A_eval, a_eval, tol, minors):
+        for r in check_marcus(A_eval, a_eval, tol):
             record(r.name, r, alpha, None, r.hypothesis is not False)
 
     # lifted block sums against the diagonal; a graded table per matrix, sign
     if n <= 4 and not float_mode:
         D = _diag_of(A)
-        D_table = cycle_sum_table(D)
         per_A, det_A, per_D, det_D = (
-            per_beta_by_k(M) for M in (
-                signed[1], signed[-1],
-                sign_minors(D, 1, cycle_table=D_table),
-                sign_minors(D, -1, cycle_table=D_table)))
+            per_beta_by_k(sign_minors(M, s)) for M in (A, D) for s in (1, -1))
         sign = -1 if n % 2 else 1
         ok = True
         worst = None
@@ -347,11 +337,9 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         rows.append(("block-lift", ok, worst, None))
 
     if n == 5 and is_real and not float_mode:
-        averages = {s: shape_averages(A, s, tol, signed[s]) for s in (1, -1)}
         for lam, mu in merge_pairs(5):
             for sign_ in (1, -1):
-                r = check_majorization_step(A, lam, mu, sign_, tol,
-                                            averages[sign_])
+                r = check_majorization_step(A, lam, mu, sign_, tol)
                 name = "majorization-per" if sign_ == 1 else "majorization-det"
                 rows.append((name, r.verdict != VIOLATED, r.slack, None))
     return rows
@@ -364,6 +352,8 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
 def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                        jobs: int = 1, float_mode: bool = False,
                        tol: float = 1e-9) -> list:
+    if n_max < 1:
+        raise DomainError("check needs n_max >= 1, got %d" % n_max)
     outcomes = {name: CheckOutcome(name) for name in IDENTITY_CHECKS}
     rows = run_trials(_identity_trial, (n_max, seed, float_mode, tol),
                       trials, jobs)
@@ -376,6 +366,9 @@ def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
 def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                          alpha_set: str = "theorem2", jobs: int = 1,
                          float_mode: bool = False, tol: float = 1e-9) -> list:
+    if n_max < 2:
+        raise DomainError("the inequality suite needs n_max >= 2 for a "
+                          "split, got %d" % n_max)
     outcomes = {name: CheckOutcome(name) for name in INEQUALITY_CHECKS}
     rows = run_trials(_inequality_trial,
                       (n_max, seed, alpha_set, float_mode, tol), trials, jobs)

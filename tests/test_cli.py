@@ -174,6 +174,31 @@ class TestCheck:
                     "--trials", "4", "--seed", "3", "--jobs", "2")
         assert a == b
 
+    @pytest.mark.parametrize("suite", ["identities", "inequalities", "all"])
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_is_input_error(self, suite, n_max):
+        code, out, err = run_cli("check", "--suite", suite, "--n-max", n_max,
+                                 "--trials", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_inequality_suite_needs_a_split(self):
+        # n-max 1 would name n = 1 in the header and check n = 2 instances
+        code, out, err = run_cli("check", "--suite", "inequalities",
+                                 "--n-max", "1", "--trials", "2")
+        assert code == 3 and out == ""
+        assert "n_max >= 2" in err
+
+    def test_float_mode_keeps_the_sign_of_zero(self):
+        # at alpha = 0 the float lane reads per_{-0.0}, whose slack is -0.0:
+        # a table kept for alpha = 0.0 must not stand in for it
+        code, out, _ = run_cli("check", "--suite", "inequalities", "--mode",
+                               "float", "--trials", "1", "--seed", "3")
+        assert code == 0
+        (line,) = [x for x in out.splitlines()
+                   if x.split()[0] == "neg-nonneg"]
+        assert line.endswith(" min-slack=-0.0 trial=0")
+
     def test_float_mode_informational(self):
         code, out, _ = run_cli("check", "--suite", "identities", "--n-max",
                                "3", "--trials", "2", "--seed", "0", "--mode",
@@ -267,6 +292,25 @@ class TestBench:
                                "--reps", "1")
         assert code == 0 and "backend=exact" in out
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_every_rep_runs_the_dp(self, monkeypatch, backend):
+        # a matrix keeps its tables, so a rep on the warm-up's matrix would
+        # time a lookup; each rep and the warm-up must run the DP itself
+        import alphaperm.kernels as kernels
+        runs = []
+        dp = kernels._principal_dp
+
+        def counting(A, *args, **kwargs):
+            runs.append(A.n)
+            return dp(A, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_principal_dp", counting)
+        code, out, _ = run_cli("bench", "--kernels", "per-alpha-dp",
+                               "--backends", backend, "--sizes", "5",
+                               "--reps", "3")
+        assert code == 0 and "reps=3" in out
+        assert runs == [5] * 4
+
     def test_default_backends_are_the_available_ones(self):
         code, out, err = run_cli("bench", "--sizes", "4", "--reps", "1")
         assert code == 0, err
@@ -278,6 +322,16 @@ class TestBench:
         code, _, err = run_cli("bench", "--kernels", "trace", "--backends",
                                "float", "--sizes", "4", "--reps", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [("--sizes", "3:x"), ("--sizes", "x"),
+                                       ("--sizes=-1:3",),
+                                       ("--size-step", "0"), ("--reps", "0")])
+    def test_bad_number_is_usage_error(self, flags):
+        code, out, err = run_cli("bench", "--kernels", "permanent",
+                                 "--backends", "float", "--sizes", "4",
+                                 "--reps", "1", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("backend", ["fortran", "python"])
     def test_unknown_backend(self, backend):

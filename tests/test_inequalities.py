@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaperm.errors import DomainError, ScalarFormatError
+from alphaperm.errors import CapacityError, DomainError, ScalarFormatError
 from alphaperm.inequalities import (
     EQUALITY,
     HOLDS,
@@ -41,6 +41,7 @@ from alphaperm.kernels import (
     determinant,
     hafnian,
     per_alpha_dp,
+    per_alpha_minors,
     per_alpha_naive,
     permanent,
 )
@@ -51,6 +52,8 @@ from alphaperm.matrices import (
     direct_sum,
     doubled,
     dumps_matrix,
+    full_mask,
+    loads_matrix,
     matrix_digest,
     random_psd,
     random_unit_diag_psd,
@@ -196,12 +199,19 @@ class TestSignTables:
         tol = 1e-9 if float_mode else 0.0
         if float_mode:
             A = A.to_float()
-        C = cycle_sum_table(A)
-        tables = {s: sign_minors(A, s, cycle_table=C) for s in (1, -1)}
         for m in range(1, A.n):
-            for check, sign in ((check_lieb, 1), (check_fischer, -1)):
-                want = check(A, m, tol)
-                got = check(A, m, tol, minors=tables[sign])
+            low, high = split_masks(A.n, m)
+            Ap, App = submatrix(A, low), submatrix(A, high)
+            wants = {
+                check_lieb: compare("lieb", permanent(A),
+                                    permanent(Ap) * permanent(App), ">=",
+                                    tol),
+                check_fischer: compare("fischer", determinant(A),
+                                       determinant(Ap) * determinant(App),
+                                       "<=", tol),
+            }
+            for check, want in wants.items():
+                got = check(A, m, tol)
                 if not float_mode:
                     assert got == want
                     assert [type(x) for x in (got.lhs, got.rhs, got.slack)] \
@@ -210,6 +220,94 @@ class TestSignTables:
                 assert got.verdict == want.verdict
                 band = tol * (1.0 + max(abs(want.lhs), abs(want.rhs)))
                 assert abs(got.slack - want.slack) <= band
+
+    def test_above_n_10_no_dp_and_equal_values(self, monkeypatch):
+        # there one subset DP costs more than Ryser and Bareiss at every
+        # split, so lieb and fischer run those, with the tables' values
+        import alphaperm.kernels as kernels
+        A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=3)
+        per, det = sign_minors(A.fresh(), 1), sign_minors(A.fresh(), -1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lieb or fischer ran the subset DP")
+
+        monkeypatch.setattr(kernels, "_principal_dp", forbidden)
+        for m in (1, 4, 10):
+            low, high = split_masks(11, m)
+            assert check_lieb(A, m) == compare(
+                "lieb", per[-1], per[low] * per[high], ">=", 0.0)
+            assert check_fischer(A, m) == compare(
+                "fischer", -det[-1], (-1) ** 11 * det[low] * det[high],
+                "<=", 0.0)
+
+
+_memo_alphas = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, -1), st.integers(1, 4)),
+    st.integers(1, 5).map(F),
+    st.integers(-4, 4).map(lambda k: F(2 * k + 1, 2)),
+)
+
+# what a caller may build first; every order of them is drawn
+_WARM_UPS = {
+    "lieb-type": lambda A, alpha: lieb_type_minors(A, alpha),
+    "marcus": lambda A, alpha: check_marcus(A, alpha),
+    "signs": lambda A, alpha: [sign_minors(A, s) for s in (1, -1)],
+}
+
+
+def _reads(n, alpha, tol):
+    """Every family result and table the package reads from an n x n
+    matrix at alpha, as functions of the matrix that give reprs, so that
+    types and signed zeros count."""
+    def entries(table):
+        return [repr(x) for x in table]
+
+    reads = [lambda A: repr(check_marcus(A, alpha, tol)),
+             lambda A: repr(check_neg_positivity(A, alpha, tol)),
+             lambda A: entries(cycle_sum_table(A))]
+    for m in range(1, n):
+        reads += [lambda A, m=m: repr(check_lieb(A, m, tol)),
+                  lambda A, m=m: repr(check_fischer(A, m, tol)),
+                  lambda A, m=m: repr(check_lieb_type(A, m, alpha, tol))]
+    for sign in (1, -1):
+        reads += [lambda A, s=sign: repr(sorted(
+                      shape_averages(A, s, tol).items())),
+                  lambda A, s=sign: entries(sign_minors(A, s))]
+    for a in (alpha, -alpha, alpha / 2):
+        reads += [lambda A, a=a: repr(per_alpha_dp(A, a)),
+                  lambda A, a=a: entries(per_alpha_minors(A, a))]
+    return reads
+
+
+class TestKeptTables:
+    @given(_psd_instances(), _memo_alphas, st.booleans(),
+           st.permutations(sorted(_WARM_UPS)))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_matrix_reads_what_a_fresh_copy_computes(self, A, alpha,
+                                                          float_mode, order):
+        text = dumps_matrix(A)
+        tol = 1e-9 if float_mode else 0.0
+
+        def fresh():
+            B = loads_matrix(text)
+            return B.to_float() if float_mode else B
+
+        if float_mode:
+            A, alpha = A.to_float(), to_float_scalar(alpha)
+        for name in order:
+            _WARM_UPS[name](A, alpha)
+        reads = _reads(A.n, alpha, tol)
+        # each read of the warm matrix against one on a copy of its own,
+        # which keeps nothing yet
+        assert [read(A) for read in reads] == [read(fresh())
+                                               for read in reads]
+        cap = A.n - 1
+        for call in (lambda: cycle_sum_table(A, cap=cap),
+                     lambda: per_alpha_minors(A, alpha, cap=cap),
+                     lambda: per_alpha_dp(A, alpha, cap=cap)):
+            with pytest.raises(CapacityError):
+                call()
 
 
 _real_alphas = st.one_of(
@@ -220,11 +318,12 @@ _real_alphas = st.one_of(
 
 def _lieb_type_by_submatrices(A, m, alpha):
     """check_lieb_type recomputed per split: every per_alpha by its own DP,
-    the blocks on submatrix copies."""
+    on submatrix copies, which keep no tables."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     low, high = split_masks(n, m)
     Ap, App = submatrix(A, low), submatrix(A, high)
+    A = submatrix(A, low | high)
     per_a, per_na = per_alpha_dp(A, alpha), per_alpha_dp(A, -alpha)
     sign_n, sign_m, sign_nm = (-1) ** n, (-1) ** m, (-1) ** (n - m)
     out = [
@@ -317,11 +416,14 @@ class TestLiebType:
                                                          float_mode):
         if float_mode:
             A, alpha = A.to_float(), to_float_scalar(alpha)
-        minors = lieb_type_minors(A, alpha, cycle_table=cycle_sum_table(A))
+        minors = lieb_type_minors(A, alpha)
         for m in range(1, A.n):
             expect = _lieb_type_by_submatrices(A, m, alpha)
-            assert check_lieb_type(A, m, alpha, minors=minors) == expect
             assert check_lieb_type(A, m, alpha) == expect
+            # a copy builds its own tables at its first split
+            copy = submatrix(A, full_mask(A.n))
+            assert check_lieb_type(copy, m, alpha) == expect
+        assert lieb_type_minors(A, alpha) is minors
 
 
 class TestMarcus:
@@ -456,7 +558,7 @@ class TestPShape:
         if float_mode:
             A = A.to_float()
         minors = sign_minors(A, sign)
-        got = shape_averages(A, sign, tol, minors)
+        got = shape_averages(A, sign, tol)
         assert sorted(got) == sorted(_shapes(A.n))
         for shape in _shapes(A.n):
             total = size = 0
@@ -531,8 +633,9 @@ class TestMajorization:
             raise AssertionError("p_shape called Ryser or Bareiss")
 
         for module in (ineq, kernels):
-            monkeypatch.setattr(module, "permanent", forbidden)
-            monkeypatch.setattr(module, "determinant", forbidden)
+            for name in ("permanent", "determinant"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, forbidden)
         A = random_unit_diag_psd(5, REAL_SYMMETRIC, 3, seed=32)
         for lam, mu in merge_pairs(5):
             for sign in (1, -1):
@@ -738,18 +841,17 @@ class TestHunt:
         import alphaperm.kernels as kernels
         built = []
         runs = []
-        table, dp = kernels.cycle_sum_table, kernels._principal_dp
+        table, dp = kernels._cycle_sums, kernels._principal_dp
 
-        def counting_table(A, cap=None):
+        def counting_table(A):
             built.append(A.n)
-            return table(A, cap=cap)
+            return table(A)
 
         def counting_dp(A, alpha, C, full_set=False):
             runs.append((alpha, full_set))
             return dp(A, alpha, C, full_set=full_set)
 
-        for module in (kernels, ineq):
-            monkeypatch.setattr(module, "cycle_sum_table", counting_table)
+        monkeypatch.setattr(kernels, "_cycle_sums", counting_table)
         monkeypatch.setattr(kernels, "_principal_dp", counting_dp)
         alpha = Fraction(1)     # trial 0 takes the low end of the range
         for kind in (REAL_SYMMETRIC, HERMITIAN):
@@ -802,9 +904,10 @@ class TestHunt:
 
 class TestInequalityTrial:
     def test_one_table_pair_per_instance(self, monkeypatch):
-        # trial 3 is an n = 5 real instance: one cycle table, the two sign
-        # tables plus three DPs per alpha, one shape-average build per sign,
-        # and Ryser only inside check_haf_per
+        # trial 3 is an n = 5 real instance: one cycle table, one DP per
+        # alpha key the families read (the two sign tables, a and -a, and
+        # a/2 where no table at a/2 is kept), one shape-average build per
+        # sign, and Ryser only inside check_haf_per
         import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions
@@ -815,26 +918,29 @@ class TestInequalityTrial:
                  "bareiss": []}
         inside_haf_per = []
 
-        def counting(key, original, note=lambda *a: None):
+        def counting(key, original, note=lambda *a, **kw: None):
             def wrapper(*args, **kwargs):
-                calls[key].append(note(*args))
+                calls[key].append(note(*args, **kwargs))
                 return original(*args, **kwargs)
             return wrapper
 
         originals = {name: getattr(kernels, name)
-                     for name in ("cycle_sum_table", "_principal_dp",
+                     for name in ("_cycle_sums", "_principal_dp",
                                   "permanent", "determinant")}
-        originals["shape_averages"] = ineq.shape_averages
+        originals["_shape_averages"] = ineq._shape_averages
         originals["check_haf_per"] = ineq.check_haf_per
         patches = {
-            "cycle_sum_table": counting("table", originals["cycle_sum_table"],
-                                        lambda A, *a: A.n),
-            "_principal_dp": counting("dp", originals["_principal_dp"]),
+            "_cycle_sums": counting("table", originals["_cycle_sums"],
+                                    lambda A: A.n),
+            "_principal_dp": counting("dp", originals["_principal_dp"],
+                                      lambda A, alpha, C, full_set=False:
+                                      (alpha, full_set)),
             "permanent": counting("ryser", originals["permanent"],
-                                  lambda *a: bool(inside_haf_per)),
+                                  lambda *a, **kw: bool(inside_haf_per)),
             "determinant": counting("bareiss", originals["determinant"]),
-            "shape_averages": counting("averages", originals["shape_averages"],
-                                       lambda A, sign, *a: sign),
+            "_shape_averages": counting("averages",
+                                        originals["_shape_averages"],
+                                        lambda A, sign, tol: sign),
         }
 
         def haf_per(*args, **kwargs):
@@ -854,8 +960,12 @@ class TestInequalityTrial:
                                                "majorization-per",
                                                "majorization-det"}
         assert calls["table"] == [5]
-        assert len(calls["dp"]) == 2 + 3 * len(alpha_set_for("theorem2", 5,
-                                                             0, 3))
+        alphas = alpha_set_for("theorem2", 5, 0, 3)
+        whole = {Fraction(1), Fraction(-1)} | {a for alpha in alphas
+                                               for a in (alpha, -alpha)}
+        halves = {alpha / 2 for alpha in alphas} - whole
+        assert sorted(calls["dp"]) == sorted(
+            [(a, False) for a in whole] + [(a, True) for a in halves])
         assert calls["averages"] == [1, -1]
         assert calls["ryser"] == [True]
         assert calls["bareiss"] == []

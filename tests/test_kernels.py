@@ -17,6 +17,7 @@ from alphaperm.errors import CapacityError, DomainError, MixedModeError
 from alphaperm import fastpath
 from alphaperm.kernels import (
     alpha_determinant,
+    alpha_key,
     cycle_sum,
     cycle_sum_table,
     determinant,
@@ -32,6 +33,7 @@ from alphaperm.kernels import (
 from alphaperm.matrices import (
     Matrix,
     doubled,
+    full_mask,
     indices_from_mask,
     random_matrix,
     random_symmetric_matrix,
@@ -430,6 +432,11 @@ def _same(got, expect):
     assert got == expect
 
 
+def _fresh(A):
+    """A copy of A that keeps no tables yet."""
+    return submatrix(A, full_mask(A.n))
+
+
 class TestIntegerLane:
     @given(any_exact_matrices(), _alphas)
     @settings(max_examples=80, deadline=None)
@@ -442,7 +449,7 @@ class TestIntegerLane:
         table = cycle_sum_table(A)
         for alpha in alphas:
             _same(per_alpha_dp(A, alpha, cycle_table=table),
-                  per_alpha_dp(A, alpha))
+                  per_alpha_dp(_fresh(A), alpha))
 
     @given(any_exact_matrices(max_n=5))
     @settings(max_examples=40, deadline=None)
@@ -510,7 +517,7 @@ class TestFloatCycleTable:
         a = 1.5 if kind == "rational" else 1.5 - 0.25j
         got = per_alpha_dp(Af, a, cycle_table=table)
         assert got == pytest.approx(per_alpha_naive(Af, a), rel=1e-12)
-        _same(got, per_alpha_dp(Af, a))
+        _same(got, per_alpha_dp(_fresh(Af), a))
         _same(got, fastpath.per_alpha_dp(Af.to_numpy(), a))
 
 
@@ -560,12 +567,14 @@ class TestFullSetDP:
     @settings(max_examples=30, deadline=None)
     def test_shared_table_weighs_once_per_q(self, A, alpha):
         # alpha and -alpha share the table's weights; a shared table gives
-        # the values an unshared one does, in any order of alphas
+        # the values an unshared one does, in any order of alphas. Fresh
+        # copies keep no values, so every call on one runs its DP
         table = cycle_sum_table(A)
         for a in (alpha, -alpha, alpha / 2, alpha, -alpha):
-            _same(per_alpha_dp(A, a, cycle_table=table), per_alpha_dp(A, a))
-            _same(per_alpha_minors(A, a, cycle_table=table)[-1],
-                  per_alpha_dp(A, a))
+            want = per_alpha_dp(_fresh(A), a)
+            _same(per_alpha_dp(_fresh(A), a, cycle_table=table), want)
+            _same(per_alpha_minors(A, a)[-1], want)
+        assert cycle_sum_table(A) is table
 
     def test_weights_kept_for_the_last_q(self):
         C = cycle_sum_table(random_matrix(4, "complex-rational", seed=2))
@@ -580,6 +589,73 @@ class TestFullSetDP:
 
 
 # ---------------------------------------------------------------------------
+# tables a matrix keeps
+# ---------------------------------------------------------------------------
+
+class TestKeptTables:
+    def test_exact_alpha_types_keep_apart(self):
+        # Fraction(1) == GaussianRational(1), and they hash alike, but a
+        # rational matrix's per_alpha is a Fraction at one and a
+        # GaussianRational at the other
+        A = random_matrix(3, "rational", seed=5)
+        for first, second in ((F(1), G(1)), (G(1), F(1))):
+            B = _fresh(A)
+            per_alpha_minors(B, first)
+            per_alpha_dp(B, first)
+            minors = per_alpha_minors(B, second)
+            for mask in range(8):
+                _same(minors[mask], per_alpha_dp(submatrix(A, mask), second))
+            C = _fresh(A)
+            per_alpha_dp(C, first)
+            _same(per_alpha_dp(C, second), per_alpha_dp(_fresh(A), second))
+            assert type(per_alpha_dp(C, second)) is type(second)
+
+    def test_signed_zero_alphas_keep_apart(self):
+        # per_{-0.0} and per_{0.0} are zeros of opposite sign (here C(full),
+        # the full-set cycle sum, is nonzero)
+        Af = random_matrix(3, "rational", seed=5).to_float()
+        zeros = {repr(per_alpha_dp(_fresh(Af), a)) for a in (0.0, -0.0)}
+        assert zeros == {"0.0", "-0.0"}
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            B = _fresh(Af)
+            per_alpha_minors(B, first)
+            per_alpha_dp(B, first)
+            want = per_alpha_dp(_fresh(Af), second)
+            assert repr(per_alpha_dp(B, second)) == repr(want)
+            assert repr(per_alpha_minors(B, second)[-1]) == repr(want)
+
+    def test_exact_keys_are_integer_parts(self):
+        # no Fraction is hashed: Fraction.__hash__ computes a modular
+        # inverse on every call
+        assert alpha_key(F(-3, 2)) == (-3, 2)
+        assert alpha_key(G(F(1, 2), F(-1, 3))) == (1, 2, -1, 3)
+        assert alpha_key(F(0)) == alpha_key(-F(0))
+        assert alpha_key(F(2)) == alpha_key(2)
+        assert alpha_key(0.0) != alpha_key(-0.0)
+        assert alpha_key(1.0) != alpha_key(1 + 0j)
+
+    def test_one_build_per_matrix_and_key(self):
+        A = random_matrix(4, "complex-rational", seed=3)
+        table = cycle_sum_table(A)
+        minors = per_alpha_minors(A, F(3, 2))
+        assert cycle_sum_table(A) is table
+        assert per_alpha_minors(A, F(6, 4)) is minors
+        assert per_alpha_minors(_fresh(A), F(3, 2)) is not minors
+        assert per_alpha_minors(A.to_float(), 1.5) is not minors
+
+    def test_kept_tables_stay_under_an_explicit_cap(self):
+        A = random_matrix(4, "rational", seed=6)
+        per_alpha_minors(A, F(2))
+        per_alpha_dp(A, F(3))
+        for call in (lambda: cycle_sum_table(A, cap=3),
+                     lambda: per_alpha_minors(A, F(2), cap=3),
+                     lambda: per_alpha_dp(A, F(2), cap=3),
+                     lambda: per_alpha_dp(A, F(3), cap=3)):
+            with pytest.raises(CapacityError):
+                call()
+
+
+# ---------------------------------------------------------------------------
 # principal-minor table: one DP, every A[T]
 # ---------------------------------------------------------------------------
 
@@ -591,12 +667,12 @@ class TestPrincipalMinors:
         assert len(minors) == 1 << A.n
         for mask in range(1 << A.n):
             _same(minors[mask], per_alpha_dp(submatrix(A, mask), alpha))
-        _same(minors[-1], per_alpha_dp(A, alpha))
+        _same(minors[-1], per_alpha_dp(_fresh(A), alpha))
 
     @given(any_exact_matrices(max_n=5), _alphas)
     @settings(max_examples=30, deadline=None)
     def test_entries_equal_naive(self, A, alpha):
-        minors = per_alpha_minors(A, alpha, cycle_table=cycle_sum_table(A))
+        minors = per_alpha_minors(A, alpha)
         for mask in range(1 << A.n):
             _same(minors[mask], per_alpha_naive(submatrix(A, mask), alpha))
 
@@ -612,8 +688,9 @@ class TestPrincipalMinors:
             assert repr(got) == repr(expect)
 
     def test_index_range(self):
-        minors = per_alpha_minors(random_matrix(3, "rational", seed=4), F(2))
-        assert minors.cycle_table is not None
+        A = random_matrix(3, "rational", seed=4)
+        minors = per_alpha_minors(A, F(2))
+        assert per_alpha_minors(A, F(2)) is minors
         with pytest.raises(IndexError):
             minors[8]
         with pytest.raises(IndexError):

@@ -452,6 +452,16 @@ class TestClearedForm:
         hafnian(D), hafnian(D)
         assert len(calls) == len(built) + 2   # one doubled(R) per call
 
+    def test_fresh_copy_keeps_the_form_and_no_table(self):
+        for A in (random_unit_diag_psd(4, HERMITIAN, 3, seed=6),
+                  random_psd(3, REAL_SYMMETRIC, 3, seed=6).to_float()):
+            per_alpha_dp(A, 1.5 if A.kind == "float" else F(3, 2))
+            B = A.fresh()
+            assert A._tables and not B._tables
+            assert B == A and B._cleared is A._cleared
+            assert (B.kind, B.real_symmetric, B.hermitian) == (
+                A.kind, A.real_symmetric, A.hermitian)
+
     def test_float_matrices_never_fill_it(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=1).to_float()
         H = random_unit_diag_psd(3, HERMITIAN, 3, seed=1).to_float()

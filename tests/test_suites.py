@@ -67,6 +67,27 @@ class TestIdentitySuite:
             outcomes = run_identity_suite(trials=0, jobs=jobs)
             assert all(oc.total == 0 for oc in outcomes)
 
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_dp_sides_read_no_kept_table(self, monkeypatch, float_mode):
+        # each identity compares a DP with a formula on the same entries; a
+        # DP answered from a table the formula side kept at the same alpha
+        # would compare that table with itself, whatever the order
+        import alphaperm.suites as suites
+        from alphaperm.kernels import alpha_key
+        hits = []
+        dp = suites.per_alpha_dp
+
+        def spy(A, alpha, *args, **kwargs):
+            hits.extend(key for key in (("full-set", alpha_key(alpha)),
+                                        ("minors", alpha_key(alpha)))
+                        if key in A._tables)
+            return dp(A, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "per_alpha_dp", spy)
+        for t in range(12):
+            suites._identity_trial(5, 0, float_mode, 1e-7, t)
+        assert hits == []
+
     def test_float_mode(self):
         outcomes = run_identity_suite(n_max=4, trials=5, seed=3,
                                       float_mode=True, tol=1e-7)
