@@ -2,7 +2,7 @@
 
 Subcommands: compute (one quantity on one matrix), gen (random exactly-PSD
 instances), check (identity and inequality suites), hunt (counterexample
-search), bench (kernel timings in the exact and float lanes).
+search).
 
 Exit codes: 0 success or no violation, 1 a verified violation was found,
 2 usage error, 3 malformed or unsuitable input, 4 capacity cap exceeded.
@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from fractions import Fraction
 
 from .errors import (
     CapacityError,
@@ -229,72 +227,6 @@ def cmd_hunt(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _bench_instance(kernel: str, n: int):
-    if kernel == "hafnian":
-        dim = n if n % 2 == 0 else n + 1
-        return random_symmetric_matrix(dim, scale=3, seed=99)
-    return random_symmetric_matrix(n, scale=3, seed=99)
-
-
-BENCH_BACKENDS = ("exact", "float")
-
-
-def _bench_call(kernel: str, A, backend: str):
-    """(A, call): A in the backend's kind, with its integer form made, and
-    the kernel as a call on a matrix."""
-    if backend == "exact":
-        A.cleared  # made once, as a kernel's first call on A makes it
-        alpha = Fraction(3, 2)
-    else:
-        A, alpha = A.to_float(), 1.5
-    if kernel == "per-alpha-dp":
-        return A, lambda M: per_alpha_dp(M, alpha)
-    if kernel == "permanent":
-        return A, permanent
-    return A, hafnian
-
-
-def cmd_bench(args) -> int:
-    kernels = args.kernels.split(",")
-    backends = args.backends.split(",")
-    for b in backends:
-        if b not in BENCH_BACKENDS:
-            print("error: unknown backend %r" % b, file=sys.stderr)
-            return 2
-    lo, _, hi = args.sizes.partition(":")
-    hi = hi or lo
-    if not (lo.isdecimal() and hi.isdecimal() and args.size_step >= 1
-            and args.reps >= 1):
-        print("error: want --sizes N or LO:HI of integers >= 0, and "
-              "--size-step and --reps >= 1", file=sys.stderr)
-        return 2
-    sizes = range(int(lo), int(hi) + 1, args.size_step)
-    for kernel in kernels:
-        if kernel not in ("per-alpha-dp", "permanent", "hafnian"):
-            print("error: unknown kernel %r" % kernel, file=sys.stderr)
-            return 2
-        for n in sizes:
-            A = _bench_instance(kernel, n)
-            for backend in backends:
-                A_run, call = _bench_call(kernel, A, backend)
-                best = None
-                for rep in range(args.reps + 1):  # rep 0 warms up
-                    # a copy that keeps no table: every rep runs the kernel
-                    M = A_run.fresh()
-                    t0 = time.perf_counter()
-                    call(M)
-                    dt = time.perf_counter() - t0
-                    if rep:
-                        best = dt if best is None else min(best, dt)
-                print("bench kernel=%s backend=%s n=%d reps=%d best=%.6fs"
-                      % (kernel, backend, A.n, args.reps, best))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -367,15 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--out", default="hunt-findings.jsonl")
     h.set_defaults(func=cmd_hunt)
 
-    b = sub.add_parser("bench", help="time kernels in the exact and float "
-                                      "lanes")
-    b.add_argument("--kernels", default="per-alpha-dp,permanent,hafnian")
-    b.add_argument("--backends", default=",".join(BENCH_BACKENDS),
-                   help="comma list from exact, float")
-    b.add_argument("--sizes", default="6:10", help="LO:HI inclusive")
-    b.add_argument("--size-step", type=int, default=2)
-    b.add_argument("--reps", type=int, default=3)
-    b.set_defaults(func=cmd_bench)
     return p
 
 

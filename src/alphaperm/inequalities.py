@@ -558,6 +558,16 @@ def _naive_slack(name: str, A: Matrix, alpha, split):
     raise DomainError("unknown comparison %r" % name)
 
 
+def confirm_violation(result: ComparisonResult, A: Matrix, alpha, split,
+                      trial: int) -> None:
+    """Re-derive a gated violation's slack with the oracle _naive_slack;
+    raise OracleMismatch unless it equals the fast kernels' slack."""
+    naive = _naive_slack(result.name, A, alpha, split)
+    if naive != result.slack:
+        raise OracleMismatch("%s at trial %d: dp slack %s, naive slack %s"
+                             % (result.name, trial, result.slack, naive))
+
+
 # ---------------------------------------------------------------------------
 # hunter
 # ---------------------------------------------------------------------------
@@ -590,6 +600,8 @@ class HuntConfig:
             raise DomainError("hunt needs n >= 1")
         if self.trials < 1:
             raise DomainError("hunt needs trials >= 1")
+        if self.keep_smallest < 0:
+            raise DomainError("hunt needs keep_smallest >= 0")
         if self.kind not in (REAL_SYMMETRIC, HERMITIAN):
             raise DomainError("hunt kind must be %r or %r"
                               % (REAL_SYMMETRIC, HERMITIAN))
@@ -705,12 +717,7 @@ def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
     for result, split, gated in _trial_comparisons(cfg, A, alpha):
         if gated:
             if result.verdict == VIOLATED:
-                naive = _naive_slack(result.name, A, alpha, split)
-                if naive != result.slack:
-                    raise OracleMismatch(
-                        "%s at trial %d: dp slack %s, naive slack %s"
-                        % (result.name, t, result.slack, naive)
-                    )
+                confirm_violation(result, A, alpha, split, t)
                 violations.append((result.name, split,
                                    format_scalar(result.slack)))
             key = (result.slack, result.name, split)

@@ -75,9 +75,9 @@ it, so no kernel clears the same matrix twice.
     hafnian run on B and divide by L^n, L^n and L^(n/2).
 
 Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational. The
-oracle per_alpha_naive and the single-subset cycle_sum stay on the exact
-scalars, sharing nothing with the integer lane. Results are Fractions or
-GaussianRationals, never bare ints.
+oracle per_alpha_naive stays on the exact scalars, sharing nothing with
+the integer lane. Results are Fractions or GaussianRationals, never bare
+ints.
 
 Size caps are configuration: pass cap=... explicitly or override the
 defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
@@ -192,59 +192,6 @@ def per_alpha_naive(A: Matrix, alpha, cap=None):
 # ---------------------------------------------------------------------------
 # cycle sums
 # ---------------------------------------------------------------------------
-
-def cycle_sum(A: Matrix, mask: int):
-    """C(S): sum over cyclic arrangements of S of the entry product.
-
-    For S = {i}, C = a_ii; for S = {i, j}, C = a_ij * a_ji. Computed by a
-    walk dynamic program restricted to subsets of S, so a single subset does
-    not pay for the full table.
-    """
-    if mask <= 0 or mask >> A.n:
-        raise DomainError("cycle_sum needs a nonempty mask within 0..n-1")
-    _check_cap("dp", mask.bit_count(), cap=None)
-    rows = A.rows
-    anchor = (mask & -mask).bit_length() - 1
-    if mask == 1 << anchor:
-        return rows[anchor][anchor]
-    rest = mask ^ (1 << anchor)
-    # walk[v] over submasks: weight of all paths anchor -> v visiting the
-    # submask's vertices; iterate submasks of rest in increasing order so
-    # every proper submask is finished first.
-    walk = {}
-    sub = 0
-    while True:
-        sub = (sub - rest) & rest
-        if sub == 0:
-            break
-        m = sub
-        while m:
-            vbit = m & -m
-            m ^= vbit
-            v = vbit.bit_length() - 1
-            prev = sub ^ vbit
-            if prev == 0:
-                w = rows[anchor][v]
-            else:
-                w = None
-                pm = prev
-                while pm:
-                    ubit = pm & -pm
-                    pm ^= ubit
-                    u = ubit.bit_length() - 1
-                    t = walk[(prev, u)] * rows[u][v]
-                    w = t if w is None else w + t
-            walk[(sub, v)] = w
-    total = None
-    m = rest
-    while m:
-        vbit = m & -m
-        m ^= vbit
-        v = vbit.bit_length() - 1
-        t = walk[(rest, v)] * rows[v][anchor]
-        total = t if total is None else total + t
-    return total
-
 
 class CycleTable(Sequence):
     """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.

@@ -66,13 +66,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def mask_from_indices(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def indices_from_mask(mask: int) -> tuple:
     out = []
     i = 0
@@ -81,16 +74,6 @@ def indices_from_mask(mask: int) -> tuple:
             out.append(i)
         i += 1
     return tuple(out)
-
-
-def iter_submasks(mask: int):
-    """All submasks of mask in increasing numeric order, including 0 and mask."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 def split_masks(n: int, m: int) -> tuple:
@@ -120,7 +103,7 @@ class Matrix:
 
     It also keeps the tables kernels and inequalities build from it in
     `_tables`, filled on first use through kernels.kept; keeping one
-    changes no value, and fresh() makes a copy that keeps none.
+    changes no value.
     """
 
     __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",
@@ -225,15 +208,6 @@ class Matrix:
                                clear_denominators(self.rows))
         return self._cleared
 
-    def fresh(self) -> "Matrix":
-        """A copy with the same entries, flags and cleared form that keeps
-        no table yet: kernels called on it compute afresh."""
-        copy = object.__new__(Matrix)
-        for name in Matrix.__slots__:
-            object.__setattr__(copy, name, {} if name == "_tables"
-                               else getattr(self, name))
-        return copy
-
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -310,23 +284,6 @@ class Matrix:
                 a[i, j] = to_float_scalar(self.rows[i][j])
         return a
 
-    def transpose(self) -> "Matrix":
-        rows = [
-            [self.rows[j][i] for j in range(self.n)] for i in range(self.n)
-        ]
-        return Matrix(rows, kind=self.kind,
-                      real_symmetric=self.real_symmetric,
-                      hermitian=False)
-
-    def conjugate_transpose(self) -> "Matrix":
-        rows = [
-            [conj_scalar(self.rows[j][i]) for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return Matrix(rows, kind=self.kind,
-                      real_symmetric=self.real_symmetric,
-                      hermitian=self.hermitian)
-
 
 def _mirrored(part, sign: int) -> bool:
     """part[j][i] == sign * part[i][j] for every i <= j."""
@@ -395,6 +352,13 @@ def _rng(label: str, *parts) -> random.Random:
     return random.Random(":".join([label] + [str(p) for p in parts]))
 
 
+def _check_size(n: int, scale: int) -> None:
+    if n < 0:
+        raise DomainError("n must be >= 0, got %d" % n)
+    if scale < 1:
+        raise DomainError("scale must be >= 1")
+
+
 def _rand_fraction(rng: random.Random, scale: int) -> Fraction:
     return Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
 
@@ -402,8 +366,7 @@ def _rand_fraction(rng: random.Random, scale: int) -> Fraction:
 def random_matrix(n: int, kind: str = RATIONAL, scale: int = 4,
                   seed: int = 0) -> Matrix:
     """Random square matrix with entries p/q, |p| <= scale, 1 <= q <= scale."""
-    if scale < 1:
-        raise DomainError("scale must be >= 1")
+    _check_size(n, scale)
     rng = _rng("mat", kind, n, scale, seed)
     if kind == RATIONAL:
         rows = [[_rand_fraction(rng, scale) for _ in range(n)] for _ in range(n)]
@@ -421,8 +384,7 @@ def random_matrix(n: int, kind: str = RATIONAL, scale: int = 4,
 
 def random_symmetric_matrix(n: int, scale: int = 4, seed: int = 0) -> Matrix:
     """Random real symmetric rational matrix (not necessarily PSD)."""
-    if scale < 1:
-        raise DomainError("scale must be >= 1")
+    _check_size(n, scale)
     rng = _rng("sym", n, scale, seed)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -506,8 +468,7 @@ def random_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
     if kind not in (REAL_SYMMETRIC, HERMITIAN):
         raise DomainError("random_psd kind must be %r or %r" %
                           (REAL_SYMMETRIC, HERMITIAN))
-    if scale < 1:
-        raise DomainError("scale must be >= 1")
+    _check_size(n, scale)
     rng = _rng("psd", kind, n, scale, seed)
     width = n if kind == REAL_SYMMETRIC else 2 * n
     b = [_rand_row(rng, width, scale) for _ in range(n)]
@@ -539,62 +500,11 @@ def random_unit_diag_psd(n: int, kind: str = REAL_SYMMETRIC, scale: int = 4,
     if kind not in (REAL_SYMMETRIC, HERMITIAN):
         raise DomainError("random_unit_diag_psd kind must be %r or %r" %
                           (REAL_SYMMETRIC, HERMITIAN))
-    if scale < 1:
-        raise DomainError("scale must be >= 1")
+    _check_size(n, scale)
     rng = _rng("unitpsd", kind, n, scale, seed)
     d = n if kind == REAL_SYMMETRIC else 2 * n
     b = [_rational_unit_vector(rng, d, scale) for _ in range(n)]
     return _gram(b, complex_entries=kind == HERMITIAN)
-
-
-# ---------------------------------------------------------------------------
-# positive semidefiniteness certification
-# ---------------------------------------------------------------------------
-
-_EXACT_PSD_MAX_N = 8
-
-
-def certify_psd(A: Matrix, tol_factor: float = 1e-9) -> bool:
-    """Decide positive semidefiniteness.
-
-    Exact kinds with n <= 8: all nonempty principal minors are checked to be
-    nonnegative, which is exact and side-effect free. Larger or float
-    matrices: diagonally pivoted Cholesky with tolerance tol_factor * trace.
-    Raises DomainError if A is not Hermitian entrywise.
-    """
-    if not A.is_hermitian_entrywise():
-        raise DomainError("certify_psd needs a Hermitian matrix")
-    if A.n == 0:
-        return True
-    if kind_is_exact(A.kind) and A.n <= _EXACT_PSD_MAX_N:
-        from .kernels import determinant
-        from .scalars import exact_real
-        for mask in range(1, 1 << A.n):
-            if exact_real(determinant(submatrix(A, mask))) < 0:
-                return False
-        return True
-    return _pivoted_cholesky_psd(A.to_numpy(), tol_factor)
-
-
-def _pivoted_cholesky_psd(a: np.ndarray, tol_factor: float) -> bool:
-    import numpy as np
-    a = np.array(a)
-    n = a.shape[0]
-    trace = float(np.real(np.trace(a)))
-    tol = tol_factor * max(trace, 1.0)
-    for k in range(n):
-        d = np.real(np.diag(a)[k:])
-        p = int(np.argmax(d)) + k
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            a[:, [k, p]] = a[:, [p, k]]
-        pivot = float(np.real(a[k, k]))
-        if pivot <= tol:
-            # Remaining block must vanish for a PSD matrix.
-            return bool(np.all(np.abs(a[k:, k:]) <= tol * (n + 1)))
-        col = a[k + 1:, k] / pivot
-        a[k + 1:, k + 1:] -= np.outer(col, np.conj(a[k + 1:, k]))
-    return True
 
 
 # ---------------------------------------------------------------------------

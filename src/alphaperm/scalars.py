@@ -146,9 +146,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_real(self) -> bool:
         return self.im == 0
 

@@ -29,11 +29,10 @@ from .inequalities import (
     check_lieb_type,
     check_majorization_step,
     check_marcus,
+    confirm_violation,
     merge_pairs,
     run_trials,
     sign_minors,
-    _naive_slack,
-    OracleMismatch,
 )
 from .kernels import (
     determinant,
@@ -290,12 +289,7 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         ok = result.verdict != VIOLATED
         viol = None
         if result.verdict == VIOLATED and not float_mode:
-            naive = _naive_slack(result.name, A, alpha, split)
-            if naive != result.slack:
-                raise OracleMismatch(
-                    "%s at trial %d: dp %s vs naive %s"
-                    % (result.name, t, result.slack, naive)
-                )
+            confirm_violation(result, A, alpha, split, t)
             if matrix is None:
                 matrix = (dumps_matrix(A), matrix_digest(A))
             viol = (result.name, split,
@@ -354,6 +348,8 @@ def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                        tol: float = 1e-9) -> list:
     if n_max < 1:
         raise DomainError("check needs n_max >= 1, got %d" % n_max)
+    if trials < 1:
+        raise DomainError("check needs trials >= 1, got %d" % trials)
     outcomes = {name: CheckOutcome(name) for name in IDENTITY_CHECKS}
     rows = run_trials(_identity_trial, (n_max, seed, float_mode, tol),
                       trials, jobs)
@@ -369,6 +365,8 @@ def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
     if n_max < 2:
         raise DomainError("the inequality suite needs n_max >= 2 for a "
                           "split, got %d" % n_max)
+    if trials < 1:
+        raise DomainError("check needs trials >= 1, got %d" % trials)
     outcomes = {name: CheckOutcome(name) for name in INEQUALITY_CHECKS}
     rows = run_trials(_inequality_trial,
                       (n_max, seed, alpha_set, float_mode, tol), trials, jobs)

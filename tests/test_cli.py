@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -121,6 +122,22 @@ class TestCompute:
         code, out, _ = run_cli("compute", "per", "-")
         assert code == 0 and out.strip() == "10"
 
+    @pytest.mark.parametrize("kernel, args", [
+        ("RYSER", ("per",)),
+        ("DP", ("per-alpha", "--alpha", "3/2")),
+        ("NAIVE", ("per-alpha", "--alpha", "3/2", "--algo", "naive")),
+        ("HAFNIAN", ("haf",))])
+    def test_cap_override_from_environment(self, psd_file, monkeypatch,
+                                           kernel, args):
+        monkeypatch.setenv("ALPHAPERM_CAP_" + kernel, "3")
+        code, out, err = run_cli("compute", *args, psd_file)
+        assert code == 4 and out == "" and "exceeds cap 3" in err
+        monkeypatch.setenv("ALPHAPERM_CAP_" + kernel, "four")
+        code, out, err = run_cli("compute", *args, psd_file)
+        assert code == 4 and out == "" and "bad cap override" in err
+        monkeypatch.setenv("ALPHAPERM_CAP_" + kernel, "4")
+        assert run_cli("compute", *args, psd_file)[0] == 0
+
     def test_bad_quantity_is_usage_error(self, plain_file):
         with pytest.raises(SystemExit) as exc:
             run_cli("compute", "trace", plain_file)
@@ -142,6 +159,14 @@ class TestGen:
         run_cli("gen", "--n", "3", "--seed", "5", "--out", p1)
         run_cli("gen", "--n", "3", "--seed", "5", "--out", p2)
         assert open(p1).read() == open(p2).read()
+
+    def test_negative_n_is_input_error(self, tmp_path):
+        out_path = tmp_path / "x.mat"
+        for flags in ((), ("--unit-diagonal",), ("--symmetric-only",)):
+            code, out, err = run_cli("gen", "--n", "-1", *flags, "--out",
+                                     str(out_path))
+            assert code == 3 and out == "" and "n must be >= 0" in err
+            assert not out_path.exists()
 
     def test_hermitian(self, tmp_path):
         out_path = str(tmp_path / "h.mat")
@@ -181,6 +206,13 @@ class TestCheck:
                                  "--trials", "2")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["identities", "inequalities", "all"])
+    def test_no_trials_is_input_error(self, suite):
+        # zero trials would print every check as 0/0 and "result PASS"
+        code, out, err = run_cli("check", "--suite", suite, "--trials", "0")
+        assert code == 3 and out == ""
+        assert "trials >= 1" in err
 
     def test_inequality_suite_needs_a_split(self):
         # n-max 1 would name n = 1 in the header and check n = 2 instances
@@ -252,6 +284,14 @@ class TestHunt:
                                "3/2", "--out", out_file)
         assert code == 0 and "alpha=3/2" in out
 
+    def test_negative_keep_smallest_is_input_error(self, tmp_path):
+        out_file = tmp_path / "k.jsonl"
+        code, out, err = run_cli("hunt", "--n", "3", "--trials", "2",
+                                 "--keep-smallest", "-1", "--out",
+                                 str(out_file))
+        assert code == 3 and out == "" and "keep_smallest" in err
+        assert not out_file.exists()
+
     def test_bad_range_is_usage(self, tmp_path):
         code, _, err = run_cli("hunt", "--target", "marcus", "--alpha-range",
                                "1-2", "--out", str(tmp_path / "y.jsonl"))
@@ -276,69 +316,21 @@ class TestHunt:
         assert code == 3
 
 
-class TestBench:
-    def test_runs_float_backend(self):
-        code, out, _ = run_cli("bench", "--kernels", "permanent",
-                               "--backends", "float", "--sizes", "4:6",
-                               "--size-step", "2", "--reps", "1")
-        assert code == 0
-        lines = [x for x in out.splitlines() if x.startswith("bench ")]
-        assert len(lines) == 2
-        assert "kernel=permanent backend=float n=4" in lines[0]
-
-    def test_exact_backend(self):
-        code, out, _ = run_cli("bench", "--kernels", "per-alpha-dp",
-                               "--backends", "exact", "--sizes", "4",
-                               "--reps", "1")
-        assert code == 0 and "backend=exact" in out
-
-    @pytest.mark.parametrize("backend", ["exact", "float"])
-    def test_every_rep_runs_the_dp(self, monkeypatch, backend):
-        # a matrix keeps its tables, so a rep on the warm-up's matrix would
-        # time a lookup; each rep and the warm-up must run the DP itself
-        import alphaperm.kernels as kernels
-        runs = []
-        dp = kernels._principal_dp
-
-        def counting(A, *args, **kwargs):
-            runs.append(A.n)
-            return dp(A, *args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_principal_dp", counting)
-        code, out, _ = run_cli("bench", "--kernels", "per-alpha-dp",
-                               "--backends", backend, "--sizes", "5",
-                               "--reps", "3")
-        assert code == 0 and "reps=3" in out
-        assert runs == [5] * 4
-
-    def test_default_backends_are_the_available_ones(self):
-        code, out, err = run_cli("bench", "--sizes", "4", "--reps", "1")
-        assert code == 0, err
-        backends = {x.split("backend=")[1].split()[0]
-                    for x in out.splitlines() if x.startswith("bench ")}
-        assert backends == {"exact", "float"}
-
-    def test_unknown_kernel(self):
-        code, _, err = run_cli("bench", "--kernels", "trace", "--backends",
-                               "float", "--sizes", "4", "--reps", "1")
-        assert code == 2
-
-    @pytest.mark.parametrize("flags", [("--sizes", "3:x"), ("--sizes", "x"),
-                                       ("--sizes=-1:3",),
-                                       ("--size-step", "0"), ("--reps", "0")])
-    def test_bad_number_is_usage_error(self, flags):
-        code, out, err = run_cli("bench", "--kernels", "permanent",
-                                 "--backends", "float", "--sizes", "4",
-                                 "--reps", "1", *flags)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
-
-    @pytest.mark.parametrize("backend", ["fortran", "python"])
-    def test_unknown_backend(self, backend):
-        code, out, err = run_cli("bench", "--backends", "exact," + backend,
-                                 "--sizes", "4", "--reps", "1")
-        assert code == 2 and out == ""
-        assert "error: unknown backend" in err
+class TestSurface:
+    def test_exports_and_subcommands(self):
+        # every name in __all__ resolves, so `from alphaperm import *` works
+        namespace = {}
+        exec("from alphaperm import *", namespace)
+        assert set(alphaperm.__all__) <= set(namespace)
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"\{([a-z,]+)\}", out.getvalue())) == {
+            "compute,gen,check,hunt"}
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench")
+        assert exc.value.code == 2
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -226,7 +226,8 @@ class TestSignTables:
         # split, so lieb and fischer run those, with the tables' values
         import alphaperm.kernels as kernels
         A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=3)
-        per, det = sign_minors(A.fresh(), 1), sign_minors(A.fresh(), -1)
+        fresh = submatrix(A, full_mask(A.n))   # a copy that keeps no table
+        per, det = sign_minors(fresh, 1), sign_minors(fresh, -1)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("lieb or fischer ran the subset DP")
@@ -899,6 +900,8 @@ class TestHunt:
                 HuntConfig(n=3, trials=1, **bad).validate()
         with pytest.raises(DomainError):
             HuntConfig(n=3, trials=1, alpha_lo="2", alpha_hi="1").validate()
+        with pytest.raises(DomainError, match="keep_smallest"):
+            HuntConfig(n=3, trials=1, keep_smallest=-1).validate()
         HuntConfig(n=3, trials=1, alpha_lo="3/2", alpha_hi="1.5").validate()
 
 

@@ -18,7 +18,6 @@ from alphaperm import fastpath
 from alphaperm.kernels import (
     alpha_determinant,
     alpha_key,
-    cycle_sum,
     cycle_sum_table,
     determinant,
     diagonal_product,
@@ -240,23 +239,17 @@ class TestCycleSum:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_vs_oracle(self, seed):
         A = random_matrix(5, "rational", scale=4, seed=seed)
-        for size in range(1, 5):
-            for combo in itertools.combinations(range(5), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                assert cycle_sum(A, mask) == oracle_cycle_sum(A, combo), combo
+        table = cycle_sum_table(A)
+        for mask in range(1, 1 << 5):
+            combo = indices_from_mask(mask)
+            assert table[mask] == oracle_cycle_sum(A, combo), combo
 
     def test_table_matches_single(self):
+        # every entry of a complex table against the one-subset oracle
         A = random_matrix(5, "complex-rational", scale=3, seed=7)
         table = cycle_sum_table(A)
         for mask in range(1, 1 << 5):
-            assert table[mask] == cycle_sum(A, mask)
-
-    def test_empty_mask_rejected(self):
-        A = random_matrix(3, "rational", scale=3, seed=0)
-        with pytest.raises(DomainError):
-            cycle_sum(A, 0)
+            assert table[mask] == oracle_cycle_sum(A, indices_from_mask(mask))
 
 
 class TestPerAlpha:
@@ -458,7 +451,7 @@ class TestIntegerLane:
         assert len(table) == 1 << A.n
         assert table[0] is None
         for mask in range(1, 1 << A.n):
-            _same(table[mask], cycle_sum(A, mask))
+            _same(table[mask], oracle_cycle_sum(A, indices_from_mask(mask)))
 
     @given(exact_matrices())
     @example(Matrix([], kind="complex-rational"))
@@ -653,6 +646,20 @@ class TestKeptTables:
                      lambda: per_alpha_dp(A, F(3), cap=3)):
             with pytest.raises(CapacityError):
                 call()
+
+    def test_kept_tables_read_under_a_lowered_default_cap(self, monkeypatch):
+        # ALPHAPERM_CAP_DP lowers the default cap: it stops a new build, not
+        # the read of a kept table
+        A = random_matrix(4, "rational", seed=6)
+        value = per_alpha_dp(A, F(3, 2))
+        table = cycle_sum_table(A)
+        minors = per_alpha_minors(A, F(2))
+        monkeypatch.setenv("ALPHAPERM_CAP_DP", "3")
+        _same(per_alpha_dp(A, F(3, 2)), value)
+        assert cycle_sum_table(A) is table
+        assert per_alpha_minors(A, F(2)) is minors
+        with pytest.raises(CapacityError, match="exceeds cap 3"):
+            per_alpha_dp(_fresh(A), F(3, 2))
 
 
 # ---------------------------------------------------------------------------

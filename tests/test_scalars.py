@@ -71,7 +71,7 @@ class TestGaussianRational:
     def test_conjugate_abs(self):
         z = G(3, -4)
         assert z.conjugate() == G(3, 4)
-        assert z.abs_squared() == Fraction(25)
+        assert z * z.conjugate() == Fraction(25)
 
     def test_hash_consistent_with_rational_equality(self):
         assert hash(G(7, 0)) == hash(Fraction(7))

@@ -1,9 +1,12 @@
 """Identity and inequality suite drivers: coverage, determinism, jobs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from alphaperm.errors import DomainError
+from alphaperm.inequalities import VIOLATED, OracleMismatch
 from alphaperm.suites import (
     IDENTITY_CHECKS,
     INEQUALITY_CHECKS,
@@ -63,9 +66,11 @@ class TestIdentitySuite:
         assert _snapshot(a) == _snapshot(b)
 
     def test_no_trials_with_jobs(self):
+        # zero trials would print every check as 0/0 and pass
         for jobs in (1, 2):
-            outcomes = run_identity_suite(trials=0, jobs=jobs)
-            assert all(oc.total == 0 for oc in outcomes)
+            for suite in (run_identity_suite, run_inequality_suite):
+                with pytest.raises(DomainError, match="trials >= 1"):
+                    suite(trials=0, jobs=jobs)
 
     @pytest.mark.parametrize("float_mode", [False, True])
     def test_dp_sides_read_no_kept_table(self, monkeypatch, float_mode):
@@ -139,6 +144,20 @@ class TestInequalitySuite:
                                         float_mode=True, tol=1e-7)
         for oc in outcomes:
             assert oc.passed == oc.total, oc.name
+
+    def test_oracle_mismatch_guard(self, monkeypatch):
+        # a gated violation the oracle does not re-derive is refused, not
+        # reported as a finding
+        import alphaperm.suites as suites
+        lieb = suites.check_lieb
+
+        def poisoned(A, m, tol=0.0):
+            return dataclasses.replace(lieb(A, m, tol), slack=Fraction(-1),
+                                       verdict=VIOLATED)
+
+        monkeypatch.setattr(suites, "check_lieb", poisoned)
+        with pytest.raises(OracleMismatch, match="lieb at trial 0"):
+            run_inequality_suite(n_max=3, trials=1, seed=0)
 
     def test_min_slack_nonnegative_in_regime(self):
         outcomes = run_inequality_suite(n_max=5, trials=6, seed=8)
