@@ -39,15 +39,16 @@ Shape averages: for a partition shape of n and sign s in {+1, -1},
 where per_{+1} is the permanent and per_{-1}(B) = (-1)^{dim B} det(B).
 check_majorization_step compares p on shapes related by merging two parts.
 
-Blocks come from principal-minor tables (kernels.per_alpha_minors), one
-subset DP per alpha for all of A's index sets, which A keeps (see Matrix):
-check_lieb_type reads every split from lieb_type_minors, check_lieb and
-check_fischer from sign_minors(A, +1) and sign_minors(A, -1) up to n = 10
-(above, from Ryser and Bareiss), and shape_averages sums block products
-over the partitions of every shape in one shape-keyed partition DP
-(partitions.shape_partition_sums). check_marcus calls per_alpha_dp, which
-reads the full-set entry of a kept table and otherwise runs a full-set DP.
-The oracle _naive_slack computes each block with per_alpha_naive.
+Blocks come from principal-minor tables (kernels.per_alpha_minors, each a
+kernels.ScaledTable), one subset DP per alpha for all of A's index sets,
+which A keeps (see Matrix): check_lieb_type reads every split from
+lieb_type_minors, check_lieb and check_fischer from sign_minors(A, +1) and
+sign_minors(A, -1) up to n = 10 (above, from Ryser and Bareiss), and
+shape_averages sums block products over the partitions of every shape in
+one shape-keyed partition DP (partitions.shape_partition_sums) on the
+table's ring(). check_marcus calls per_alpha_dp, which reads the full-set
+entry of a kept table and otherwise runs a full-set DP. The oracle
+_naive_slack computes each block with per_alpha_naive.
 """
 
 from __future__ import annotations
@@ -84,11 +85,7 @@ from .matrices import (
     split_masks,
     submatrix,
 )
-from .partitions import (
-    _ring_table,
-    shape_partition_count,
-    shape_partition_sums,
-)
+from .partitions import shape_partition_count, shape_partition_sums
 from .scalars import (
     GaussianRational,
     as_scalar,
@@ -253,7 +250,6 @@ def lieb_type_minors(A: Matrix, alpha) -> tuple:
     principal-minor tables of per_alpha and per_{-alpha}, and
     per_{alpha/2}(A) on real matrices (None otherwise)."""
     alpha = _real_alpha(alpha)
-    # -alpha before alpha/2: the cycle table keeps the weights of the last q
     return kept(A, ("lieb-type", alpha_key(alpha)), lambda: (
         per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha),
         per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None))
@@ -351,8 +347,7 @@ def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:
 
 def _shape_averages(A: Matrix, sign: int, tol) -> dict:
     n = A.n
-    minors = sign_minors(A, sign)
-    f, unit = _ring_table(minors, minors.base)
+    f, unit = sign_minors(A, sign).ring()
     return {shape: _real_value(total * unit, tol)
             / shape_partition_count(n, shape)
             for shape, total in shape_partition_sums(f, n).items()}
@@ -574,6 +569,8 @@ def confirm_violation(result: ComparisonResult, A: Matrix, alpha, split,
 
 HUNT_TARGETS = ("marcus", "lieb", "fischer", "haf-per", "lieb-type",
                 "neg-positivity")
+# the targets that compare the blocks of a split
+SPLIT_TARGETS = ("lieb", "fischer", "lieb-type")
 
 
 @dataclass(frozen=True)
@@ -596,8 +593,15 @@ class HuntConfig:
         for t in self.targets:
             if t not in HUNT_TARGETS:
                 raise DomainError("unknown hunt target %r" % (t,))
+        if len(set(self.targets)) != len(self.targets):
+            raise DomainError("hunt target repeated in %s"
+                              % ",".join(self.targets))
         if self.n < 1:
             raise DomainError("hunt needs n >= 1")
+        for t in self.targets:
+            if t in SPLIT_TARGETS and self.n < 2:
+                raise DomainError("hunt target %s needs n >= 2 for a split"
+                                  % t)
         if self.trials < 1:
             raise DomainError("hunt needs trials >= 1")
         if self.keep_smallest < 0:

@@ -23,15 +23,21 @@ Two independent algorithms compute per_alpha:
 
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
 per_alpha of every principal submatrix A[T]. per_alpha_minors keeps that
-table (a PrincipalMinors, indexed by bitmask). The inequality families read
-their blocks from it: the two blocks of every split in the Lieb-type
-checks, and the blocks of every set partition in the shape averages, where
-per_{+1} and per_{-1} stand in for Ryser and Bareiss; so do the expansion
-formulas in partitions.
+table. The inequality families read their blocks from it: the two blocks
+of every split in the Lieb-type checks, and the blocks of every set
+partition in the shape averages, where per_{+1} and per_{-1} stand in for
+Ryser and Bareiss; so do the expansion formulas in partitions.
+
+Every table over the index sets of A is a ScaledTable, indexed by bitmask:
+the cycle sums, the principal minors and doubled_hafnian_table. It keeps
+the integers the kernel ran on and converts an entry when it is read (see
+the integer lane below); its ring method hands the partition DPs the same
+integers rescaled to a common base, so no other module reads its lists.
 
 A keeps these tables, built on first use by kept(A, key, build): the cycle
-table, and per alpha_key the minors table and per_alpha_dp's value. The
-oracle, Ryser, Bareiss and the hafnian neither read nor fill them.
+table, and per alpha_key the minors table and per_alpha_dp's value; A also
+keeps the DP's weighted cycle sums per q (below). The oracle, Ryser,
+Bareiss and the hafnian neither read nor fill them.
 
 per_alpha_dp reads only the full-set entry. f(full) reads f only on the
 subsets of {1..n-1}, so it fills those (the masks without bit 0, in
@@ -60,19 +66,23 @@ generators build their instances in integers and hand this form to the
 constructor, and any other exact matrix computes it on first use and keeps
 it, so no kernel clears the same matrix twice.
 
+  * a ScaledTable holds integers that carry base^|T| in entry T, and
+    their imaginary parts when some entry is complex; float tables hold
+    the floats, with base 1;
   * cycle sums scale as C_B(S) = L^|S| C_A(S); cycle_sum_table keeps the
-    integers, so a table shared across alpha values is never converted;
+    integers (base L), so a table shared across alpha values is never
+    converted;
   * for alpha = p/q, weighting cycle S by q^(|S|-1) keeps the subset DP
     integral, g(T) = p * sum over S of q^(|S|-1) C_B(S) g(T minus S), and
     per_alpha(A[T]) = g(T) / (q L)^|T|: per_alpha_dp divides once at the
-    end, and the minors table keeps the integers g(T) and divides an entry
-    only when it is read. The cycle table keeps the weighted sums of the
-    last q, which alpha and -alpha share;
+    end, and the minors table keeps the integers g(T) (base q L). A keeps
+    the weighted sums of each q, which alpha and -alpha share;
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
   * rational Ryser, Bareiss (whose divisions are exact on integers) and the
-    hafnian run on B and divide by L^n, L^n and L^(n/2).
+    hafnian run on B and divide by L^n, L^n and L^(n/2); the doubled
+    hafnian table has base L.
 
 Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational. The
 oracle per_alpha_naive stays on the exact scalars, sharing nothing with
@@ -97,7 +107,6 @@ from fractions import Fraction
 from .errors import CapacityError, DomainError, MixedModeError
 from .matrices import Matrix, doubled, full_mask
 from .scalars import (
-    COMPLEX_RATIONAL,
     FLOAT_KINDS,
     RATIONAL,
     GaussianRational,
@@ -193,55 +202,65 @@ def per_alpha_naive(A: Matrix, alpha, cap=None):
 # cycle sums
 # ---------------------------------------------------------------------------
 
-class CycleTable(Sequence):
-    """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
+class ScaledTable(Sequence):
+    """A quantity of every principal submatrix A[T], indexed by bitmask T:
+    the cycle sums C(T), per_alpha(A[T]) or haf(doubled(A[T])).
 
-    Exact matrices keep the table in the integer lane: values[S] is the
-    integer L^|S| C(S), where L is the common denominator of A's entries,
-    and imag[S] its imaginary part; imag is None when every C(S) is real,
-    as it is for Hermitian A. Float matrices keep C(S) itself, with L = 1.
-    Indexing returns C(S) as a scalar of A's kind; entry 0 is None.
+    Exact tables stay in the integer lane: values[T] is an integer that
+    carries base^|T|, imag[T] its imaginary part, and imag is None when
+    every entry is real. Float tables hold the floats themselves, with
+    base 1. Indexing converts entry T to a scalar of the table's kind,
+    from_scaled(base^|T|, values[T], imag[T]); a None entry (the cycle
+    table's entry 0) stays None. The full-set entry is converted once, on
+    first read.
     """
 
-    __slots__ = ("kind", "scale", "values", "imag", "_weighed")
+    __slots__ = ("kind", "base", "values", "imag", "_full")
 
-    def __init__(self, kind: str, scale: int, values: list, imag):
+    def __init__(self, kind: str, base: int, values: list, imag):
         self.kind = kind
-        self.scale = scale
+        self.base = base
         self.values = values
         self.imag = imag
-        self._weighed = None
+        self._full = None
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, mask: int):
+        size = len(self.values)
+        mask = range(size)[mask]
+        if mask != size - 1:
+            return self._entry(mask)
+        if self._full is None:
+            self._full = self._entry(mask)
+        return self._full
+
+    def _entry(self, mask: int):
         value = self.values[mask]
-        mask %= len(self.values)
-        if mask == 0 or self.kind in FLOAT_KINDS:
+        if value is None or self.kind in FLOAT_KINDS:
             return value
-        imag = None
-        if self.kind == COMPLEX_RATIONAL:
-            imag = 0 if self.imag is None else self.imag[mask]
-        return from_scaled(self.scale ** mask.bit_count(), value, imag)
+        part = None if self.kind == RATIONAL else 0
+        if self.imag is not None:
+            part = self.imag[mask]
+        return from_scaled(self.base ** mask.bit_count(), value, part)
 
-    def weighed(self, q: int) -> tuple:
-        """(values, imag) of an exact table with entry S multiplied by
-        q^(|S|-1), the weights of the DP at alpha = p/q. The last q's lists
-        are kept, so alpha and -alpha weigh the table once."""
-        if q == 1:
-            return self.values, self.imag
-        if self._weighed is None or self._weighed[0] != q:
-            size = len(self.values)
-            q_pow = [q ** k for k in range(size.bit_length() - 1)]
-
-            def weigh(values):
-                return [0] + [q_pow[m.bit_count() - 1] * values[m]
-                              for m in range(1, size)]
-
-            self._weighed = (q, weigh(self.values),
-                             None if self.imag is None else weigh(self.imag))
-        return self._weighed[1:]
+    def ring(self, base: int = None) -> tuple:
+        """(f, unit) for sums of products over set partitions: f[T] is
+        entry T as an int, Gaussian integer or float, rescaled to carry
+        base^|T| (base defaults to the table's and must be a multiple of
+        it), and unit = 1/base^n turns a sum of products of f over the
+        partitions of the full set into a value of the table's kind."""
+        if self.kind in FLOAT_KINDS:
+            return self.values, 1
+        if base is None:
+            base = self.base
+        r = [(base // self.base) ** m.bit_count() for m in range(len(self))]
+        f = [v * x for v, x in zip(self.values, r)]
+        if self.imag is not None:
+            f = [GaussianRational(a, b * x) for a, b, x in zip(f, self.imag, r)]
+        imag = None if self.kind == RATIONAL else 0
+        return f, from_scaled(base ** (len(r).bit_length() - 1), 1, imag)
 
 
 def _walk_cycle_sums(rows, n: int) -> list:
@@ -328,7 +347,7 @@ def _walk_cycle_sums_gaussian(re, im, n: int) -> tuple:
     return Cr, Ci
 
 
-def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
+def cycle_sum_table(A: Matrix, cap=None) -> ScaledTable:
     """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
 
     Entry 0 is None. The table drives the subset DP at every alpha, and A
@@ -338,15 +357,36 @@ def cycle_sum_table(A: Matrix, cap=None) -> CycleTable:
     return kept(A, "cycle", lambda: _cycle_sums(A), cap)
 
 
-def _cycle_sums(A: Matrix) -> CycleTable:
+def _cycle_sums(A: Matrix) -> ScaledTable:
     n = A.n
     if A.kind in FLOAT_KINDS:
-        return CycleTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
+        return ScaledTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
     L, re, im = A.cleared
     if im is None:
-        return CycleTable(A.kind, L, _walk_cycle_sums(re, n), None)
+        return ScaledTable(A.kind, L, _walk_cycle_sums(re, n), None)
     values, imag = _walk_cycle_sums_gaussian(re, im, n)
-    return CycleTable(A.kind, L, values, imag if any(imag[1:]) else None)
+    return ScaledTable(A.kind, L, values, imag if any(imag[1:]) else None)
+
+
+def _weights(A: Matrix, C: ScaledTable, q: int) -> tuple:
+    """(values, imag) of A's exact cycle table C with entry S multiplied
+    by q^(|S|-1), the weights of the DP at alpha = p/q. A keeps them per
+    q, so alpha and -alpha weigh the table once; no cap is checked, as C
+    was built under the caller's."""
+    if q == 1:
+        return C.values, C.imag
+    got = A._tables.get(("weights", q))
+    if got is None:
+        size = len(C)
+        q_pow = [q ** k for k in range(size.bit_length() - 1)]
+
+        def weigh(values):
+            return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                          for m in range(1, size)]
+
+        got = A._tables["weights", q] = (
+            weigh(C.values), None if C.imag is None else weigh(C.imag))
+    return got
 
 
 def kept(A: Matrix, key, build, cap=None):
@@ -429,47 +469,36 @@ def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int, masks) -> tuple:
     return gr, gi
 
 
-def _principal_dp(A: Matrix, alpha, C: CycleTable, full_set=False) -> tuple:
+def _principal_dp(A: Matrix, alpha, C: ScaledTable,
+                  full_set=False) -> ScaledTable:
     """The subset DP of A at alpha on A's cycle table C, over every index
-    set T, or with full_set over the sets per_alpha(A) reads.
+    set T, or with full_set over the sets per_alpha(A) reads: entry T is
+    per_alpha(A[T]), with the value and type per_alpha_dp(submatrix(A, T),
+    alpha) returns.
 
-    Returns (base, g, imag). For exact kinds g[T] is the integer
-    base^|T| per_alpha(A[T]) with base = q L for alpha = p/q, and imag[T]
-    its imaginary part, or None when the DP ran on plain ints. For float
-    kinds base is 1, g[T] is per_alpha(A[T]) itself and imag is None.
-    With full_set, entries of sets that contain element 0 but are not the
-    full set are left unfilled.
+    Exact tables hold the integers base^|T| per_alpha(A[T]) with base = q L
+    for alpha = p/q, and their imaginary parts unless the DP ran on plain
+    ints. With full_set, entries of sets that contain element 0 but are not
+    the full set are left unfilled.
     """
     n = A.n
     masks = _dp_masks(n, full_set)
     if A.kind in FLOAT_KINDS:
         g = _subset_dp(C.values, alpha, n, masks)
         g[0] = _empty_per_alpha(A, alpha)
-        return 1, g, None
+        return ScaledTable(A.kind, 1, g, None)
     # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral.
     q, [[p]], p_imag = clear_denominators([[alpha]])
-    wr, wi = C.weighed(q)
-    base = q * C.scale
+    wr, wi = _weights(A, C, q)
+    base = q * C.base
     if wi is None and p_imag is None:
-        return base, _subset_dp(wr, p, n, masks), None
+        return ScaledTable(A.kind, base, _subset_dp(wr, p, n, masks), None)
     if wi is None:
         wi = [0] * (1 << n)
     re, im = _subset_dp_gaussian(wr, wi, p,
                                  0 if p_imag is None else p_imag[0][0], n,
                                  masks)
-    return base, re, im
-
-
-def _principal_value(kind: str, base: int, values: list, imag, mask: int):
-    """Entry mask of a _principal_dp result (base, values, imag) of a
-    matrix of the given kind: per_alpha(A[mask]), with the value and type
-    per_alpha_dp(submatrix(A, mask), alpha) returns."""
-    if kind in FLOAT_KINDS:
-        return values[mask]
-    part = None if kind == RATIONAL else 0
-    if imag is not None:
-        part = imag[mask]
-    return from_scaled(base ** mask.bit_count(), values[mask], part)
+    return ScaledTable(A.kind, base, re, im)
 
 
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
@@ -484,59 +513,26 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     def build():
         a = require_alpha_kind(A, alpha)
         C = cycle_sum_table(A, cap=cap) if cycle_table is None else cycle_table
-        base, g, imag = _principal_dp(A, a, C, full_set=True)
-        return _principal_value(A.kind, base, g, imag, len(g) - 1)
+        return _principal_dp(A, a, C, full_set=True)[-1]
 
     return kept(A, ("full-set", alpha_key(alpha)), build, cap)
 
 
-class PrincipalMinors(Sequence):
-    """per_alpha(A[T]) for every index set T of A, indexed by bitmask.
-
-    Holds the subset DP's table as it ran: for exact matrices the integers
-    base^|T| per_alpha(A[T]) (base = q L for alpha = p/q) and their
-    imaginary parts, for float matrices the floats themselves. Indexing
-    converts one entry to the value and type per_alpha_dp(submatrix(A, T),
-    alpha) returns; entry 0 is per_alpha of the empty matrix. The full-set
-    entry, per_alpha(A), which every split and family reads, is converted
-    once, when the table is made.
-    """
-
-    __slots__ = ("kind", "base", "values", "imag", "full")
-
-    def __init__(self, kind: str, base: int, values: list, imag):
-        self.kind = kind
-        self.base = base
-        self.values = values
-        self.imag = imag
-        self.full = _principal_value(kind, base, values, imag, len(values) - 1)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, mask: int):
-        size = len(self.values)
-        mask = range(size)[mask]
-        if mask == size - 1:
-            return self.full
-        return _principal_value(self.kind, self.base, self.values, self.imag,
-                                mask)
-
-
-def per_alpha_minors(A: Matrix, alpha, cap=None) -> PrincipalMinors:
+def per_alpha_minors(A: Matrix, alpha, cap=None) -> ScaledTable:
     """per_alpha of every principal submatrix A[T] from one subset DP.
 
     The DP behind per_alpha_dp computes per_alpha(A[T]) for every T on the
     way to the full set; this keeps them all, and A keeps the table: one
-    DP per matrix and alpha key, on A's cycle table.
+    DP per matrix and alpha key, on A's cycle table. Entry 0 is per_alpha
+    of the empty matrix.
     """
     key = alpha_key(alpha)
 
     def build():
-        minors = PrincipalMinors(A.kind, *_principal_dp(
-            A, require_alpha_kind(A, alpha), cycle_sum_table(A, cap=cap)))
+        minors = _principal_dp(A, require_alpha_kind(A, alpha),
+                               cycle_sum_table(A, cap=cap))
         # per_alpha_dp at alpha reads the full-set entry, bit-identical
-        A._tables["full-set", key] = minors.full
+        A._tables["full-set", key] = minors[-1]
         return minors
 
     return kept(A, ("minors", key), build, cap)
@@ -682,11 +678,11 @@ def _hafnian(rows, one):
     return rec
 
 
-def doubled_hafnian_table(A: Matrix, cap=None) -> tuple:
-    """(L, h) with h[T] = L^|T| haf(doubled(A[T])) for every index set T of
-    a real symmetric A: doubled(A) restricted to T and T + n is doubled(A[T]),
-    so one memoized recursion on L*doubled(A) serves every T. L is the
-    common denominator of A's entries (1 for float A)."""
+def doubled_hafnian_table(A: Matrix, cap=None) -> ScaledTable:
+    """haf(doubled(A[T])) for every index set T of a real symmetric A:
+    doubled(A) restricted to T and T + n is doubled(A[T]), so one memoized
+    recursion on L*doubled(A) serves every T, entry T carrying L^|T|. L is
+    the common denominator of A's entries (1 for float A)."""
     D = doubled(A)
     _check_cap("hafnian", D.n, cap)
     if A.kind in FLOAT_KINDS:
@@ -695,7 +691,8 @@ def doubled_hafnian_table(A: Matrix, cap=None) -> tuple:
         L, rows, _ = D.cleared
         one = 1
     haf = _hafnian(rows, one)
-    return L, [haf(T | T << A.n) for T in range(1 << A.n)]
+    return ScaledTable(A.kind, L,
+                       [haf(T | T << A.n) for T in range(1 << A.n)], None)
 
 
 def alpha_determinant(A: Matrix, alpha, cap=None):

@@ -21,16 +21,17 @@ The expansion formulas (B = A[I] denotes principal submatrices):
                    * k! * sum over k-block partitions of
                      prod_j haf(doubled(A[I_j]))   (A real symmetric).
 
-None of them enumerates partitions: they read one table over every index
-set T, per_beta(A[T]) from kernels.per_alpha_minors or haf(doubled(A[T]))
-from kernels.doubled_hafnian_table. graded_partition_sums sums the block
-products over the k-block partitions of every T, by the anchored recursion
-of fast subset convolution (Bjorklund, Husfeldt, Kaski, Koivisto 2007); the
-sum formula is an m-fold subset convolution, O(m 3^n). shape_partition_sums
-runs the same recursion keyed by block shape, for the shape averages of
-inequalities. Exact tables stay in the kernels' integers, entry T carrying
-base^|T|, so a product over a partition of the full set carries base^n,
-divided out once.
+None of them enumerates partitions: they read one kernels.ScaledTable over
+every index set T, per_beta(A[T]) from kernels.per_alpha_minors or
+haf(doubled(A[T])) from kernels.doubled_hafnian_table.
+graded_partition_sums sums the block products over the k-block partitions
+of every T, by the anchored recursion of fast subset convolution
+(Bjorklund, Husfeldt, Kaski, Koivisto 2007); the sum formula is an m-fold
+subset convolution, O(m 3^n). shape_partition_sums runs the same recursion
+keyed by block shape, for the shape averages of inequalities. Both run on
+table.ring(): exact entries stay in the kernels' integers, entry T
+carrying base^|T|, so a product over a partition of the full set carries
+base^n, and the ring's unit divides it out once.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ from .kernels import (
     require_alpha_kind,
 )
 from .matrices import Matrix
-from .scalars import (
-    FLOAT_KINDS,
-    RATIONAL,
-    GaussianRational,
-    as_scalar,
-    from_scaled,
-    gen_binomial,
-    one_like,
-)
+from .scalars import as_scalar, gen_binomial, one_like
 
 
 class SetPartition:
@@ -265,25 +258,10 @@ def _subset_convolution(F, G, n: int) -> list:
     return H
 
 
-def _ring_table(minors, base: int) -> tuple:
-    """(f, unit) for a PrincipalMinors table: f[T] is entry T as the DP
-    left it (an int or Gaussian integer; floats stay floats), rescaled to
-    carry base^|T|, and unit = 1/base^n turns a sum of products of f over
-    partitions of the full set into a value of the table's kind."""
-    if minors.kind in FLOAT_KINDS:
-        return minors.values, 1
-    r = [(base // minors.base) ** m.bit_count() for m in range(len(minors))]
-    f = [v * x for v, x in zip(minors.values, r)]
-    if minors.imag is not None:
-        f = [GaussianRational(a, b * x) for a, b, x in zip(f, minors.imag, r)]
-    imag = None if minors.kind == RATIONAL else 0
-    return f, from_scaled(base ** (len(r).bit_length() - 1), 1, imag)
-
-
 def per_beta_by_k(minors) -> list:
     """[per_beta(A, k) for k = 0..n] from minors = per_alpha_minors(A, beta):
     one graded table serves every k."""
-    f, unit = _ring_table(minors, minors.base)
+    f, unit = minors.ring()
     row = graded_partition_sums(f, len(minors).bit_length() - 1)[-1]
     return [math.factorial(k) * x * unit for k, x in enumerate(row)]
 
@@ -312,9 +290,9 @@ def sum_formula_rhs(A: Matrix, betas, cap=None):
         return one_like(betas[0])
     tables = [per_alpha_minors(A, b, cap=cap) for b in betas]
     base = math.lcm(*(M.base for M in tables))
-    total, unit = _ring_table(tables[0], base)
+    total, unit = tables[0].ring(base)
     for M in tables[1:]:
-        total = _subset_convolution(total, _ring_table(M, base)[0], n)
+        total = _subset_convolution(total, M.ring(base)[0], n)
     return total[-1] * unit
 
 
@@ -344,8 +322,8 @@ def half_formula_rhs(A: Matrix, alpha, cap=None):
     if not A.is_symmetric_entrywise():
         raise DomainError("half_formula_rhs needs a symmetric matrix")
     alpha = require_alpha_kind(A, alpha)
-    L, haf = doubled_hafnian_table(A, cap=cap)
-    row = graded_partition_sums(haf, n)[-1]
+    f, unit = doubled_hafnian_table(A, cap=cap).ring()
+    row = graded_partition_sums(f, n)[-1]
     total = sum(gen_binomial(alpha, k) * math.factorial(k) * row[k]
                 for k in range(1, n + 1))
-    return total / (2 * L) ** n
+    return total * unit / 2 ** n

@@ -343,6 +343,12 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
 # drivers
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol) -> None:
+    # a negative tolerance fails every float comparison; NaN compares false
+    if not tol >= 0:
+        raise DomainError("check needs tol >= 0, got %r" % (tol,))
+
+
 def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                        jobs: int = 1, float_mode: bool = False,
                        tol: float = 1e-9) -> list:
@@ -350,6 +356,7 @@ def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
         raise DomainError("check needs n_max >= 1, got %d" % n_max)
     if trials < 1:
         raise DomainError("check needs trials >= 1, got %d" % trials)
+    _check_tol(tol)
     outcomes = {name: CheckOutcome(name) for name in IDENTITY_CHECKS}
     rows = run_trials(_identity_trial, (n_max, seed, float_mode, tol),
                       trials, jobs)
@@ -367,6 +374,7 @@ def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                           "split, got %d" % n_max)
     if trials < 1:
         raise DomainError("check needs trials >= 1, got %d" % trials)
+    _check_tol(tol)
     outcomes = {name: CheckOutcome(name) for name in INEQUALITY_CHECKS}
     rows = run_trials(_inequality_trial,
                       (n_max, seed, alpha_set, float_mode, tol), trials, jobs)

@@ -221,6 +221,16 @@ class TestCheck:
         assert code == 3 and out == ""
         assert "n_max >= 2" in err
 
+    @pytest.mark.parametrize("suite", ["identities", "inequalities", "all"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_tol_is_input_error(self, suite, mode, tol):
+        # a negative tolerance fails every float comparison
+        code, out, err = run_cli("check", "--suite", suite, "--trials", "2",
+                                 "--mode", mode, "--tol", tol)
+        assert code == 3 and out == ""
+        assert "tol >= 0" in err
+
     def test_float_mode_keeps_the_sign_of_zero(self):
         # at alpha = 0 the float lane reads per_{-0.0}, whose slack is -0.0:
         # a table kept for alpha = 0.0 must not stand in for it
@@ -309,6 +319,32 @@ class TestHunt:
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("target", ["lieb", "fischer", "lieb-type",
+                                        "marcus,fischer"])
+    def test_split_target_at_n_one_is_input_error(self, tmp_path, target):
+        # at n = 1 there is no split: these targets would check nothing
+        out_file = tmp_path / "s.jsonl"
+        code, out, err = run_cli("hunt", "--target", target, "--n", "1",
+                                 "--trials", "2", "--out", str(out_file))
+        assert code == 3 and out == "" and "n >= 2" in err
+        assert not out_file.exists()
+
+    def test_marcus_at_n_one_runs(self, tmp_path):
+        code, out, _ = run_cli("hunt", "--target", "marcus", "--n", "1",
+                               "--trials", "2", "--out",
+                               str(tmp_path / "m.jsonl"))
+        assert code == 0
+        assert "violations 0" in out and "min-slack 0 " in out
+
+    def test_repeated_target_is_input_error(self, tmp_path):
+        # a repeated target would count its violations and findings twice
+        out_file = tmp_path / "r.jsonl"
+        code, out, err = run_cli("hunt", "--target", "lieb-type,lieb-type",
+                                 "--n", "4", "--trials", "1", "--seed", "141",
+                                 "--alpha", "13/10", "--out", str(out_file))
+        assert code == 3 and out == "" and "repeated" in err
+        assert not out_file.exists()
 
     def test_bad_target_is_input_error(self, tmp_path):
         code, _, err = run_cli("hunt", "--target", "nonsense", "--out",

@@ -472,13 +472,15 @@ class TestIntegerLane:
     def test_doubled_hafnian_table_equals_block_hafnians(self, S):
         # the float table runs the same recursion in the same order as the
         # hafnian of each block, so it is bit-identical to it
-        L, table = doubled_hafnian_table(S)
-        one, float_table = doubled_hafnian_table(S.to_float())
-        assert len(table) == len(float_table) == 1 << S.n and one == 1
+        table = doubled_hafnian_table(S)
+        float_table = doubled_hafnian_table(S.to_float())
+        assert len(table) == len(float_table) == 1 << S.n
         for T in range(1 << S.n):
             B = submatrix(S, T)
-            _same(F(table[T], L ** T.bit_count()), hafnian(doubled(B)))
-            _same(float_table[T], hafnian(doubled(B.to_float())))
+            _same(table[T], hafnian(doubled(B)))
+            expect = hafnian(doubled(B.to_float()))
+            assert type(float_table[T]) is type(expect)
+            assert repr(float_table[T]) == repr(expect)
 
     @given(exact_matrices())
     @settings(max_examples=60, deadline=None)
@@ -569,16 +571,32 @@ class TestFullSetDP:
             _same(per_alpha_minors(A, a)[-1], want)
         assert cycle_sum_table(A) is table
 
-    def test_weights_kept_for_the_last_q(self):
-        C = cycle_sum_table(random_matrix(4, "complex-rational", seed=2))
-        values, imag = C.weighed(3)
-        for m in range(1, 16):
-            assert values[m] == 3 ** (m.bit_count() - 1) * C.values[m]
-            assert imag[m] == 3 ** (m.bit_count() - 1) * C.imag[m]
-        assert C.weighed(3)[0] is values
-        assert C.weighed(1) == (C.values, C.imag)
-        assert C.weighed(6)[0] is not values
-        assert C.weighed(3)[0] is not values
+    def test_weights_built_once_per_q_in_any_order(self):
+        # A keeps the DP's weights per q: alpha and -alpha share them, and
+        # alpha/2 in between does not make -alpha weigh the table again
+        A = random_matrix(4, "complex-rational", seed=2)
+        C = cycle_sum_table(A)
+        alpha = F(5, 3)
+        built = {}
+        for a in (alpha, alpha / 2, alpha, -alpha):
+            per_alpha_minors(A, a)
+            q = a.denominator
+            weights = A._tables["weights", q]
+            assert built.setdefault(q, weights) is weights
+        assert sorted(built) == [3, 6]
+        assert sorted(k[1] for k in A._tables if k[0] == "weights") == [3, 6]
+        for q, (values, imag) in built.items():
+            for m in range(1, 16):
+                # entry S is q^(|S|-1) C_B(S), with C_B(S) = L^|S| C_A(S)
+                C_B = C.base ** m.bit_count() * C[m]
+                assert G(values[m], imag[m]) == q ** (m.bit_count() - 1) * C_B
+
+    def test_weights_skip_the_default_cap(self, monkeypatch):
+        # an explicit cap above the default lets the DP run: the weights
+        # lookup checks no cap of its own
+        A = random_matrix(4, "rational", seed=7)
+        monkeypatch.setenv("ALPHAPERM_CAP_DP", "3")
+        _same(per_alpha_dp(A, F(3, 2), cap=4), per_alpha_naive(A, F(3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +715,11 @@ class TestPrincipalMinors:
     def test_index_range(self):
         A = random_matrix(3, "rational", seed=4)
         minors = per_alpha_minors(A, F(2))
+        table = cycle_sum_table(A)
         assert per_alpha_minors(A, F(2)) is minors
-        with pytest.raises(IndexError):
-            minors[8]
-        with pytest.raises(IndexError):
-            minors[-9]
+        for t in (minors, table):
+            assert t[-1] is t[7]
+            with pytest.raises(IndexError):
+                t[8]
+            with pytest.raises(IndexError):
+                t[-9]
