@@ -48,7 +48,10 @@ shape_averages sums block products over the partitions of every shape in
 one shape-keyed partition DP (partitions.shape_partition_sums) on the
 table's ring(). check_marcus calls per_alpha_dp, which reads the full-set
 entry of a kept table and otherwise runs a full-set DP. The oracle
-_naive_slack computes each block with per_alpha_naive.
+_naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
+walk over the block's permutations. The hunter and the inequality suite
+keep one dict of polynomials per trial, so each block of an instance is
+walked once, for every alpha and every violation.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ from numbers import Rational
 
 from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
+    _polynomial_at,
+    _naive_cycle_polynomial,
     alpha_key,
     determinant,
     diagonal_product,
@@ -69,7 +74,6 @@ from .kernels import (
     kept,
     per_alpha_dp,
     per_alpha_minors,
-    per_alpha_naive,
     permanent,
 )
 from .matrices import (
@@ -78,6 +82,7 @@ from .matrices import (
     Matrix,
     doubled,
     dumps_matrix,
+    full_mask,
     loads_matrix,
     matrix_digest,
     random_psd,
@@ -506,58 +511,65 @@ def replay_finding(finding: Finding):
     return result.slack
 
 
-def _naive_slack(name: str, A: Matrix, alpha, split):
-    """Recompute a comparison's slack with per_alpha_naive only."""
+def _naive_slack(name: str, A: Matrix, alpha, split, polynomials=None):
+    """Recompute a comparison's slack with per_alpha_naive's cycle
+    polynomials only. polynomials maps a block's index mask to its cycle
+    polynomial; a caller that passes one dict for all of A's comparisons
+    walks each block's permutations once, for every alpha."""
     n = A.n
     sign_n = -1 if n % 2 else 1
+    full = full_mask(n)
+    one = Fraction(1)
+    if polynomials is None:
+        polynomials = {}
 
-    def per1(B):
-        return exact_real(per_alpha_naive(B, 1))
+    def pa(mask, a):
+        coeffs = polynomials.get(mask)
+        if coeffs is None:
+            block = A if mask == full else submatrix(A, mask)
+            coeffs = polynomials[mask] = _naive_cycle_polynomial(block)
+        return exact_real(_polynomial_at(coeffs, a))
 
-    def det(B):
-        s = -1 if B.n % 2 else 1
-        return s * exact_real(per_alpha_naive(B, -1))
-
-    def pa(B, a):
-        return exact_real(per_alpha_naive(B, a))
+    def det(mask):
+        return _signed(pa(mask, -one), mask.bit_count())
 
     if name in ("lieb", "fischer", "lieb-alpha", "neg-block"):
         low, high = split_masks(n, split)
-        Ap, App = submatrix(A, low), submatrix(A, high)
     if name == "lieb":
-        return per1(A) - per1(Ap) * per1(App)
+        return pa(full, one) - pa(low, one) * pa(high, one)
     if name == "fischer":
-        return det(Ap) * det(App) - det(A)
+        return det(low) * det(high) - det(full)
     if name == "haf-per":
-        haf = Fraction(2 ** n) * pa(A, Fraction(1, 2))
-        return haf - per1(A)
+        haf = Fraction(2 ** n) * pa(full, Fraction(1, 2))
+        return haf - pa(full, one)
     if name == "lieb-alpha":
-        return pa(A, alpha) - pa(Ap, alpha) * pa(App, alpha)
+        return pa(full, alpha) - pa(low, alpha) * pa(high, alpha)
     if name == "neg-nonneg":
-        return sign_n * pa(A, -alpha)
+        return sign_n * pa(full, -alpha)
     if name == "neg-block":
         sm = -1 if split % 2 else 1
         snm = -1 if (n - split) % 2 else 1
-        lhs = sign_n * pa(A, -alpha)
-        rhs = (sm * pa(Ap, -alpha)) * (snm * pa(App, -alpha))
+        lhs = sign_n * pa(full, -alpha)
+        rhs = (sm * pa(low, -alpha)) * (snm * pa(high, -alpha))
         return rhs - lhs
     if name == "half-scaled":
-        return pa(A, alpha / 2) - pa(A, alpha) * Fraction(1, 2 ** n)
+        return pa(full, alpha / 2) - pa(full, alpha) * Fraction(1, 2 ** n)
     diag = exact_real(diagonal_product(A))
     if name == "marcus-upper":
-        return pa(A, alpha) - alpha ** n * diag
+        return pa(full, alpha) - alpha ** n * diag
     if name == "marcus-lower":
-        return alpha ** n * diag - sign_n * pa(A, -alpha)
+        return alpha ** n * diag - sign_n * pa(full, -alpha)
     if name == "marcus-half":
-        return pa(A, alpha / 2) - (alpha / 2) ** n * diag
+        return pa(full, alpha / 2) - (alpha / 2) ** n * diag
     raise DomainError("unknown comparison %r" % name)
 
 
 def confirm_violation(result: ComparisonResult, A: Matrix, alpha, split,
-                      trial: int) -> None:
+                      trial: int, polynomials=None) -> None:
     """Re-derive a gated violation's slack with the oracle _naive_slack;
-    raise OracleMismatch unless it equals the fast kernels' slack."""
-    naive = _naive_slack(result.name, A, alpha, split)
+    raise OracleMismatch unless it equals the fast kernels' slack.
+    polynomials is handed to _naive_slack, one dict per instance."""
+    naive = _naive_slack(result.name, A, alpha, split, polynomials)
     if naive != result.slack:
         raise OracleMismatch("%s at trial %d: dp slack %s, naive slack %s"
                              % (result.name, trial, result.slack, naive))
@@ -718,10 +730,11 @@ def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
     violations = []
     signs = []
     min_gated = None
+    polynomials = {}   # the oracle's, shared by the trial's violations
     for result, split, gated in _trial_comparisons(cfg, A, alpha):
         if gated:
             if result.verdict == VIOLATED:
-                confirm_violation(result, A, alpha, split, t)
+                confirm_violation(result, A, alpha, split, t, polynomials)
                 violations.append((result.name, split,
                                    format_scalar(result.slack)))
             key = (result.slack, result.name, split)

@@ -10,7 +10,10 @@ has per_alpha = 1 (empty product, empty permutation with zero cycles).
 
 Two independent algorithms compute per_alpha:
 
-  * per_alpha_naive walks all n! permutations; it is the trusted oracle.
+  * per_alpha_naive is the trusted oracle. It sums the products over all
+    n! permutations by cycle count, c_k over the permutations with k
+    cycles, so per_alpha(A) = sum over k of alpha^k c_k: one walk gives
+    A's cycle polynomial, which serves every alpha.
   * per_alpha_dp runs in O(3^n) on cycle sums: with C(S) the sum over all
     cyclic arrangements of the index set S of the product of matrix entries
     along the cycle, the quantity f(T) = per_alpha(A[T]) satisfies
@@ -84,10 +87,14 @@ it, so no kernel clears the same matrix twice.
     hafnian run on B and divide by L^n, L^n and L^(n/2); the doubled
     hafnian table has base L.
 
-Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational. The
-oracle per_alpha_naive stays on the exact scalars, sharing nothing with
-the integer lane. Results are Fractions or GaussianRationals, never bare
-ints.
+Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational.
+The oracle does its own clearing and shares nothing with the integer lane:
+it reads A's entries, not A.cleared, scales them to integers (Gaussian
+integers for complex-rational A) by their own common denominator L, walks
+the permutations row by row on those integers, sharing each prefix
+product, and divides the cycle polynomial's coefficients by L^n once.
+Float matrices are walked on their floats. Results are Fractions or
+GaussianRationals, never bare ints.
 
 Size caps are configuration: pass cap=... explicitly or override the
 defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
@@ -118,6 +125,7 @@ from .scalars import (
     one_like,
     one_of_kind,
     scalar_kind,
+    zero_like,
 )
 
 DEFAULT_CAPS = {
@@ -167,35 +175,148 @@ def _empty_per_alpha(A: Matrix, alpha):
 # ---------------------------------------------------------------------------
 
 def per_alpha_naive(A: Matrix, alpha, cap=None):
-    """per_alpha by direct summation over all n! permutations.
+    """per_alpha by direct summation over all n! permutations: the cycle
+    polynomial of A, evaluated at alpha.
 
     Exponentially slower than per_alpha_dp but with no shared machinery;
     every other kernel is checked against this one.
     """
     alpha = require_alpha_kind(A, alpha)
+    return _polynomial_at(_naive_cycle_polynomial(A, cap), alpha)
+
+
+def _polynomial_at(coeffs: list, alpha):
+    """sum over k of alpha^k c_k, for the cycle polynomial coeffs of a
+    matrix: per_alpha of the matrix, of the kind per_alpha_dp gives."""
+    # alpha^0 c_0 is 1 of the result's kind at n = 0, and 0 of it above
+    total = alpha ** 0 * coeffs[0]
+    for k in range(1, len(coeffs)):
+        if coeffs[k]:
+            total = total + alpha ** k * coeffs[k]
+    return total
+
+
+def _naive_cycle_polynomial(A: Matrix, cap=None) -> list:
+    """[c_0, ..., c_n], scalars of A's kind: c_k sums prod_i a_{i, pi(i)}
+    over the permutations pi of 0..n-1 with k cycles, so per_alpha(A) is
+    sum over k of alpha^k c_k.
+
+    The walk runs on integers: L is the least common multiple of the
+    denominators of A's entries (both parts of a complex entry), and the
+    products of L*A, integers or Gaussian integers, are summed per cycle
+    count and divided by L^n once. Float matrices are walked as they are.
+    """
     n = A.n
     _check_cap("naive", n, cap)
     if n == 0:
-        return _empty_per_alpha(A, alpha)
+        return [one_of_kind(A.kind)]
     rows = A.rows
-    total = (alpha - alpha) * one_of_kind(A.kind)
-    for pi in itertools.permutations(range(n)):
-        prod = rows[0][pi[0]]
-        for i in range(1, n):
-            prod = prod * rows[i][pi[i]]
-        if not prod:
-            continue
-        seen = [False] * n
-        cycles = 0
-        for i in range(n):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = pi[j]
-        total = total + alpha ** cycles * prod
-    return total
+    if A.kind in FLOAT_KINDS:
+        return _walk_permutations(rows, n, zero_like(rows[0][0]))
+    # the oracle's own clearing, independent of A.cleared
+    if A.kind == RATIONAL:
+        parts = (rows,)
+    else:
+        parts = ([[z.re for z in row] for row in rows],
+                 [[z.im for z in row] for row in rows])
+    L = math.lcm(*{x.denominator for part in parts for row in part
+                   for x in row})
+    ints = [[[x.numerator * (L // x.denominator) for x in row]
+             for row in part] for part in parts]
+    den = L ** n
+    if A.kind == RATIONAL:
+        return [Fraction(x, den) for x in _walk_permutations(ints[0], n, 0)]
+    return [GaussianRational(Fraction(x, den), Fraction(y, den))
+            for x, y in zip(*_walk_permutations_gaussian(*ints, n))]
+
+
+def _walk_permutations(rows, n: int, zero) -> list:
+    """c[k] = sum of prod_i rows[i][pi(i)] over the permutations pi with k
+    cycles, for a matrix of ints, floats or complex floats.
+
+    Rows are placed in order, so a prefix product is shared by every
+    permutation that extends it, and a zero entry prunes its subtree. The
+    placed arrows form disjoint paths and closed cycles: first[e] is the
+    start of the path ending at e, last[s] the end of the path starting at
+    s. Placing i -> j closes a cycle when j starts the path that ends at
+    i, and otherwise joins the two paths; the last row always closes one.
+    """
+    c = [zero] * (n + 1)
+    cols = list(range(n))   # cols[i:] are the columns still free at row i
+    first = list(range(n))
+    last = list(range(n))
+    top = n - 1
+
+    def place(i, prod, cycles):
+        row = rows[i]
+        if i == top:
+            x = row[cols[i]]
+            if x:
+                c[cycles + 1] += prod * x
+            return
+        s = first[i]
+        here = cols[i]
+        for k in range(i, n):
+            j = cols[k]
+            x = row[j]
+            if not x:
+                continue
+            cols[i], cols[k] = j, here
+            if j == s:
+                place(i + 1, prod * x, cycles + 1)
+            else:
+                e = last[j]
+                first[e], last[s] = s, e
+                place(i + 1, prod * x, cycles)
+                first[e], last[s] = j, i
+            cols[i], cols[k] = here, j
+
+    place(0, 1, 0)
+    return c
+
+
+def _walk_permutations_gaussian(re, im, n: int) -> tuple:
+    """_walk_permutations over the Gaussian integers, given as the real and
+    imaginary integer parts of the matrix; returns (real c, imaginary c)."""
+    c_re = [0] * (n + 1)
+    c_im = [0] * (n + 1)
+    cols = list(range(n))
+    first = list(range(n))
+    last = list(range(n))
+    top = n - 1
+
+    def place(i, p_re, p_im, cycles):
+        row_r = re[i]
+        row_i = im[i]
+        if i == top:
+            j = cols[i]
+            a = row_r[j]
+            b = row_i[j]
+            c_re[cycles + 1] += p_re * a - p_im * b
+            c_im[cycles + 1] += p_re * b + p_im * a
+            return
+        s = first[i]
+        here = cols[i]
+        for k in range(i, n):
+            j = cols[k]
+            a = row_r[j]
+            b = row_i[j]
+            if not (a or b):
+                continue
+            cols[i], cols[k] = j, here
+            qr = p_re * a - p_im * b
+            qi = p_re * b + p_im * a
+            if j == s:
+                place(i + 1, qr, qi, cycles + 1)
+            else:
+                e = last[j]
+                first[e], last[s] = s, e
+                place(i + 1, qr, qi, cycles)
+                first[e], last[s] = j, i
+            cols[i], cols[k] = here, j
+
+    place(0, 1, 0, 0)
+    return c_re, c_im
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,7 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
     is_real = A.kind == "rational"
     rows = []
     matrix = None   # the instance's (text, digest), made at a first violation
+    polynomials = {}   # the oracle's, shared by the trial's violations
 
     def record(check_name, result, alpha, split, gated=True):
         nonlocal matrix
@@ -289,7 +290,7 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         ok = result.verdict != VIOLATED
         viol = None
         if result.verdict == VIOLATED and not float_mode:
-            confirm_violation(result, A, alpha, split, t)
+            confirm_violation(result, A, alpha, split, t, polynomials)
             if matrix is None:
                 matrix = (dumps_matrix(A), matrix_digest(A))
             viol = (result.name, split,

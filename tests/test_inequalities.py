@@ -820,11 +820,14 @@ class TestHunt:
         # if the fast kernel and the naive oracle ever disagree on a flagged
         # violation, the hunter must refuse to report it
         import alphaperm.inequalities as ineq
+        polynomial = ineq._naive_cycle_polynomial
 
-        def poisoned(A, alpha, cap=None):
-            return per_alpha_dp(A, alpha) + 1
+        def poisoned(A, cap=None):
+            # per_alpha off by alpha^n
+            coeffs = polynomial(A, cap)
+            return coeffs[:-1] + [coeffs[-1] + 1]
 
-        monkeypatch.setattr(ineq, "per_alpha_naive", poisoned)
+        monkeypatch.setattr(ineq, "_naive_cycle_polynomial", poisoned)
         cfg = HuntConfig(targets=("lieb-type",), n=4, trials=143, seed=3)
         with pytest.raises(OracleMismatch):
             hunt(cfg)

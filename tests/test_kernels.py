@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphaperm import kernels
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
 from alphaperm import fastpath
 from alphaperm.kernels import (
@@ -514,6 +515,94 @@ class TestFloatCycleTable:
         assert got == pytest.approx(per_alpha_naive(Af, a), rel=1e-12)
         _same(got, per_alpha_dp(_fresh(Af), a))
         _same(got, fastpath.per_alpha_dp(Af.to_numpy(), a))
+
+
+# ---------------------------------------------------------------------------
+# the oracle: one walk over the permutations gives the cycle polynomial
+# ---------------------------------------------------------------------------
+
+_oracle_alphas = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, -1), st.integers(1, 5)),
+    st.integers(-4, 4).map(F),
+    st.integers(-9, 9).map(lambda k: F(k, 2)),
+    st.builds(G, _rationals(), _rationals()),
+)
+
+
+class TestCyclePolynomialOracle:
+    @given(any_exact_matrices(), _oracle_alphas)
+    @example(Matrix([], kind="rational"), F(0))
+    @example(Matrix([], kind="complex-rational"), F(3))
+    @example(Matrix([], kind="rational"), G(F(1, 2), F(1)))
+    @example(Matrix([[F(2, 3), F(0)], [F(0), F(5)]], kind="rational"),
+             G(F(0), F(1)))
+    @example(random_matrix(4, "complex-rational", scale=3, seed=2), F(3, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_permutation_oracle(self, A, alpha):
+        expect = oracle_per_alpha(A, alpha)
+        if A.n == 0 and A.kind == "complex-rational":
+            # the empty complex matrix gives 1 of its kind, as per_alpha_dp
+            expect = G(1) if not isinstance(expect, G) else expect
+        _same(per_alpha_naive(A, alpha), expect)
+
+    @given(any_exact_matrices(), _oracle_alphas)
+    @settings(max_examples=30, deadline=None)
+    def test_float_walk_is_close_and_of_the_float_kind(self, A, alpha):
+        Af, af = A.to_float(), to_float_scalar(alpha)
+        got = per_alpha_naive(Af, af)
+        expect = per_alpha_dp(Af, af)
+        assert type(got) is type(expect)
+        assert abs(got - expect) <= 1e-9 * (1 + abs(expect))
+
+    @given(any_exact_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_give_permanent_and_determinant(self, A):
+        c = kernels._naive_cycle_polynomial(A)
+        assert len(c) == A.n + 1
+        assert all(type(x) is type(c[0]) for x in c)
+        assert sum(c) == permanent(A)
+        sign = -1 if A.n % 2 else 1
+        assert sum(x if k % 2 == 0 else -x for k, x in enumerate(c)) \
+            == sign * determinant(A)
+
+    def test_coefficients_count_permutations_by_cycles(self):
+        # on the all-ones matrix c_k is the number of permutations of n
+        # with k cycles, the unsigned Stirling number of the first kind
+        for n, stirling in ((1, [0, 1]), (4, [0, 6, 11, 6, 1]),
+                            (5, [0, 24, 50, 35, 10, 1])):
+            J = Matrix([[F(1)] * n for _ in range(n)])
+            assert kernels._naive_cycle_polynomial(J) == stirling
+
+    def test_runs_without_the_integer_lane(self, monkeypatch):
+        from alphaperm import inequalities, scalars
+        from alphaperm.matrices import random_unit_diag_psd
+        instances = [random_unit_diag_psd(4, kind, 3, 141)
+                     for kind in ("real-symmetric", "hermitian")]
+        instances.append(random_matrix(4, "complex-rational", 3, seed=5))
+        alpha = F(13, 10)
+        names = ("lieb", "fischer", "lieb-alpha", "neg-nonneg",
+                 "neg-block", "marcus-upper", "marcus-lower")
+        expect = [(per_alpha_naive(A, alpha),
+                   [inequalities._naive_slack(x, A, alpha, 1) for x in names])
+                  for A in instances[:2]]
+        expect.append((per_alpha_naive(instances[2], alpha), None))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle read the integer lane")
+
+        for module in (kernels, scalars):
+            monkeypatch.setattr(module, "clear_denominators", refuse)
+        monkeypatch.setattr(kernels, "ScaledTable", refuse)
+        monkeypatch.setattr(Matrix, "cleared", property(refuse))
+        for A, (value, slacks) in zip(instances, expect):
+            fresh = _fresh(A)
+            _same(per_alpha_naive(fresh, alpha), value)
+            if slacks is not None:
+                assert [inequalities._naive_slack(x, fresh, alpha, 1)
+                        for x in names] == slacks
+        with pytest.raises(AssertionError, match="integer lane"):
+            per_alpha_dp(_fresh(instances[2]), alpha)
 
 
 # ---------------------------------------------------------------------------
