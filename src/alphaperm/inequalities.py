@@ -41,7 +41,8 @@ check_majorization_step compares p on shapes related by merging two parts.
 
 Blocks come from principal-minor tables (kernels.per_alpha_minors, each a
 kernels.ScaledTable), one subset DP per alpha for all of A's index sets,
-which A keeps (see Matrix): check_lieb_type reads every split from
+which A keeps (see Matrix): check_lieb_type reads every split, and the
+whole matrix once (neg-nonneg, half-scaled: split None), from
 lieb_type_minors, check_lieb and check_fischer from sign_minors(A, +1) and
 sign_minors(A, -1) up to n = 10 (above, from Ryser and Bareiss), and
 shape_averages sums block products over the partitions of every shape in
@@ -260,31 +261,32 @@ def lieb_type_minors(A: Matrix, alpha) -> tuple:
         per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None))
 
 
-def check_lieb_type(A: Matrix, m: int, alpha, tol=0.0) -> list:
-    """The three block families at a given alpha and split; four results
-    on real matrices (half-scaled needs real entries). Every split reads
-    the tables lieb_type_minors(A, alpha) keeps on A."""
+def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
+    """The Lieb-type families at a given alpha: at the split m, lieb-alpha
+    and neg-block; with m None, the comparisons of the whole matrix,
+    neg-nonneg and, on real matrices (half-scaled needs real entries),
+    half-scaled. Every call reads the tables lieb_type_minors(A, alpha)
+    keeps on A."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
-    low, high = split_masks(n, m)
     pos, neg, half = lieb_type_minors(A, alpha)
-    per_a = pos[-1]
-    per_na = neg[-1]
     sign_n = -1 if n % 2 else 1
+    if m is None:
+        out = [compare("neg-nonneg", sign_n * neg[-1], 0, ">=", tol, hyp)]
+        if half is not None:
+            scaled = pos[-1] * (Fraction(1, 2 ** n) if kind_is_exact(A.kind)
+                                else 0.5 ** n)
+            out.append(compare("half-scaled", half, scaled, ">=", tol, hyp))
+        return out
+    low, high = split_masks(n, m)
     sign_m = -1 if m % 2 else 1
     sign_nm = -1 if (n - m) % 2 else 1
-    out = [
-        compare("lieb-alpha", per_a, pos[low] * pos[high], ">=", tol, hyp),
-        compare("neg-nonneg", sign_n * per_na, 0, ">=", tol, hyp),
-        compare("neg-block", sign_n * per_na,
+    return [
+        compare("lieb-alpha", pos[-1], pos[low] * pos[high], ">=", tol, hyp),
+        compare("neg-block", sign_n * neg[-1],
                 (sign_m * neg[low]) * (sign_nm * neg[high]),
                 "<=", tol, hyp),
     ]
-    if half is not None:
-        scaled = per_a * (Fraction(1, 2 ** n) if kind_is_exact(A.kind)
-                          else 0.5 ** n)
-        out.append(compare("half-scaled", half, scaled, ">=", tol, hyp))
-    return out
 
 
 def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
@@ -469,21 +471,21 @@ class Finding:
         return cls(**json.loads(line))
 
 
-_SPLIT_NAMES = ("lieb", "fischer", "lieb-alpha", "neg-nonneg", "neg-block",
-                "half-scaled")
+_SPLIT_NAMES = ("lieb", "fischer", "lieb-alpha", "neg-block")
 
 
 def evaluate_comparison(name: str, A: Matrix, alpha, split) -> ComparisonResult:
     """Recompute a named comparison with the fast kernels.
 
     split is the block split m of the split-indexed comparisons and None
-    for the rest; neg-nonneg without a split is check_neg_positivity.
+    for the rest. neg-nonneg and half-scaled compare values of the whole
+    matrix: their split is None, or an integer that is not read.
     """
-    if name == "neg-nonneg" and split is None:
-        return check_neg_positivity(A, alpha)
     if name in _SPLIT_NAMES and not isinstance(split, int):
         raise DomainError("comparison %r needs an integer split, got %r"
                           % (name, split))
+    if split is not None and not isinstance(split, int):
+        raise DomainError("a split is an integer or None, got %r" % (split,))
     if name == "lieb":
         return check_lieb(A, split)
     if name == "fischer":
@@ -492,6 +494,8 @@ def evaluate_comparison(name: str, A: Matrix, alpha, split) -> ComparisonResult:
         return check_haf_per(A)
     if name in _SPLIT_NAMES:
         results = check_lieb_type(A, split, alpha)
+    elif name in ("neg-nonneg", "half-scaled"):
+        results = check_lieb_type(A, None, alpha)
     elif name.startswith("marcus-"):
         results = check_marcus(A, alpha)
     else:
@@ -712,11 +716,21 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
         elif target == "haf-per":
             yield check_haf_per(A), None, True
         elif target == "lieb-type":
+            # the whole-matrix comparisons come once, with split None, in
+            # the order lieb-alpha, neg-nonneg, neg-block, half-scaled at
+            # the first split
+            neg_nonneg, *half = check_lieb_type(A, None, alpha)
             for m in range(1, n):
-                for r in check_lieb_type(A, m, alpha):
-                    gated = not (r.name == "neg-nonneg" and not r.hypothesis)
-                    yield r, m, gated
-        elif target == "neg-positivity":
+                lieb_alpha, neg_block = check_lieb_type(A, m, alpha)
+                yield lieb_alpha, m, True
+                if m == 1:
+                    yield neg_nonneg, None, neg_nonneg.hypothesis
+                yield neg_block, m, True
+                if m == 1:
+                    for r in half:
+                        yield r, None, True
+        elif target == "neg-positivity" and "lieb-type" not in cfg.targets:
+            # (lieb-type records this neg-nonneg comparison itself)
             r = check_neg_positivity(A, alpha)
             yield r, None, False
 

@@ -309,7 +309,8 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
     alphas = alpha_set_for(alpha_set, n, seed, t)
     for alpha in alphas:
         a_eval = to_float_scalar(alpha) if float_mode else alpha
-        for m in range(1, n):
+        # split None: the comparisons of the whole matrix, once per alpha
+        for m in (None, *range(1, n)):
             for r in check_lieb_type(A_eval, m, a_eval, tol):
                 record(r.name, r, alpha, m, r.hypothesis is not False)
         for r in check_marcus(A_eval, a_eval, tol):

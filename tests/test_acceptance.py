@@ -172,7 +172,7 @@ def test_07_inequality_regime(report):
             A = random_psd(n, kind, scale=3, seed=rng.randrange(2**32))
             instances += 1
             for alpha in alphas:
-                for m in range(1, n):
+                for m in (None, *range(1, n)):
                     for r in check_lieb_type(A, m, alpha):
                         assert r.hypothesis is True
                         rows += 1

@@ -266,6 +266,7 @@ def _reads(n, alpha, tol):
 
     reads = [lambda A: repr(check_marcus(A, alpha, tol)),
              lambda A: repr(check_neg_positivity(A, alpha, tol)),
+             lambda A: repr(check_lieb_type(A, None, alpha, tol)),
              lambda A: entries(cycle_sum_table(A))]
     for m in range(1, n):
         reads += [lambda A, m=m: repr(check_lieb(A, m, tol)),
@@ -318,60 +319,70 @@ _real_alphas = st.one_of(
 
 
 def _lieb_type_by_submatrices(A, m, alpha):
-    """check_lieb_type recomputed per split: every per_alpha by its own DP,
-    on submatrix copies, which keep no tables."""
+    """check_lieb_type recomputed at the split m (the whole matrix for m
+    None): every per_alpha by its own DP, on submatrix copies, which keep
+    no tables."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
+    A = submatrix(A, full_mask(n))
+    per_a, per_na = per_alpha_dp(A, alpha), per_alpha_dp(A, -alpha)
+    sign_n = (-1) ** n
+    if m is None:
+        out = [compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp)]
+        if A.kind in ("rational", "float"):
+            scaled = per_a * (F(1, 2 ** n) if A.kind == "rational"
+                              else 0.5 ** n)
+            out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2),
+                               scaled, ">=", 0.0, hyp))
+        return out
     low, high = split_masks(n, m)
     Ap, App = submatrix(A, low), submatrix(A, high)
-    A = submatrix(A, low | high)
-    per_a, per_na = per_alpha_dp(A, alpha), per_alpha_dp(A, -alpha)
-    sign_n, sign_m, sign_nm = (-1) ** n, (-1) ** m, (-1) ** (n - m)
-    out = [
+    sign_m, sign_nm = (-1) ** m, (-1) ** (n - m)
+    return [
         compare("lieb-alpha", per_a,
                 per_alpha_dp(Ap, alpha) * per_alpha_dp(App, alpha),
                 ">=", 0.0, hyp),
-        compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp),
         compare("neg-block", sign_n * per_na,
                 (sign_m * per_alpha_dp(Ap, -alpha))
                 * (sign_nm * per_alpha_dp(App, -alpha)), "<=", 0.0, hyp),
     ]
-    if A.kind in ("rational", "float"):
-        scaled = per_a * (F(1, 2 ** n) if A.kind == "rational" else 0.5 ** n)
-        out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2), scaled,
-                           ">=", 0.0, hyp))
-    return out
 
 
 class TestLiebType:
     def test_result_names_real(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=0)
         names = [r.name for r in check_lieb_type(A, 1, F(2))]
-        assert names == ["lieb-alpha", "neg-nonneg", "neg-block", "half-scaled"]
+        assert names == ["lieb-alpha", "neg-block"]
+        names = [r.name for r in check_lieb_type(A, None, F(2))]
+        assert names == ["neg-nonneg", "half-scaled"]
 
     def test_result_names_hermitian(self):
         A = random_psd(3, HERMITIAN, 3, seed=0)
         names = [r.name for r in check_lieb_type(A, 1, F(2))]
-        assert names == ["lieb-alpha", "neg-nonneg", "neg-block"]
+        assert names == ["lieb-alpha", "neg-block"]
+        names = [r.name for r in check_lieb_type(A, None, F(2))]
+        assert names == ["neg-nonneg"]
 
     def test_in_regime_holds(self):
         for seed in range(4):
             A = random_psd(4, REAL_SYMMETRIC, 3, seed=seed + 60)
             for alpha in (F(0), F(1), F(2), F(3), F(4), F(7, 2)):
-                for m in range(1, 4):
+                for m in (None, 1, 2, 3):
                     for r in check_lieb_type(A, m, alpha):
                         assert r.hypothesis is True
                         assert r.ok, (r.name, alpha, m, seed)
 
     def test_alpha_zero_equalities(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=5)
-        for r in check_lieb_type(A, 1, F(0)):
-            assert r.verdict == EQUALITY
+        for m in (None, 1):
+            for r in check_lieb_type(A, m, F(0)):
+                assert r.verdict == EQUALITY
 
     def test_out_of_regime_flagged(self):
         A = random_psd(4, REAL_SYMMETRIC, 3, seed=7)
-        for r in check_lieb_type(A, 2, F(3, 2)):
-            assert r.hypothesis is False
+        for m in (None, 2):
+            for r in check_lieb_type(A, m, F(3, 2)):
+                assert r.hypothesis is False
 
     def test_block_diagonal_equality_in_lieb_alpha(self):
         B = random_psd(2, REAL_SYMMETRIC, 3, seed=8)
@@ -401,10 +412,10 @@ class TestLiebType:
                 falling = math.prod(a - j for j in range(n))
                 assert (-1) ** n * per_alpha_naive(J, -a) == falling
                 assert (-1) ** n * per_alpha_dp(J, -a) == falling
-        for m in (1, 2):
-            r = {r.name: r for r in check_lieb_type(ones(3), m, F(3, 2))}
-            assert r["neg-nonneg"].slack == F(-3, 8)
-            assert r["neg-nonneg"].hypothesis is False
+        (r, *_) = check_lieb_type(ones(3), None, F(3, 2))
+        assert r.name == "neg-nonneg"
+        assert r.slack == F(-3, 8)
+        assert r.hypothesis is False
         for m, want in ((1, F(-819, 1000)), (2, F(-39, 125)),
                         (3, F(-819, 1000))):
             r = {r.name: r for r in check_lieb_type(ones(4), m, F(13, 10))}
@@ -418,7 +429,7 @@ class TestLiebType:
         if float_mode:
             A, alpha = A.to_float(), to_float_scalar(alpha)
         minors = lieb_type_minors(A, alpha)
-        for m in range(1, A.n):
+        for m in (None, *range(1, A.n)):
             expect = _lieb_type_by_submatrices(A, m, alpha)
             assert check_lieb_type(A, m, alpha) == expect
             # a copy builds its own tables at its first split
@@ -679,7 +690,7 @@ class TestFinding:
         assert str(replay_finding(f)) == f.slack
 
     @pytest.mark.parametrize("name", ["lieb", "fischer", "lieb-alpha",
-                                      "neg-block", "half-scaled"])
+                                      "neg-block"])
     def test_split_comparison_without_split_is_domain_error(self, name):
         A = random_psd(4, REAL_SYMMETRIC, 3, seed=43)
         with pytest.raises(DomainError):
@@ -689,6 +700,22 @@ class TestFinding:
                     slack="0", seed=0, trial=0)
         with pytest.raises(DomainError):
             replay_finding(f)
+
+    def test_half_scaled_replays_without_split(self):
+        # half-scaled compares the whole matrix: a record without a split
+        # replays to the oracle's slack, and an integer split is not read
+        import alphaperm.inequalities as ineq
+        A = random_psd(4, REAL_SYMMETRIC, 3, seed=43)
+        alpha = F(3, 2)
+        slack = ineq._naive_slack("half-scaled", A, alpha, None)
+        f = Finding(name="half-scaled", record="min-slack",
+                    matrix=dumps_matrix(A), sha256=matrix_digest(A),
+                    alpha="3/2", split=None, slack=str(slack), seed=0,
+                    trial=0)
+        assert replay_finding(f) == slack
+        for m in (1, 2, 3):
+            assert evaluate_comparison("half-scaled", A, alpha, m).slack \
+                == slack
 
     def test_neg_nonneg_with_and_without_split(self):
         A = random_psd(4, HERMITIAN, 3, seed=44)
@@ -906,6 +933,129 @@ class TestHunt:
         with pytest.raises(DomainError, match="keep_smallest"):
             HuntConfig(n=3, trials=1, keep_smallest=-1).validate()
         HuntConfig(n=3, trials=1, alpha_lo="3/2", alpha_hi="1.5").validate()
+
+
+def _observations_per_split(cfg):
+    """The records a hunt of lieb-type alone writes when every split
+    records every comparison, neg-nonneg and half-scaled included, each
+    recomputed on submatrix copies: the set of (record, trial, name,
+    split, slack), the split None for the whole-matrix comparisons, and
+    the least gated slack."""
+    from alphaperm.inequalities import _alpha_bounds, _trial_alpha, \
+        _trial_matrix
+    seen = set()
+    least = None
+    for t in range(cfg.trials):
+        A = _trial_matrix(cfg, t)
+        alpha = _trial_alpha(cfg, _alpha_bounds(cfg), t)
+        for m in range(1, cfg.n):
+            split = _lieb_type_by_submatrices(A, m, alpha)
+            whole = _lieb_type_by_submatrices(A, None, alpha)
+            for r, where in [(r, m) for r in split] + \
+                    [(r, None) for r in whole]:
+                gated = r.name != "neg-nonneg" or r.hypothesis
+                if gated and r.verdict == VIOLATED:
+                    seen.add(("violation", t, r.name, where, r.slack))
+                elif not gated and r.slack < 0:
+                    seen.add(("sign", t, r.name, where, r.slack))
+                if gated and (least is None or r.slack < least):
+                    least = r.slack
+    return seen, least
+
+
+class TestOneRecordPerObservation:
+    @given(st.integers(2, 5), st.sampled_from([REAL_SYMMETRIC, HERMITIAN]),
+           st.sampled_from([None, "13/10", "6/5", "3/2", "1", "2"]),
+           st.integers(0, 10 ** 6), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_same_distinct_observations(self, n, kind, alpha, seed, trials):
+        cfg = HuntConfig(targets=("lieb-type",), n=n, trials=trials,
+                         seed=seed, kind=kind, alpha_fixed=alpha)
+        r = hunt(cfg)
+        got = [(f.record, f.trial, f.name, f.split, F(f.slack))
+               for f in r.findings]
+        expect, least = _observations_per_split(cfg)
+        assert len(got) == len(set(got))   # no observation twice
+        assert set(got) == expect
+        assert r.violations + r.observations == len(got)
+        assert r.min_slack == least
+        for f in r.findings:
+            if f.name in ("neg-nonneg", "half-scaled"):
+                assert f.split is None
+            assert str(replay_finding(f)) == f.slack
+
+    @pytest.mark.parametrize("targets", [("lieb-type",),
+                                         ("lieb-type", "neg-positivity"),
+                                         ("neg-positivity", "lieb-type")])
+    def test_pinned_sign_record(self, targets):
+        # the known counterexample's instance: one violation, and its
+        # negative (-1)^n per_{-alpha} once, without a split, also when
+        # the neg-positivity target asks for the same comparison
+        cfg = HuntConfig(targets=targets, n=4, trials=1, seed=141,
+                         alpha_fixed="13/10")
+        r = hunt(cfg)
+        assert (r.violations, r.observations) == (1, 1)
+        (sign,) = [f for f in r.findings if f.record == "sign"]
+        assert (sign.name, sign.split) == ("neg-nonneg", None)
+        assert sign.slack == "-638210221541/263516242990000"
+        assert str(replay_finding(sign)) == sign.slack
+
+    def test_min_slack_of_a_whole_matrix_comparison_has_no_split(self):
+        cfg = HuntConfig(targets=("lieb-type",), n=5, trials=40, seed=1,
+                         kind=HERMITIAN, keep_smallest=1)
+        r = hunt(cfg)
+        assert (r.min_name, r.min_split, r.min_trial) == ("neg-nonneg",
+                                                          None, 22)
+        (kept,) = [f for f in r.findings if f.record == "min-slack"]
+        assert (kept.name, kept.split) == ("neg-nonneg", None)
+        assert F(kept.slack) == r.min_slack
+        assert replay_finding(kept) == r.min_slack
+
+    def test_oracle_walks_each_block_once_per_trial(self, monkeypatch):
+        # trial 0 of seed 181 at n = 5, alpha = 6/5 has two neg-block
+        # violations, at splits 1 and 4: A, which both read at -a, and the
+        # four blocks, each walked once
+        import alphaperm.inequalities as ineq
+        walked = []
+        polynomial = ineq._naive_cycle_polynomial
+
+        def counting(A, cap=None):
+            walked.append(A.rows)
+            return polynomial(A, cap)
+
+        monkeypatch.setattr(ineq, "_naive_cycle_polynomial", counting)
+        r = hunt(HuntConfig(targets=("lieb-type",), n=5, trials=1, seed=181,
+                            alpha_fixed="6/5"))
+        assert [(f.name, f.split) for f in r.findings] == [
+            ("neg-block", 1), ("neg-block", 4)]
+        assert sorted(map(len, walked)) == [1, 1, 4, 4, 5]
+
+    def test_suite_oracle_walks_each_block_once_per_trial(self,
+                                                          monkeypatch):
+        # every lieb comparison reported violated, with its true slack: the
+        # oracle confirms each, and an n = 3 trial walks A once for both
+        # splits
+        import dataclasses
+        import alphaperm.inequalities as ineq
+        import alphaperm.suites as suites
+        from alphaperm.suites import run_inequality_suite
+        walked = []
+        polynomial = ineq._naive_cycle_polynomial
+        lieb = suites.check_lieb
+
+        def counting(A, cap=None):
+            walked.append(A.rows)
+            return polynomial(A, cap)
+
+        def violated(A, m, tol=0.0):
+            return dataclasses.replace(lieb(A, m, tol), verdict=VIOLATED)
+
+        monkeypatch.setattr(ineq, "_naive_cycle_polynomial", counting)
+        monkeypatch.setattr(suites, "check_lieb", violated)
+        (oc, *_) = run_inequality_suite(n_max=3, trials=2, seed=0)
+        assert oc.name == "lieb" and len(oc.findings) == 3
+        # trial 0 (n = 2): A, A', A''; trial 1 (n = 3): A and four blocks
+        assert sorted(map(len, walked)) == [1, 1, 1, 1, 2, 2, 2, 3]
 
 
 class TestInequalityTrial:
