@@ -446,9 +446,6 @@ def merge_pairs(n: int) -> list:
 # findings
 # ---------------------------------------------------------------------------
 
-_RECORDS = ("violation", "sign", "min-slack")
-
-
 @dataclass(frozen=True)
 class Finding:
     """One hunter observation, self-contained enough to replay."""

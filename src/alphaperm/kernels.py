@@ -56,10 +56,10 @@ haf(doubled(A[T])) for every T from one memoized recursion.
 
 All kernels accept exact (Fraction / GaussianRational) and float matrices.
 Float matrices run on the same cycle-sum, subset-DP, Ryser and hafnian loops
-as the integer lane below, on Python floats and complex numbers; only the
-float determinant uses numpy (pivoted LU). Exact inputs demand exact alpha,
-float inputs demand float alpha; anything else raises MixedModeError. The
-result is complex when A or alpha is, for every n including 0.
+as the integer lane below, on Python floats and complex numbers; the float
+determinant is the exact one of the binary64 entries, rounded once. Exact
+inputs demand exact alpha, float inputs demand float alpha; anything else
+raises MixedModeError. The result is complex when A or alpha is, even at n = 0.
 
 Exact kernels run in an integer lane, on A.cleared: the common
 denominator L of A's entries and B = L*A as integers (Gaussian integers,
@@ -704,23 +704,39 @@ def _ryser(rows, n: int):
 
 
 def determinant(A: Matrix):
-    """Determinant: fraction-free Bareiss elimination for exact kinds,
-    numpy's pivoted LU for float kinds.
+    """Determinant by fraction-free Bareiss elimination.
 
     Rational matrices run on L*A in integers, where every Bareiss division
-    is exact: det(L*A) = L^n det(A).
+    is exact: det(L*A) = L^n det(A). A float matrix, whose binary64 entries
+    are dyadic rationals, gets their exact determinant rounded once (per
+    part; +-inf beyond range). A non-finite entry raises DomainError.
     """
     n = A.n
     if n == 0:
         return one_of_kind(A.kind)
     if A.kind in FLOAT_KINDS:
-        import numpy as np
-        value = np.linalg.det(A.to_numpy())
-        return complex(value) if kind_is_complex(A.kind) else float(value)
+        try:
+            rows = [[GaussianRational(x.real, x.imag)
+                     if isinstance(x, complex) else Fraction(x) for x in row]
+                    for row in A.rows]
+        except (OverflowError, ValueError):
+            raise DomainError("the determinant needs finite entries") from None
+        det = determinant(Matrix(rows))
+        if kind_is_complex(A.kind):
+            return complex(_binary64(det.re), _binary64(det.im))
+        return _binary64(det)
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
         return from_scaled(L ** n, _bareiss(rows, n, 1, operator.floordiv))
     return _bareiss(A.rows, n, one_of_kind(A.kind), operator.truediv)
+
+
+def _binary64(q: Fraction) -> float:
+    """q rounded to the nearest binary64 number, +-inf beyond its range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def _bareiss(rows, n: int, one, exact_div):

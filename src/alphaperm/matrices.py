@@ -26,7 +26,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING
 try:  # CPython's SHA-256; hashlib would map OpenSSL's libcrypto, ~3.5 MB
     from _sha256 import sha256
 except ImportError:  # CPython 3.12 on names it _sha2; hashlib serves too
@@ -54,9 +53,6 @@ from .scalars import (
     scalar_kind,
     to_float_scalar,
 )
-
-if TYPE_CHECKING:  # numpy loads only where float mode needs it
-    import numpy as np
 
 # ---------------------------------------------------------------------------
 # bitmask index sets
@@ -274,15 +270,6 @@ class Matrix:
         rows = [[to_float_scalar(x) for x in row] for row in self.rows]
         return Matrix(rows, kind=kind, real_symmetric=self.real_symmetric,
                       hermitian=self.hermitian)
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-        dtype = np.complex128 if kind_is_complex(self.kind) else np.float64
-        a = np.empty((self.n, self.n), dtype=dtype)
-        for i in range(self.n):
-            for j in range(self.n):
-                a[i, j] = to_float_scalar(self.rows[i][j])
-        return a
 
 
 def _mirrored(part, sign: int) -> bool:

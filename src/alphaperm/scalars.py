@@ -35,7 +35,6 @@ COMPLEX_RATIONAL = "complex-rational"
 FLOAT = "float"
 COMPLEX_FLOAT = "complex-float"
 
-KINDS = (RATIONAL, COMPLEX_RATIONAL, FLOAT, COMPLEX_FLOAT)
 EXACT_KINDS = (RATIONAL, COMPLEX_RATIONAL)
 FLOAT_KINDS = (FLOAT, COMPLEX_FLOAT)
 
@@ -145,9 +144,6 @@ class GaussianRational:
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):

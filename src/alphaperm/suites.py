@@ -15,7 +15,6 @@ The DP side runs first, so it never reads a table the formula side kept
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,10 +54,11 @@ from .matrices import (
 )
 from .partitions import (
     bell_number,
-    enumerate_partitions,
     half_formula_rhs,
     per_beta_by_k,
     product_formula_rhs,
+    shape_partition_count,
+    shape_partition_sums,
     stirling2,
     sum_formula_rhs,
 )
@@ -215,11 +215,13 @@ def _identity_trial(n_max: int, seed: int, float_mode: bool, tol: float,
                 _exact_eq(per_alpha_dp(Ef, af / 2), half_formula_rhs(Ef, af),
                           tol, float_mode)))
 
-    # enumeration counts against the closed recurrences
+    # the shape DP on unit weights counts the set partitions of each shape
     n = 1 + t % 8
-    blocks = Counter(p.k for p in enumerate_partitions(n))
-    ok = sum(blocks.values()) == bell_number(n) and all(
-        blocks[k] == stirling2(n, k) for k in range(1, n + 1))
+    counts = shape_partition_sums([1] * (1 << n), n)
+    ok = (all(c == shape_partition_count(n, s) for s, c in counts.items())
+          and all(sum(c for s, c in counts.items() if len(s) == k)
+                  == stirling2(n, k) for k in range(1, n + 1))
+          and sum(counts.values()) == bell_number(n))
     out.append(("partition-counts", ok))
     return out
 

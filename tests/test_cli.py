@@ -64,6 +64,12 @@ class TestCompute:
         write_matrix(S, str(p))
         assert run_cli("compute", "haf", str(p))[1].strip() == "3"
 
+    def test_float_det_overflow_prints_inf(self, tmp_path):
+        p = tmp_path / "big.mat"
+        p.write_text("n 2\nfield float\n1e200 0\n0 1e200\n")
+        code, out, _ = run_cli("compute", "det", "--mode", "float", str(p))
+        assert code == 0 and out.strip() == "inf"
+
     def test_det_alpha(self, plain_file):
         code, out, _ = run_cli("compute", "det-alpha", "--alpha", "-1",
                                plain_file)
@@ -408,22 +414,29 @@ class TestEntryPoint:
         assert out.returncode == 0
         assert out.stdout.strip() == "10"
 
-    def test_exact_hunt_does_not_load_numpy(self, psd_file, tmp_path):
-        # float per, per-alpha and haf run on the generic kernels too
+    def test_no_command_loads_numpy(self, psd_file, tmp_path):
+        # every float kernel, the determinant too, runs on the package's
+        # own loops
         code = (
             "import sys\n"
             "from alphaperm.cli import main\n"
-            "rc = main(['hunt', '--target', 'marcus', '--n', '3',\n"
-            "           '--trials', '2', '--out', sys.argv[1]])\n"
-            "assert rc == 0, rc\n"
-            "for q in ('per', 'per-alpha', 'haf'):\n"
-            "    rc = main(['compute', q, '--alpha', '3/2', '--mode',\n"
-            "               'float', sys.argv[2]])\n"
-            "    assert rc == 0, (q, rc)\n"
+            "def run(*argv):\n"
+            "    rc = main(list(argv))\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "run('hunt', '--target', 'marcus', '--n', '3', '--trials', '2',\n"
+            "    '--out', sys.argv[1])\n"
+            "run('gen', '--n', '3', '--out', sys.argv[3])\n"
+            "for mode in ('exact', 'float'):\n"
+            "    for q in ('per', 'per-alpha', 'det', 'haf', 'det-alpha'):\n"
+            "        run('compute', q, '--alpha', '3/2', '--mode', mode,\n"
+            "            sys.argv[2])\n"
+            "    run('check', '--suite', 'all', '--mode', mode, '--trials',\n"
+            "        '3')\n"
             "print('numpy' in sys.modules)\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "f.jsonl"), psd_file],
+            [sys.executable, "-c", code, str(tmp_path / "f.jsonl"), psd_file,
+             str(tmp_path / "g.mat")],
             capture_output=True, text=True, env=child_env(),
         )
         assert out.returncode == 0, out.stderr

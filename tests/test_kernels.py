@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,43 @@ class TestDeterminant:
         exact = determinant(A)
         approx = determinant(A.to_float())
         assert approx == pytest.approx(float(exact), rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), complex_entries=st.booleans())
+    def test_float_is_the_rounded_exact_determinant(self, data, n,
+                                                    complex_entries):
+        # wide exponents, subnormals included, kept where n! products of
+        # n entries stay below binary64's range
+        part = st.floats(-1e40, 1e40, allow_nan=False, allow_infinity=False)
+        entry = st.builds(complex, part, part) if complex_entries else part
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        Af = Matrix(rows)
+        exact = Matrix([[G(x.real, x.imag) if complex_entries else F(x)
+                         for x in row] for row in rows])
+        # the oracle, not Bareiss: per_{-1}(A) = (-1)^n det(A)
+        ref = (-1) ** n * per_alpha_naive(exact, F(-1))
+        got = determinant(Af)
+        if complex_entries:
+            assert type(got) is complex
+            assert got == complex(float(ref.re), float(ref.im))
+        else:
+            assert type(got) is float and got == float(ref)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_overflow_rounds_to_inf(self, sign):
+        A = Matrix([[1e200, 0.0], [0.0, sign * 1e200]])
+        assert determinant(A) == sign * math.inf
+        # complex rounds per part: only the part beyond range is infinite
+        C = Matrix([[1e200 + 0j, 0j], [0j, sign * 1e200 + 1j]])
+        assert determinant(C) == complex(sign * math.inf, 1e200)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     complex(1, math.inf),
+                                     complex(math.nan, 0)])
+    def test_float_non_finite_entry(self, bad):
+        with pytest.raises(DomainError):
+            determinant(Matrix([[1.0, bad], [0.0, 1.0]]))
 
 
 class TestHafnian:
@@ -514,7 +552,7 @@ class TestFloatCycleTable:
         got = per_alpha_dp(Af, a, cycle_table=table)
         assert got == pytest.approx(per_alpha_naive(Af, a), rel=1e-12)
         _same(got, per_alpha_dp(_fresh(Af), a))
-        _same(got, fastpath.per_alpha_dp(Af.to_numpy(), a))
+        _same(got, fastpath.per_alpha_dp(np.array(Af.rows), a))
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,6 @@ class TestMatrixType:
         Af = A.to_float()
         assert Af.kind == "float" and Af.entry(0, 0) == 0.5
         assert Af.real_symmetric
-        arr = A.to_numpy()
-        assert arr.shape == (2, 2) and arr[0, 0] == 0.5
 
 
 class TestBuilders:

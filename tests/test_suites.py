@@ -99,6 +99,30 @@ class TestIdentitySuite:
         for oc in outcomes:
             assert oc.passed == oc.total, oc.name
 
+    @pytest.mark.parametrize("old, new, failing", [
+        # the block that is the anchor alone never counted: every n fails
+        ("w = f[block]", "w = f[block] if s else 0", 8),
+        # shapes keyed unsorted: the Bell and Stirling totals still hold,
+        # only the per-shape counts catch it, from n = 3 up
+        ("key = tuple(sorted(shape + (b,), reverse=True))",
+         "key = shape + (b,)", 6),
+    ])
+    def test_partition_counts_catch_a_broken_shape_dp(self, monkeypatch,
+                                                      old, new, failing):
+        import inspect
+        import alphaperm.partitions as partitions
+        import alphaperm.suites as suites
+        source = inspect.getsource(partitions.shape_partition_sums)
+        assert old in source
+        namespace = dict(vars(partitions))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(suites, "shape_partition_sums",
+                            namespace["shape_partition_sums"])
+        # trials 0..7 give n = 1..8
+        outcomes = run_identity_suite(n_max=2, trials=8, seed=0)
+        row = {oc.name: oc for oc in outcomes}["partition-counts"]
+        assert row.total - row.passed == failing
+
 
 class TestInequalitySuite:
     def test_all_rows_green_theorem_regime(self):
