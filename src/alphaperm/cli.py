@@ -209,15 +209,17 @@ def cmd_hunt(args) -> int:
               cfg.scale, "yes" if cfg.unit_diagonal else "no", alpha_desc))
     print("violations %d" % result.violations)
     print("observations %d" % result.observations)
-    if result.min_slack is not None:
-        where = "name=%s trial=%d" % (result.min_name, result.min_trial)
-        if result.min_split is not None:
-            where += " split=%d" % result.min_split
-        if result.min_alpha is not None:
-            where += " alpha=%s" % result.min_alpha
-        print("min-slack %s %s" % (format_scalar(result.min_slack), where))
+    argmin = result.argmin
+    if argmin is not None:
+        where = "name=%s trial=%d" % (argmin.name, argmin.trial)
+        if argmin.split is not None:
+            where += " split=%d" % argmin.split
+        if argmin.alpha is not None:
+            where += " alpha=%s" % argmin.alpha
+        print("min-slack %s %s" % (argmin.slack, where))
         argmin_path = os.path.splitext(args.out)[0] + ".argmin.mat"
-        write_matrix(result.min_matrix, argmin_path)
+        with open(argmin_path, "w", encoding="ascii") as fh:
+            fh.write(argmin.matrix)
         print("argmin-matrix %s" % argmin_path)
     with open(args.out, "w", encoding="ascii") as fh:
         for f in result.findings:

@@ -53,12 +53,19 @@ _naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
 walk over the block's permutations. The hunter and the inequality suite
 keep one dict of polynomials per trial, so each block of an instance is
 walked once, for every alpha and every violation.
+
+Every Finding is made by make_finding, where it is observed: a hunt trial
+returns its violation and sign records with its least gated slack, and
+hunt() only merges them. The trials' least slacks, sorted, give the
+argmin (the printed min-slack line, the first min-slack record) and the
+--keep-smallest records.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -85,11 +92,11 @@ from .matrices import (
     dumps_matrix,
     full_mask,
     loads_matrix,
-    matrix_digest,
     random_psd,
     random_unit_diag_psd,
     split_masks,
     submatrix,
+    text_digest,
 )
 from .partitions import shape_partition_count, shape_partition_sums
 from .scalars import (
@@ -576,6 +583,21 @@ def confirm_violation(result: ComparisonResult, A: Matrix, alpha, split,
                              % (result.name, trial, result.slack, naive))
 
 
+def make_finding(record: str, name: str, A: Matrix, alpha, split, slack,
+                 seed: int, trial: int) -> Finding:
+    """The Finding of one observation of comparison name on instance A at
+    an exact alpha (None for the alpha-free families) and split, with an
+    exact slack. A is serialised once; sha256 is matrix_digest(A), taken
+    from that text."""
+    text = dumps_matrix(A)
+    return Finding(
+        name=name, record=record, matrix=text,
+        sha256=text_digest(text),
+        alpha=format_scalar(alpha) if alpha is not None else None,
+        split=split, slack=format_scalar(slack), seed=seed, trial=trial,
+    )
+
+
 # ---------------------------------------------------------------------------
 # hunter
 # ---------------------------------------------------------------------------
@@ -651,11 +673,7 @@ class HuntResult:
     violations: int
     observations: int
     min_slack: object          # Fraction or None
-    min_name: str = None
-    min_split: int = None
-    min_trial: int = None
-    min_alpha: str = None
-    min_matrix: Matrix = None
+    argmin: Finding = None     # the least gated slack's min-slack record
 
 
 def _trial_matrix(cfg: HuntConfig, t: int) -> Matrix:
@@ -663,6 +681,13 @@ def _trial_matrix(cfg: HuntConfig, t: int) -> Matrix:
     if cfg.unit_diagonal:
         return random_unit_diag_psd(cfg.n, cfg.kind, cfg.scale, seed)
     return random_psd(cfg.n, cfg.kind, cfg.scale, seed)
+
+
+def _trial_instance(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
+    """(A, alpha) of trial t; alpha is None when no target reads one."""
+    alpha = _trial_alpha(cfg, bounds, t) if any(
+        _needs_alpha(x) for x in cfg.targets) else None
+    return _trial_matrix(cfg, t), alpha
 
 
 def _alpha_bounds(cfg: HuntConfig) -> tuple:
@@ -733,35 +758,28 @@ def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
 
 
 def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
-    """Evaluate trial t, with alpha bounds = _alpha_bounds(cfg); return a
-    compact, picklable record of it."""
-    A = _trial_matrix(cfg, t)
-    alpha = _trial_alpha(cfg, bounds, t) if any(
-        _needs_alpha(x) for x in cfg.targets) else None
+    """Evaluate trial t, with alpha bounds = _alpha_bounds(cfg): return
+    (records, least), the trial's violation Findings and then its sign
+    Findings, and its least gated (slack, name, split), None when no
+    comparison is gated."""
+    A, alpha = _trial_instance(cfg, bounds, t)
     violations = []
     signs = []
-    min_gated = None
+    least = None
     polynomials = {}   # the oracle's, shared by the trial's violations
     for result, split, gated in _trial_comparisons(cfg, A, alpha):
         if gated:
             if result.verdict == VIOLATED:
                 confirm_violation(result, A, alpha, split, t, polynomials)
-                violations.append((result.name, split,
-                                   format_scalar(result.slack)))
-            key = (result.slack, result.name, split)
-            if min_gated is None or key[0] < min_gated[0]:
-                min_gated = key
+                violations.append(make_finding(
+                    "violation", result.name, A, alpha, split, result.slack,
+                    cfg.seed, t))
+            if least is None or result.slack < least[0]:
+                least = (result.slack, result.name, split)
         elif result.slack < 0:
-            signs.append((result.name, split, format_scalar(result.slack)))
-    return (
-        format_scalar(alpha) if alpha is not None else None,
-        violations,
-        signs,
-        (format_scalar(min_gated[0]), min_gated[1], min_gated[2])
-        if min_gated is not None else None,
-        # the instance's text, only when the trial records a finding
-        (dumps_matrix(A), matrix_digest(A)) if violations or signs else None,
-    )
+            signs.append(make_finding("sign", result.name, A, alpha, split,
+                                      result.slack, cfg.seed, t))
+    return violations + signs, least
 
 
 def _trial_chunk(trial, args: tuple, lo: int, hi: int) -> list:
@@ -770,63 +788,51 @@ def _trial_chunk(trial, args: tuple, lo: int, hi: int) -> list:
 
 def run_trials(trial, args: tuple, trials: int, jobs: int) -> list:
     """[(t, trial(*args, t)) for t in range(trials)], computed in contiguous
-    chunks over jobs worker processes; the result does not depend on jobs.
+    chunks over at most jobs worker processes, and no more than there are
+    chunks or CPUs; the result does not depend on jobs.
     trial must be a module-level function, so that workers can import it."""
     if jobs <= 1:
         return _trial_chunk(trial, args, 0, trials)
     from concurrent.futures import ProcessPoolExecutor
     step = max(1, -(-trials // jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    starts = range(0, trials, step)
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_trial_chunk, trial, args, lo,
                                min(lo + step, trials))
-                   for lo in range(0, trials, step)]
+                   for lo in starts]
         return [row for f in futures for row in f.result()]
 
 
 def hunt(cfg: HuntConfig) -> HuntResult:
-    """Run the hunter; deterministic in cfg, independent of cfg.jobs."""
+    """Run the hunter; deterministic in cfg, independent of cfg.jobs.
+
+    The trials' least gated slacks, sorted by (slack, trial), give the
+    argmin (the head) and the --keep-smallest min-slack records (the first
+    keep_smallest), each made once from its trial's instance."""
     cfg.validate()
+    bounds = _alpha_bounds(cfg)
     findings = []
-    min_key = None   # (slack, trial, name, split, alpha_text)
-    per_trial_min = []
-    violations = observations = 0
-    for t, (alpha_text, viol, signs, min_gated, matrix) in run_trials(
-            _hunt_trial, (cfg, _alpha_bounds(cfg)), cfg.trials, cfg.jobs):
-        for record, entries in (("violation", viol), ("sign", signs)):
-            for name, split, slack_text in entries:
-                findings.append(Finding(
-                    name=name, record=record, matrix=matrix[0],
-                    sha256=matrix[1], alpha=alpha_text, split=split,
-                    slack=slack_text, seed=cfg.seed, trial=t,
-                ))
-        violations += len(viol)
-        observations += len(signs)
-        if min_gated is not None:
-            entry = (Fraction(min_gated[0]), t, min_gated[1], min_gated[2],
-                     alpha_text)
-            per_trial_min.append(entry)
-            if min_key is None or entry[0] < min_key[0]:
-                min_key = entry
-
-    if cfg.keep_smallest > 0 and per_trial_min:
-        for slack, t, name, split, alpha_text in sorted(
-                per_trial_min)[:cfg.keep_smallest]:
-            A = _trial_matrix(cfg, t)
-            findings.append(Finding(
-                name=name, record="min-slack", matrix=dumps_matrix(A),
-                sha256=matrix_digest(A), alpha=alpha_text, split=split,
-                slack=format_scalar(slack), seed=cfg.seed, trial=t,
-            ))
-
-    result = HuntResult(
+    minima = []   # (slack, trial, name, split) per trial
+    for t, (records, least) in run_trials(_hunt_trial, (cfg, bounds),
+                                          cfg.trials, cfg.jobs):
+        findings.extend(records)
+        if least is not None:
+            slack, name, split = least
+            minima.append((slack, t, name, split))
+    minima.sort()
+    smallest = []
+    for slack, t, name, split in minima[:max(cfg.keep_smallest, 1)]:
+        A, alpha = _trial_instance(cfg, bounds, t)
+        smallest.append(make_finding("min-slack", name, A, alpha, split,
+                                     slack, cfg.seed, t))
+    violations = sum(f.record == "violation" for f in findings)
+    observations = sum(f.record == "sign" for f in findings)
+    findings.extend(smallest[:cfg.keep_smallest])
+    return HuntResult(
         config=cfg, trials=cfg.trials, findings=findings,
         violations=violations, observations=observations,
-        min_slack=min_key[0] if min_key else None,
+        min_slack=minima[0][0] if minima else None,
+        argmin=smallest[0] if smallest else None,
     )
-    if min_key:
-        result.min_trial = min_key[1]
-        result.min_name = min_key[2]
-        result.min_split = min_key[3]
-        result.min_alpha = min_key[4]
-        result.min_matrix = _trial_matrix(cfg, min_key[1])
-    return result

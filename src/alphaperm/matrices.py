@@ -585,4 +585,9 @@ def read_matrix(path) -> Matrix:
 
 def matrix_digest(A: Matrix) -> str:
     """sha256 of the canonical serialization, for tamper-evident findings."""
-    return sha256(dumps_matrix(A).encode("ascii")).hexdigest()
+    return text_digest(dumps_matrix(A))
+
+
+def text_digest(text: str) -> str:
+    """sha256 of a serialization dumps_matrix made: matrix_digest from it."""
+    return sha256(text.encode("ascii")).hexdigest()

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import MixedModeError, ScalarFormatError
+from .errors import DomainError, MixedModeError, ScalarFormatError
 
 RATIONAL = "rational"
 COMPLEX_RATIONAL = "complex-rational"
@@ -235,11 +235,16 @@ def conj_scalar(x):
 
 
 def to_float_scalar(x):
-    """Explicit exact-to-float conversion (the only sanctioned mixing path)."""
-    if isinstance(x, GaussianRational):
-        return complex(float(x.re), float(x.im))
-    if isinstance(x, Rational):
-        return float(x)
+    """Explicit exact-to-float conversion (the only sanctioned mixing path).
+    An exact value beyond binary64's range raises DomainError."""
+    try:
+        if isinstance(x, GaussianRational):
+            return complex(float(x.re), float(x.im))
+        if isinstance(x, Rational):
+            return float(x)
+    except OverflowError:
+        raise DomainError("an exact value is beyond binary64's range, "
+                          "so float mode cannot hold it") from None
     if isinstance(x, (float, complex)):
         return x
     raise TypeError("not a supported scalar: %r" % (x,))

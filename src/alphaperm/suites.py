@@ -11,17 +11,19 @@ minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
 The DP side runs first, so it never reads a table the formula side kept
 (a test guards the order); an inequality instance keeps its tables.
+An inequality trial's rows carry each violation's Finding, made by
+inequalities.make_finding once the oracle has re-derived it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
 from .inequalities import (
     VIOLATED,
-    Finding,
     check_fischer,
     check_haf_per,
     check_lieb,
@@ -29,12 +31,14 @@ from .inequalities import (
     check_majorization_step,
     check_marcus,
     confirm_violation,
+    make_finding,
     merge_pairs,
     run_trials,
     sign_minors,
 )
 from .kernels import (
     determinant,
+    diagonal_product,
     hafnian,
     per_alpha_dp,
     per_alpha_naive,
@@ -45,8 +49,6 @@ from .matrices import (
     REAL_SYMMETRIC,
     Matrix,
     doubled,
-    dumps_matrix,
-    matrix_digest,
     random_matrix,
     random_psd,
     random_symmetric_matrix,
@@ -62,7 +64,7 @@ from .partitions import (
     stirling2,
     sum_formula_rhs,
 )
-from .scalars import exact_real, format_scalar, to_float_scalar
+from .scalars import exact_real, to_float_scalar
 import random as _random
 
 
@@ -247,17 +249,6 @@ INEQUALITY_CHECKS = (
 )
 
 
-def _diag_of(A: Matrix) -> Matrix:
-    from .scalars import zero_like
-    zero = zero_like(A.rows[0][0])
-    rows = [
-        [A.rows[i][i] if i == j else zero for j in range(A.n)]
-        for i in range(A.n)
-    ]
-    return Matrix(rows, kind=A.kind, real_symmetric=A.real_symmetric,
-                  hermitian=A.hermitian)
-
-
 def _trial_psd(n_max: int, seed: int, t: int) -> Matrix:
     """The PSD instance of inequality trial t; n, field, and unit-diagonal
     choice cycle with coprime periods so every combination occurs."""
@@ -273,32 +264,27 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
                       float_mode: bool, tol: float, t: int) -> list:
     """Evaluate the inequality checks on one PSD instance.
 
-    Returns (check_name, ok, slack_or_None, violation_record_or_None) rows.
+    Returns (check_name, ok, slack_or_None, violation_Finding_or_None) rows.
     """
     A = _trial_psd(n_max, seed, t)
     n = A.n
     A_eval = A.to_float() if float_mode else A
     is_real = A.kind == "rational"
     rows = []
-    matrix = None   # the instance's (text, digest), made at a first violation
     polynomials = {}   # the oracle's, shared by the trial's violations
 
     def record(check_name, result, alpha, split, gated=True):
-        nonlocal matrix
         if not gated:
             # outside the proven regime the verdict is conjecture evidence,
             # not a check; the hunter is the tool for collecting it
             return
         ok = result.verdict != VIOLATED
-        viol = None
+        finding = None
         if result.verdict == VIOLATED and not float_mode:
             confirm_violation(result, A, alpha, split, t, polynomials)
-            if matrix is None:
-                matrix = (dumps_matrix(A), matrix_digest(A))
-            viol = (result.name, split,
-                    format_scalar(alpha) if alpha is not None else None,
-                    format_scalar(result.slack)) + matrix
-        rows.append((check_name, ok, result.slack, viol))
+            finding = make_finding("violation", result.name, A, alpha, split,
+                                   result.slack, seed, t)
+        rows.append((check_name, ok, result.slack, finding))
 
     # the tables A_eval keeps at alpha = +1 and -1 serve lieb, fischer,
     # block-lift, the majorization steps and alpha = 1
@@ -318,17 +304,20 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         for r in check_marcus(A_eval, a_eval, tol):
             record(r.name, r, alpha, None, r.hypothesis is not False)
 
-    # lifted block sums against the diagonal; a graded table per matrix, sign
+    # lifted block sums against the diagonal D = diag(A): a graded table
+    # of A per sign; D's side is closed, as per_{+-1}(D[B]) is
+    # (+-1)^|B| prod_{i in B} a_ii, so per_{+-1}(D, k) = k! S(n, k)
+    # (+-1)^n prod a_ii
     if n <= 4 and not float_mode:
-        D = _diag_of(A)
-        per_A, det_A, per_D, det_D = (
-            per_beta_by_k(sign_minors(M, s)) for M in (A, D) for s in (1, -1))
+        per_A, det_A = (per_beta_by_k(sign_minors(A, s)) for s in (1, -1))
+        diag = diagonal_product(A)
         sign = -1 if n % 2 else 1
         ok = True
         worst = None
         for k in range(1, n + 1):
-            per_lift = per_A[k] - per_D[k]
-            det_lift = sign * (det_D[k] - det_A[k])
+            per_D = math.factorial(k) * stirling2(n, k) * diag
+            per_lift = per_A[k] - per_D
+            det_lift = per_D - sign * det_A[k]
             for s in (exact_real(per_lift), exact_real(det_lift)):
                 ok = ok and s >= 0
                 worst = s if worst is None else min(worst, s)
@@ -383,16 +372,11 @@ def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
     rows = run_trials(_inequality_trial,
                       (n_max, seed, alpha_set, float_mode, tol), trials, jobs)
     for t, entries in rows:
-        for name, ok, slack, viol in entries:
+        for name, ok, slack, finding in entries:
             oc = outcomes[name]
             oc.absorb(ok)
             if slack is not None:
                 oc.see_slack(slack, t)
-            if viol is not None:
-                cmp_name, split, alpha_text, slack_text, text, digest = viol
-                oc.findings.append(Finding(
-                    name=cmp_name, record="violation", matrix=text,
-                    sha256=digest, alpha=alpha_text, split=split,
-                    slack=slack_text, seed=seed, trial=t,
-                ))
+            if finding is not None:
+                oc.findings.append(finding)
     return [outcomes[name] for name in INEQUALITY_CHECKS]

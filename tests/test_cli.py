@@ -70,6 +70,29 @@ class TestCompute:
         code, out, _ = run_cli("compute", "det", "--mode", "float", str(p))
         assert code == 0 and out.strip() == "inf"
 
+    @pytest.mark.parametrize("quantity", ["det", "per", "per-alpha", "haf",
+                                          "det-alpha"])
+    def test_float_mode_entry_beyond_range_is_input_error(self, tmp_path,
+                                                          quantity):
+        p = tmp_path / "huge.mat"
+        p.write_text("n 1\nfield rational\nflags real-symmetric\n1%s\n"
+                     % ("0" * 400))
+        code, out, err = run_cli("compute", quantity, "--alpha", "3/2",
+                                 "--mode", "float", str(p))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "binary64" in err and "0" * 20 not in err
+
+    @pytest.mark.parametrize("quantity", ["per-alpha", "det-alpha"])
+    def test_float_mode_alpha_beyond_range_is_input_error(self, plain_file,
+                                                          quantity):
+        code, out, err = run_cli("compute", quantity, "--alpha",
+                                 "-1" + "0" * 400, "--mode", "float",
+                                 plain_file)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "binary64" in err and "0" * 20 not in err
+
     def test_det_alpha(self, plain_file):
         code, out, _ = run_cli("compute", "det-alpha", "--alpha", "-1",
                                plain_file)
@@ -292,6 +315,30 @@ class TestHunt:
         argmin = str(tmp_path / "v.argmin.mat")
         assert os.path.exists(argmin)
         assert loads_matrix(open(argmin).read()).n == 4
+
+    def test_min_slack_line_is_the_first_min_slack_record(self, tmp_path):
+        out_file = str(tmp_path / "m.jsonl")
+        code, out, _ = run_cli("hunt", "--target", "lieb-type", "--kind",
+                               "hermitian", "--n", "5", "--trials", "16",
+                               "--seed", "1", "--keep-smallest", "2",
+                               "--out", out_file)
+        assert code == 0
+        (line,) = [x for x in out.splitlines() if x.startswith("min-slack ")]
+        slack, *where = line.split()[1:]
+        fields = dict(w.split("=") for w in where)
+        kept = [json.loads(x) for x in open(out_file).read().splitlines()]
+        kept = [r for r in kept if r["record"] == "min-slack"]
+        assert len(kept) == 2
+        first = kept[0]
+        assert slack == first["slack"]
+        assert fields["name"] == first["name"]
+        assert int(fields["trial"]) == first["trial"]
+        assert fields.get("split") == (None if first["split"] is None
+                                       else str(first["split"]))
+        assert fields.get("alpha") == first["alpha"]
+        assert F(kept[0]["slack"]) <= F(kept[1]["slack"])
+        argmin = (tmp_path / "m.argmin.mat").read_bytes()
+        assert argmin == first["matrix"].encode("ascii")
 
     def test_fixed_alpha(self, tmp_path):
         out_file = str(tmp_path / "x.jsonl")

@@ -745,7 +745,7 @@ class TestHunt:
         assert [f.to_json() for f in r1.findings] == \
             [f.to_json() for f in r2.findings]
         assert r1.min_slack == r2.min_slack
-        assert r1.min_trial == r2.min_trial
+        assert r1.argmin == r2.argmin
 
     def test_jobs_equivalence(self):
         cfg1 = HuntConfig(targets=("marcus", "lieb"), n=4, trials=30, seed=5,
@@ -758,6 +758,40 @@ class TestHunt:
         assert (r1.violations, r1.observations) == \
             (r2.violations, r2.observations)
         assert r1.min_slack == r2.min_slack
+
+    @pytest.mark.parametrize("trials, jobs, cpus, workers", [
+        (2, 5000, 64, 2), (100, 5000, 3, 3), (100, 4, 8, 4), (7, 3, None, 1)])
+    def test_pool_workers_bounded(self, monkeypatch, trials, jobs, cpus,
+                                  workers):
+        # a fork-started pool forks all max_workers at the first submit:
+        # the bound is on max_workers, checked on a pool that starts no
+        # process and runs each chunk when it is submitted
+        import concurrent.futures
+        import os
+        from alphaperm.inequalities import run_trials
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = run_trials(pow, (2,), trials, jobs)
+        assert seen == [workers]
+        assert got == [(t, 2 ** t) for t in range(trials)]
 
     def test_marcus_range_clean(self):
         cfg = HuntConfig(targets=("marcus",), n=5, trials=60, seed=2)
@@ -804,7 +838,7 @@ class TestHunt:
         monkeypatch.setattr(ineq, "_hunt_alpha", counting)
         again = hunt(cfg)
         assert len(parsed) == 4
-        assert again.min_alpha == expected.min_alpha
+        assert again.argmin.alpha == expected.argmin.alpha
         assert again.min_slack == expected.min_slack
         bounds = ineq._alpha_bounds(cfg)
         alphas = {ineq._trial_alpha(cfg, bounds, t) for t in range(70)}
@@ -1004,8 +1038,8 @@ class TestOneRecordPerObservation:
         cfg = HuntConfig(targets=("lieb-type",), n=5, trials=40, seed=1,
                          kind=HERMITIAN, keep_smallest=1)
         r = hunt(cfg)
-        assert (r.min_name, r.min_split, r.min_trial) == ("neg-nonneg",
-                                                          None, 22)
+        assert (r.argmin.name, r.argmin.split, r.argmin.trial) == (
+            "neg-nonneg", None, 22)
         (kept,) = [f for f in r.findings if f.record == "min-slack"]
         assert (kept.name, kept.split) == ("neg-nonneg", None)
         assert F(kept.slack) == r.min_slack

@@ -183,6 +183,44 @@ class TestInequalitySuite:
         with pytest.raises(OracleMismatch, match="lieb at trial 0"):
             run_inequality_suite(n_max=3, trials=1, seed=0)
 
+    def test_violation_row_carries_its_finding(self, monkeypatch):
+        # families made to call their true slacks violations, which the
+        # oracle re-derives: each row's Finding names the comparison, the
+        # trial's alpha, split, slack, seed and trial, and its instance
+        import alphaperm.suites as suites
+        from alphaperm.matrices import dumps_matrix, matrix_digest
+        lieb, marcus = suites.check_lieb, suites.check_marcus
+
+        def violated(r):
+            return dataclasses.replace(r, verdict=VIOLATED)
+
+        monkeypatch.setattr(suites, "check_lieb",
+                            lambda A, m, tol=0.0: violated(lieb(A, m, tol)))
+        monkeypatch.setattr(suites, "check_marcus", lambda A, a, tol=0.0: [
+            violated(r) if r.name == "marcus-upper" else r
+            for r in marcus(A, a, tol)])
+        n_max, seed = 3, 7
+        by = {oc.name: oc for oc in run_inequality_suite(
+            n_max=n_max, trials=2, seed=seed)}
+        expect = {"lieb": [], "marcus-upper": []}
+        for t in range(2):
+            A = suites._trial_psd(n_max, seed, t)
+            expect["lieb"] += [(None, m, lieb(A, m).slack, t)
+                               for m in range(1, A.n)]
+            expect["marcus-upper"] += [
+                (str(a), None, marcus(A, a)[0].slack, t)
+                for a in alpha_set_for("theorem2", A.n, seed, t)]
+        for name, rows in expect.items():
+            assert by[name].passed == 0 and by[name].total == len(rows)
+            assert len(by[name].findings) == len(rows)
+            for f, (alpha, split, slack, t) in zip(by[name].findings, rows):
+                A = suites._trial_psd(n_max, seed, t)
+                assert (f.record, f.name, f.alpha, f.split, f.slack, f.seed,
+                        f.trial) == ("violation", name, alpha, split,
+                                     str(slack), seed, t)
+                assert f.sha256 == matrix_digest(A)
+                assert f.matrix == dumps_matrix(A)
+
     def test_min_slack_nonnegative_in_regime(self):
         outcomes = run_inequality_suite(n_max=5, trials=6, seed=8)
         for oc in outcomes:
