@@ -47,8 +47,14 @@ lieb_type_minors, check_lieb and check_fischer from sign_minors(A, +1) and
 sign_minors(A, -1) up to n = 10 (above, from Ryser and Bareiss), and
 shape_averages sums block products over the partitions of every shape in
 one shape-keyed partition DP (partitions.shape_partition_sums) on the
-table's ring(). check_marcus calls per_alpha_dp, which reads the full-set
-entry of a kept table and otherwise runs a full-set DP. The oracle
+table's ring(). An exact table's entry T is an integer carrying base^|T|,
+so the whole set and the block product of a split both carry base^n:
+_table_compare decides lieb, fischer, lieb-alpha, neg-block and
+neg-nonneg on the sign of one integer (Gaussian-integer) difference and
+makes lhs, rhs and slack as Fractions over base^n, with no scalar
+product. Float tables go through compare. check_marcus calls
+per_alpha_dp, which reads the full-set entry of a kept table and
+otherwise runs a full-set DP. The oracle
 _naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
 walk over the block's permutations. The hunter and the inequality suite
 keep one dict of polynomials per trial, so each block of an instance is
@@ -67,9 +73,9 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
@@ -118,8 +124,7 @@ EQUALITY = "equality"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     name: str
     lhs: object
     rhs: object
@@ -215,33 +220,77 @@ def _signed(x, k: int):
 _SPLIT_TABLE_MAX_N = 10
 
 
-def _split_values(A: Matrix, m: int, sign: int) -> tuple:
-    """per (sign +1) or det (sign -1) of A and of its blocks A', A'' at the
-    split m: up to _SPLIT_TABLE_MAX_N read from sign_minors(A, sign), which
-    A keeps for every split, above it by Ryser or Bareiss."""
+def _table_compare(name, table, whole_sign, low, high, block_sign,
+                   direction, hyp) -> ComparisonResult:
+    """compare(name, whole_sign * table[-1], block_sign * table[low] *
+    table[high], direction), with rhs 0 when low is None, decided on the
+    integers of the exact table. Entry T carries base^|T|, so the whole set
+    and the block product both carry base^n: the verdict is the sign of one
+    integer difference, and lhs, rhs and slack are its three Fractions over
+    base^n. An imaginary part of the whole entry or of the block product
+    raises ArithmeticError, as compare does."""
+    values, imag = table.values, table.imag
+    den = table.base ** (len(values).bit_length() - 1)
+    whole = whole_sign * values[-1]
+    if imag is not None and imag[-1]:
+        raise ArithmeticError("imaginary residue %s in a real quantity"
+                              % Fraction(whole_sign * imag[-1], den))
+    if low is None:
+        block = 0
+    else:
+        block = values[low] * values[high]
+        if imag is not None:
+            im_low, im_high = imag[low], imag[high]
+            block_im = values[low] * im_high + im_low * values[high]
+            if block_im:
+                raise ArithmeticError(
+                    "imaginary residue %s in a real quantity"
+                    % Fraction(block_sign * block_im, den))
+            block -= im_low * im_high
+        block *= block_sign
+    diff = whole - block if direction == ">=" else block - whole
+    verdict = EQUALITY if diff == 0 else (HOLDS if diff > 0 else VIOLATED)
+    return ComparisonResult(name, Fraction(whole, den), Fraction(block, den),
+                            direction, Fraction(diff, den), verdict,
+                            "exact", 0.0, hyp)
+
+
+def _split_check(name, A: Matrix, m: int, sign: int, direction,
+                 tol) -> ComparisonResult:
+    """per (sign +1) or det (sign -1) of A against the product of those of
+    its blocks A', A'' at the split m: up to _SPLIT_TABLE_MAX_N from
+    sign_minors(A, sign), which A keeps for every split, above it by Ryser
+    or Bareiss."""
     n = A.n
     low, high = split_masks(n, m)
     if n > _SPLIT_TABLE_MAX_N:
         value = permanent if sign == 1 else determinant
-        return value(A), value(submatrix(A, low)), value(submatrix(A, high))
+        return compare(name, value(A),
+                       value(submatrix(A, low)) * value(submatrix(A, high)),
+                       direction, tol)
     minors = sign_minors(A, sign)
+    if kind_is_exact(A.kind):
+        # entry T of the sign -1 table is (-1)^|T| det(A[T]), and the
+        # block signs (-1)^m (-1)^(n-m) multiply to (-1)^n
+        sign_n = sign ** n
+        return _table_compare(name, minors, sign_n, low, high, sign_n,
+                              direction, None)
     if sign == 1:
-        return minors[-1], minors[low], minors[high]
-    # entry T of the sign -1 table is (-1)^|T| det(A[T])
-    return (_signed(minors[-1], n), _signed(minors[low], m),
-            _signed(minors[high], n - m))
+        return compare(name, minors[-1], minors[low] * minors[high],
+                       direction, tol)
+    return compare(name, _signed(minors[-1], n),
+                   _signed(minors[low], m) * _signed(minors[high], n - m),
+                   direction, tol)
 
 
 def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
     """Lieb's inequality per(A) >= per(A') per(A'') at the split m."""
-    whole, low, high = _split_values(A, m, 1)
-    return compare("lieb", whole, low * high, ">=", tol)
+    return _split_check("lieb", A, m, 1, ">=", tol)
 
 
 def check_fischer(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
     """Fischer's inequality det(A) <= det(A') det(A'') at the split m."""
-    whole, low, high = _split_values(A, m, -1)
-    return compare("fischer", whole, low * high, "<=", tol)
+    return _split_check("fischer", A, m, -1, "<=", tol)
 
 
 def check_haf_per(A: Matrix, tol=0.0) -> ComparisonResult:
@@ -277,15 +326,27 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     pos, neg, half = lieb_type_minors(A, alpha)
+    exact = kind_is_exact(A.kind)
     sign_n = -1 if n % 2 else 1
     if m is None:
-        out = [compare("neg-nonneg", sign_n * neg[-1], 0, ">=", tol, hyp)]
+        if exact:
+            out = [_table_compare("neg-nonneg", neg, sign_n, None, None, 1,
+                                  ">=", hyp)]
+        else:
+            out = [compare("neg-nonneg", sign_n * neg[-1], 0, ">=", tol,
+                           hyp)]
         if half is not None:
-            scaled = pos[-1] * (Fraction(1, 2 ** n) if kind_is_exact(A.kind)
-                                else 0.5 ** n)
+            scaled = pos[-1] * (Fraction(1, 2 ** n) if exact else 0.5 ** n)
             out.append(compare("half-scaled", half, scaled, ">=", tol, hyp))
         return out
     low, high = split_masks(n, m)
+    if exact:
+        # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
+        return [
+            _table_compare("lieb-alpha", pos, 1, low, high, 1, ">=", hyp),
+            _table_compare("neg-block", neg, sign_n, low, high, sign_n,
+                           "<=", hyp),
+        ]
     sign_m = -1 if m % 2 else 1
     sign_nm = -1 if (n - m) % 2 else 1
     return [
@@ -453,8 +514,7 @@ def merge_pairs(n: int) -> list:
 # findings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One hunter observation, self-contained enough to replay."""
     name: str
     record: str
@@ -468,7 +528,7 @@ class Finding:
     timestamp: str = None  # left None so outputs stay byte-identical
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json.dumps(self._asdict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "Finding":
@@ -608,8 +668,7 @@ HUNT_TARGETS = ("marcus", "lieb", "fischer", "haf-per", "lieb-type",
 SPLIT_TARGETS = ("lieb", "fischer", "lieb-type")
 
 
-@dataclass(frozen=True)
-class HuntConfig:
+class HuntConfig(NamedTuple):
     targets: tuple = ("marcus",)
     n: int = 5
     trials: int = 1000
@@ -665,8 +724,7 @@ def _hunt_alpha(text) -> Fraction:
                                 % (text,)) from None
 
 
-@dataclass
-class HuntResult:
+class HuntResult(NamedTuple):
     config: HuntConfig
     trials: int
     findings: list

@@ -18,7 +18,6 @@ inequalities.make_finding once the oracle has re-derived it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -68,13 +67,15 @@ from .scalars import exact_real, to_float_scalar
 import random as _random
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    passed: int = 0
-    total: int = 0
-    min_slack: object = None     # (slack, trial) or None
-    findings: list = field(default_factory=list)
+    """One check's tally over a suite's trials."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = 0
+        self.total = 0
+        self.min_slack = None     # (slack, trial) or None
+        self.findings = []
 
     def absorb(self, ok: bool):
         self.total += 1

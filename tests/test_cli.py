@@ -489,6 +489,20 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "False"
 
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # the records are named tuples: importing the package pulls in
+        # neither dataclasses nor what they import (inspect, ast, dis)
+        code = (
+            "import sys\n"
+            "import alphaperm.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect')\n"
+            "             if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
                         reason="no built-in _sha256 module")
     def test_finding_digests_do_not_load_openssl(self, tmp_path):

@@ -35,8 +35,10 @@ from alphaperm.inequalities import (
     shape_averages,
     sign_minors,
     _real_value,
+    _table_compare,
 )
 from alphaperm.kernels import (
+    ScaledTable,
     cycle_sum_table,
     determinant,
     hafnian,
@@ -64,7 +66,11 @@ from alphaperm.partitions import (
     enumerate_shape_partitions,
     shape_partition_count,
 )
-from alphaperm.scalars import GaussianRational, to_float_scalar
+from alphaperm.scalars import (
+    COMPLEX_RATIONAL,
+    GaussianRational,
+    to_float_scalar,
+)
 
 F = Fraction
 G = GaussianRational
@@ -436,6 +442,124 @@ class TestLiebType:
             copy = submatrix(A, full_mask(A.n))
             assert check_lieb_type(copy, m, alpha) == expect
         assert lieb_type_minors(A, alpha) is minors
+
+
+def _typed(r):
+    """A comparison with the types of its fields."""
+    return r, [type(x) for x in r]
+
+
+def _outcome(call):
+    """_typed(call()), or the message of the ArithmeticError it raises."""
+    try:
+        r = call()
+    except ArithmeticError as e:
+        return "raises", str(e)
+    return _typed(r)
+
+
+@st.composite
+def _gaussian_tables(draw):
+    """(table, m): an exact complex table whose whole entry and split-m
+    block product are real although the two blocks are not. The high
+    entry is t conj(low entry) up to the bases, so I[low] I[high] is part
+    of the product's real part; poison then puts an imaginary part on the
+    whole entry or on the block product, or leaves the table alone."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n - 1))
+    size = 1 << n
+    ints = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
+    values, imag = draw(ints), draw(ints)
+    low, high = split_masks(n, m)
+    t = draw(st.integers(-4, 4).filter(bool))
+    values[high], imag[high], imag[-1] = t * values[low], -t * imag[low], 0
+    poison = draw(st.sampled_from([None, "whole", "block"]))
+    if poison == "whole":
+        imag[-1] = draw(st.integers(-9, 9).filter(bool))
+    elif poison == "block":
+        imag[high] += 1
+    return ScaledTable(COMPLEX_RATIONAL, draw(st.integers(1, 6)), values,
+                       imag), m
+
+
+class TestTableCompare:
+    """The table comparisons decided on the tables' integers equal compare
+    on the converted entries: the same fields of the same types, or the
+    same ArithmeticError."""
+
+    @given(_psd_instances(), _memo_alphas)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_compare_of_submatrix_dps(self, A, alpha):
+        n = A.n
+        for m in (None, *range(1, n)):
+            assert list(map(_typed, check_lieb_type(A, m, alpha))) \
+                == list(map(_typed, _lieb_type_by_submatrices(A, m, alpha)))
+        whole = submatrix(A, full_mask(n))
+        for m in range(1, n):
+            blocks = (whole, *(submatrix(A, T) for T in split_masks(n, m)))
+            per = [per_alpha_dp(B, F(1)) for B in blocks]
+            det = [(-1) ** B.n * per_alpha_dp(B, F(-1)) for B in blocks]
+            assert _typed(check_lieb(A, m)) == _typed(
+                compare("lieb", per[0], per[1] * per[2], ">="))
+            assert _typed(check_fischer(A, m)) == _typed(
+                compare("fischer", det[0], det[1] * det[2], "<="))
+
+    @given(_gaussian_tables(), st.sampled_from([1, -1]),
+           st.sampled_from([1, -1]), st.sampled_from([">=", "<="]),
+           st.sampled_from([None, False, True]))
+    @settings(max_examples=200, deadline=None)
+    def test_gaussian_entries_equal_compare(self, drawn, whole_sign,
+                                            block_sign, direction, hyp):
+        table, m = drawn
+        n = len(table).bit_length() - 1
+        low, high = split_masks(n, m)
+        whole = whole_sign * table[-1]
+        assert _outcome(lambda: _table_compare(
+            "x", table, whole_sign, low, high, block_sign, direction, hyp)) \
+            == _outcome(lambda: compare(
+                "x", whole, block_sign * (table[low] * table[high]),
+                direction, 0.0, hyp))
+        assert _outcome(lambda: _table_compare(
+            "x", table, whole_sign, None, None, 1, direction, hyp)) \
+            == _outcome(lambda: compare("x", whole, 0, direction, 0.0, hyp))
+
+    @pytest.mark.parametrize("where", ["whole", "block"])
+    def test_poisoned_imaginary_part_raises(self, where):
+        A = random_psd(4, HERMITIAN, 3, seed=2)
+        alpha = F(3, 2)
+        pos, neg, _ = lieb_type_minors(A, alpha)
+        low, _ = split_masks(4, 1)
+        for table in (pos, neg, sign_minors(A, 1), sign_minors(A, -1)):
+            table.imag = [0] * len(table)
+            table.imag[-1 if where == "whole" else low] = 1
+        calls = [lambda: check_lieb_type(A, 1, alpha),
+                 lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)]
+        if where == "whole":
+            calls.append(lambda: check_lieb_type(A, None, alpha))
+        for call in calls:
+            with pytest.raises(ArithmeticError, match="imaginary residue"):
+                call()
+
+    def test_no_gaussian_rational_arithmetic(self, monkeypatch):
+        # once a Hermitian instance keeps its tables, every comparison of
+        # their entries runs on integers
+        A = random_psd(5, HERMITIAN, 3, seed=4)
+        alpha = F(7, 5)
+        lieb_type_minors(A, alpha)
+        sign_minors(A, 1)
+        sign_minors(A, -1)
+
+        def forbidden(self, other):
+            raise AssertionError("GaussianRational arithmetic")
+
+        for name in ("__mul__", "__rmul__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(GaussianRational, name, forbidden)
+        results = check_lieb_type(A, None, alpha)
+        for m in range(1, 5):
+            results += [*check_lieb_type(A, m, alpha), check_lieb(A, m),
+                        check_fischer(A, m)]
+        assert len(results) == 17
+        assert {(r.mode, r.tol) for r in results} == {("exact", 0.0)}
 
 
 class TestMarcus:
@@ -1069,7 +1193,6 @@ class TestOneRecordPerObservation:
         # every lieb comparison reported violated, with its true slack: the
         # oracle confirms each, and an n = 3 trial walks A once for both
         # splits
-        import dataclasses
         import alphaperm.inequalities as ineq
         import alphaperm.suites as suites
         from alphaperm.suites import run_inequality_suite
@@ -1082,7 +1205,7 @@ class TestOneRecordPerObservation:
             return polynomial(A, cap)
 
         def violated(A, m, tol=0.0):
-            return dataclasses.replace(lieb(A, m, tol), verdict=VIOLATED)
+            return lieb(A, m, tol)._replace(verdict=VIOLATED)
 
         monkeypatch.setattr(ineq, "_naive_cycle_polynomial", counting)
         monkeypatch.setattr(suites, "check_lieb", violated)

@@ -1,6 +1,5 @@
 """Identity and inequality suite drivers: coverage, determinism, jobs."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -176,8 +175,8 @@ class TestInequalitySuite:
         lieb = suites.check_lieb
 
         def poisoned(A, m, tol=0.0):
-            return dataclasses.replace(lieb(A, m, tol), slack=Fraction(-1),
-                                       verdict=VIOLATED)
+            return lieb(A, m, tol)._replace(slack=Fraction(-1),
+                                            verdict=VIOLATED)
 
         monkeypatch.setattr(suites, "check_lieb", poisoned)
         with pytest.raises(OracleMismatch, match="lieb at trial 0"):
@@ -192,7 +191,7 @@ class TestInequalitySuite:
         lieb, marcus = suites.check_lieb, suites.check_marcus
 
         def violated(r):
-            return dataclasses.replace(r, verdict=VIOLATED)
+            return r._replace(verdict=VIOLATED)
 
         monkeypatch.setattr(suites, "check_lieb",
                             lambda A, m, tol=0.0: violated(lieb(A, m, tol)))
