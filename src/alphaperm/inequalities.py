@@ -23,13 +23,17 @@ Checked families on a PSD A with unit split A' = A[{0..m-1}], A'' = A[rest]:
 
 The alpha-indexed families are proved for alpha a nonnegative integer or
 alpha >= n-1 (exactly when binom(alpha, k) >= 0 for all k <= n, see
-binomials_nonnegative). For 1 <= alpha < n-1 lieb-alpha, half-scaled and
-the marcus bounds are conjectured; neg-nonneg and neg-block are not, as
-both fail at some such alpha on the all-ones matrix J_n, which is PSD of
-rank 1: (-1)^n per_{-alpha}(J_n) = alpha (alpha-1) ... (alpha-n+1) is
-negative when an odd number of its factors are (neg-nonneg at n = 3,
-alpha = 3/2; neg-block at n = 4, alpha = 13/10). Outside the proven
-regime the hunter records neg-nonneg as sign data, not as a gate.
+binomials_nonnegative). For 1 <= alpha < n-1 lieb-alpha, half-scaled,
+marcus-upper and marcus-half are conjectured. The chain marcus-upper,
+marcus-lower at alpha >= 1 is proven only for n <= 5, the paper's 5 x 5
+check (check_marcus's hypothesis flag); its lower link fails at n = 6
+and n = 8 on the all-ones matrix J_n, which is PSD of rank 1 (J_6 at
+alpha = 5/4: slack -425/1024). neg-nonneg and neg-block are not
+conjectured either, as both fail at some such alpha on J_n:
+(-1)^n per_{-alpha}(J_n) = alpha (alpha-1) ... (alpha-n+1) is negative
+when an odd number of its factors are (neg-nonneg at n = 3, alpha = 3/2;
+neg-block at n = 4, alpha = 13/10). Outside the proven regime the hunter
+records neg-nonneg as sign data, not as a gate.
 
 Shape averages: for a partition shape of n and sign s in {+1, -1},
 
@@ -52,9 +56,16 @@ so the whole set and the block product of a split both carry base^n:
 _table_compare decides lieb, fischer, lieb-alpha, neg-block and
 neg-nonneg on the sign of one integer (Gaussian-integer) difference and
 makes lhs, rhs and slack as Fractions over base^n, with no scalar
-product. Float tables go through compare. check_marcus calls
-per_alpha_dp, which reads the full-set entry of a kept table and
-otherwise runs a full-set DP. The oracle
+product. Float tables go through compare. Exact check_marcus and
+check_neg_positivity read no table: per_alpha(A) = sum over k of
+alpha^k c_k(A), and A keeps the integers L^n c_k(A) from one graded
+partition recursion over its cycle table (partitions.cycle_polynomial).
+At alpha = p/q, sum over k of L^n c_k p^k q^(n-k) is (q L)^n per_alpha(A);
+-q in place of q gives (q L)^n (-1)^n per_{-alpha}(A), 2q gives
+(2 q L)^n per_{alpha/2}(A), and p^n L^n c_n is (q L)^n alpha^n prod a_ii.
+So each verdict is the sign of one integer difference, and the three
+Fractions are made by the same helper as _table_compare's. Float A
+compares per_alpha_dp's values. The oracle
 _naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
 walk over the block's permutations. The hunter and the inequality suite
 keep one dict of polynomials per trial, so each block of an instance is
@@ -89,6 +100,7 @@ from .kernels import (
     per_alpha_dp,
     per_alpha_minors,
     permanent,
+    require_alpha_kind,
 )
 from .matrices import (
     HERMITIAN,
@@ -104,7 +116,11 @@ from .matrices import (
     submatrix,
     text_digest,
 )
-from .partitions import shape_partition_count, shape_partition_sums
+from .partitions import (
+    cycle_polynomial,
+    shape_partition_count,
+    shape_partition_sums,
+)
 from .scalars import (
     GaussianRational,
     as_scalar,
@@ -232,27 +248,39 @@ def _table_compare(name, table, whole_sign, low, high, block_sign,
     values, imag = table.values, table.imag
     den = table.base ** (len(values).bit_length() - 1)
     whole = whole_sign * values[-1]
-    if imag is not None and imag[-1]:
-        raise ArithmeticError("imaginary residue %s in a real quantity"
-                              % Fraction(whole_sign * imag[-1], den))
+    if imag is not None:
+        _real_residue(whole_sign * imag[-1], den)
     if low is None:
         block = 0
     else:
         block = values[low] * values[high]
         if imag is not None:
             im_low, im_high = imag[low], imag[high]
-            block_im = values[low] * im_high + im_low * values[high]
-            if block_im:
-                raise ArithmeticError(
-                    "imaginary residue %s in a real quantity"
-                    % Fraction(block_sign * block_im, den))
+            _real_residue(block_sign * (values[low] * im_high
+                                        + im_low * values[high]), den)
             block -= im_low * im_high
         block *= block_sign
-    diff = whole - block if direction == ">=" else block - whole
+    return _exact_result(name, whole, block, den, direction, hyp)
+
+
+def _exact_result(name, lhs: int, rhs: int, den: int, direction,
+                  hyp) -> ComparisonResult:
+    """compare(name, lhs / den, rhs / den, direction) for integers lhs and
+    rhs over one positive den: the verdict is the sign of the integer
+    difference, and lhs, rhs and slack are three Fractions over den."""
+    diff = lhs - rhs if direction == ">=" else rhs - lhs
     verdict = EQUALITY if diff == 0 else (HOLDS if diff > 0 else VIOLATED)
-    return ComparisonResult(name, Fraction(whole, den), Fraction(block, den),
+    return ComparisonResult(name, Fraction(lhs, den), Fraction(rhs, den),
                             direction, Fraction(diff, den), verdict,
                             "exact", 0.0, hyp)
+
+
+def _real_residue(imag: int, den: int) -> None:
+    """Raise compare's ArithmeticError for a nonzero imaginary part
+    imag / den of a quantity that must be real."""
+    if imag:
+        raise ArithmeticError("imaginary residue %s in a real quantity"
+                              % Fraction(imag, den))
 
 
 def _split_check(name, A: Matrix, m: int, sign: int, direction,
@@ -357,11 +385,47 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
     ]
 
 
+def _homogeneous(c: list, p: int, q: int) -> int:
+    """sum over k of c[k] p^k q^(n-k), n = len(c) - 1."""
+    n = len(c) - 1
+    total = c[n]
+    q_pow = 1
+    for k in range(n - 1, -1, -1):
+        q_pow *= q
+        total = total * p + c[k] * q_pow
+    return total
+
+
+def _cycle_polynomial_at(A: Matrix, alpha) -> tuple:
+    """(p, q, den, at) for an exact A and alpha = p/q. With c the integers
+    of A's cycle polynomial and L their base (partitions.cycle_polynomial),
+    den = (q L)^n and at(x, y) = _homogeneous(c, x, y), after raising
+    compare's ArithmeticError when the same sum over c's imaginary parts
+    is nonzero. So over den, at(p, q) is per_alpha(A), at(p, -q) is
+    (-1)^n per_{-alpha}(A) and at(p, 0) = p^n c_n is alpha^n prod a_ii;
+    over 2^n den, at(p, 2q) is per_{alpha/2}(A)."""
+    p, q = require_alpha_kind(A, alpha).as_integer_ratio()
+    L, c, c_imag = cycle_polynomial(A)
+    den = (q * L) ** A.n
+
+    def at(x, y):
+        if c_imag is not None:
+            _real_residue(_homogeneous(c_imag, x, y), den)
+        return _homogeneous(c, x, y)
+
+    return p, q, den, at
+
+
 def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
-    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split."""
+    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split. An exact
+    A decides it on its cycle polynomial's integers, as marcus-lower's
+    rhs."""
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
+    if kind_is_exact(A.kind):
+        p, q, den, at = _cycle_polynomial_at(A, alpha)
+        return _exact_result("neg-nonneg", at(p, -q), 0, den, ">=", hyp)
     sign_n = -1 if n % 2 else 1
     return compare("neg-nonneg", sign_n * per_alpha_dp(A, -alpha), 0,
                    ">=", tol, hyp)
@@ -371,14 +435,29 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     """Diagonal chain per_a(A) >= a^n prod a_ii >= (-1)^n per_{-a}(A),
     plus the half-strength lower bound on real matrices.
 
-    The three values are full-set DPs (per_alpha_dp), or the full-set
-    entries of the Lieb-type tables when A already keeps them.
+    An exact A evaluates its cycle polynomial at a, -a and a/2 in
+    integers: each verdict is the sign of one integer difference against
+    p^n c_n (a = p/q), and lhs, rhs and slack are Fractions over (q L)^n,
+    or (2 q L)^n for marcus-half. An imaginary part raises ArithmeticError
+    in compare's order. A float A compares full-set DPs (per_alpha_dp).
     """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
+    if kind_is_exact(A.kind):
+        p, q, den, at = _cycle_polynomial_at(A, alpha)
+        # in compare's order: per_a, a^n prod a_ii, (-1)^n per_{-a}
+        upper, mid, lower = at(p, q), at(p, 0), at(p, -q)
+        out = [
+            _exact_result("marcus-upper", upper, mid, den, ">=", hyp_chain),
+            _exact_result("marcus-lower", mid, lower, den, ">=", hyp_chain),
+        ]
+        if _is_real_kind(A):
+            out.append(_exact_result("marcus-half", at(p, 2 * q), mid,
+                                     2 ** n * den, ">=", hyp))
+        return out
     per_a = per_alpha_dp(A, alpha)
     per_na = per_alpha_dp(A, -alpha)
     half = per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None
@@ -779,10 +858,6 @@ def _needs_alpha(target: str) -> bool:
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
     """Yield (comparison, split, gated) triples for all configured targets."""
     n = A.n
-    if "lieb-type" in cfg.targets:
-        # built first, so marcus reads their full-set entries whatever the
-        # target order; marcus alone runs three full-set DPs instead
-        lieb_type_minors(A, alpha)
     for target in cfg.targets:
         if target == "marcus":
             for r in check_marcus(A, alpha):

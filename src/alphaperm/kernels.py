@@ -39,8 +39,10 @@ integers rescaled to a common base, so no other module reads its lists.
 
 A keeps these tables, built on first use by kept(A, key, build): the cycle
 table, and per alpha_key the minors table and per_alpha_dp's value; A also
-keeps the DP's weighted cycle sums per q (below). The oracle, Ryser,
-Bareiss and the hafnian neither read nor fill them.
+keeps the DP's weighted cycle sums per q (below), and the integer cycle
+polynomial that partitions.cycle_polynomial builds from the cycle table
+for exact check_marcus and check_neg_positivity at every alpha. The
+oracle, Ryser, Bareiss and the hafnian neither read nor fill them.
 
 per_alpha_dp reads only the full-set entry. f(full) reads f only on the
 subsets of {1..n-1}, so it fills those (the masks without bit 0, in

@@ -2,13 +2,19 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaperm.errors import CapacityError, DomainError, ScalarFormatError
+from alphaperm.errors import (
+    CapacityError,
+    DomainError,
+    MixedModeError,
+    ScalarFormatError,
+)
 from alphaperm.inequalities import (
     EQUALITY,
     HOLDS,
@@ -34,13 +40,16 @@ from alphaperm.inequalities import (
     replay_finding,
     shape_averages,
     sign_minors,
+    _naive_slack,
     _real_value,
     _table_compare,
 )
 from alphaperm.kernels import (
     ScaledTable,
+    _naive_cycle_polynomial,
     cycle_sum_table,
     determinant,
+    diagonal_product,
     hafnian,
     per_alpha_dp,
     per_alpha_minors,
@@ -63,6 +72,7 @@ from alphaperm.matrices import (
     submatrix,
 )
 from alphaperm.partitions import (
+    cycle_polynomial,
     enumerate_shape_partitions,
     shape_partition_count,
 )
@@ -605,6 +615,136 @@ class TestMarcus:
                 assert rs[0].ok and rs[1].ok
 
 
+_poly_alphas = st.one_of(
+    _memo_alphas, st.builds(F, st.integers(-20, 20), st.integers(3, 12)))
+
+# a PSD instance of either exact kind at n = 1..6, or an empty one
+_exact_instances = st.one_of(
+    _psd_instances(max_n=6),
+    st.sampled_from(["rational", COMPLEX_RATIONAL]).map(
+        lambda kind: Matrix([], kind=kind)))
+
+
+def _marcus_by_dps(A, alpha):
+    """check_marcus and check_neg_positivity, as functions giving their
+    results, recomputed as compare on per_alpha_dp of a fresh copy of A,
+    which keeps no tables."""
+    n = A.n
+    B = Matrix(A.rows, kind=A.kind)
+    hyp = binomials_nonnegative(alpha, n)
+    hyp_chain = hyp or (alpha >= 1 and n <= 5)
+    diag = diagonal_product(B)
+    mid = alpha ** n * diag
+    sign_n = (-1) ** n
+
+    def marcus():
+        out = [compare("marcus-upper", per_alpha_dp(B, alpha), mid, ">=",
+                       0.0, hyp_chain),
+               compare("marcus-lower", mid, sign_n * per_alpha_dp(B, -alpha),
+                       ">=", 0.0, hyp_chain)]
+        if A.kind == "rational":
+            out.append(compare("marcus-half", per_alpha_dp(B, alpha / 2),
+                               (alpha / 2) ** n * diag, ">=", 0.0, hyp))
+        return list(map(_typed, out))
+
+    def neg_positivity():
+        return _typed(compare("neg-nonneg", sign_n * per_alpha_dp(B, -alpha),
+                              0, ">=", 0.0, hyp))
+
+    return marcus, neg_positivity
+
+
+class TestMarcusPolynomial:
+    """Exact check_marcus and check_neg_positivity read A's integer cycle
+    polynomial, kept on A; they equal compare on per_alpha_dp's values."""
+
+    @given(_exact_instances, _poly_alphas)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_compare_of_full_set_dps(self, A, alpha):
+        marcus, neg_positivity = _marcus_by_dps(A, alpha)
+        assert list(map(_typed, check_marcus(A, alpha))) == marcus()
+        assert _typed(check_neg_positivity(A, alpha)) == neg_positivity()
+
+    @given(_exact_instances)
+    @settings(max_examples=60, deadline=None)
+    def test_kept_polynomial_is_the_oracles_times_L_to_the_n(self, A):
+        L, c, c_imag = cycle_polynomial(A)
+        assert L == cycle_sum_table(A).base
+        assert cycle_polynomial(A) is cycle_polynomial(A)
+        assert c_imag is None   # a Hermitian A's cycle sums are real
+        assert c == [x * L ** A.n for x in _naive_cycle_polynomial(A)]
+
+    # non-Hermitian complex input: per_a imaginary; per_a real but
+    # a^n prod a_ii not (alpha = 1); both real but (-1)^n per_{-a} not
+    # (alpha = 1); and a cycle table with imaginary parts whose values
+    # are real
+    _NON_HERMITIAN = [
+        [[G(1, 1), G(2)], [G(0, 3), G(1)]],
+        [[G(0, 1), G(1)], [G(0, -1), G(1)]],
+        [[G(1), G(1), G(0)], [G(0, 1), G(1), G(1)], [G(0, -1), G(0), G(1)]],
+        [[G(1), G(0, 1), G(0, -1)], [G(1), G(1), G(0)], [G(1), G(0), G(1)]],
+    ]
+
+    @pytest.mark.parametrize("rows", _NON_HERMITIAN)
+    def test_non_hermitian_input_raises_as_compare_does(self, rows):
+        A = Matrix(rows)
+        assert cycle_polynomial(A)[2] is not None
+        marcus, neg_positivity = _marcus_by_dps(A, F(1))
+        assert _outcome(lambda: list(map(_typed, check_marcus(A, F(1))))) \
+            == _outcome(marcus)
+        assert _outcome(lambda: _typed(check_neg_positivity(A, F(1)))) \
+            == _outcome(neg_positivity)
+
+    def test_non_hermitian_cases_raise_at_each_quantity(self):
+        # the cases above raise on per_a, on a^n prod a_ii and on
+        # (-1)^n per_{-a}; the last one does not raise
+        messages = []
+        for rows in self._NON_HERMITIAN:
+            try:
+                check_marcus(Matrix(rows), F(1))
+            except ArithmeticError as e:
+                messages.append(str(e))
+            else:
+                messages.append(None)
+        assert messages == ["imaginary residue 7 in a real quantity",
+                            "imaginary residue 1 in a real quantity",
+                            "imaginary residue -2 in a real quantity",
+                            None]
+
+    @given(st.integers(1, 4), st.integers(0, 10 ** 6), _poly_alphas)
+    @settings(max_examples=60, deadline=None)
+    def test_random_complex_input_equals_compare(self, n, seed, alpha):
+        rng = random.Random(seed)
+
+        def part():
+            return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+        A = Matrix([[G(part(), part()) for _ in range(n)] for _ in range(n)])
+        marcus, neg_positivity = _marcus_by_dps(A, alpha)
+        assert _outcome(lambda: list(map(_typed, check_marcus(A, alpha)))) \
+            == _outcome(marcus)
+        assert _outcome(lambda: _typed(check_neg_positivity(A, alpha))) \
+            == _outcome(neg_positivity)
+
+    def test_marcus_lower_fails_for_J6_and_J8(self):
+        # the chain at alpha >= 1 is proven only for n <= 5; the all-ones
+        # J_n breaks its lower link at n = 6 and n = 8, outside the regime
+        for n, slack in ((6, F(-425, 1024)), (8, F(-448775, 4096))):
+            J = Matrix([[F(1)] * n for _ in range(n)], real_symmetric=True)
+            alpha = F(5, 4)
+            r = {r.name: r for r in check_marcus(J, alpha)}["marcus-lower"]
+            assert (r.verdict, r.slack, r.hypothesis) \
+                == (VIOLATED, slack, False)
+            assert r.lhs == alpha ** n
+            assert _naive_slack("marcus-lower", J, alpha, None) == slack
+
+    def test_mixed_mode_alpha_is_rejected(self):
+        A = random_psd(3, REAL_SYMMETRIC, 3, seed=1)
+        for call in (check_marcus, check_neg_positivity):
+            with pytest.raises(MixedModeError):
+                call(A, 1.5)
+
+
 def _set_partitions(items):
     """Every set partition of items, as lists of blocks."""
     if not items:
@@ -1020,17 +1160,21 @@ class TestHunt:
     @pytest.mark.parametrize("targets", [("lieb-type",),
                                          ("marcus", "lieb-type"),
                                          ("lieb-type", "marcus"),
-                                         ("marcus",)])
+                                         ("marcus",),
+                                         ("marcus", "neg-positivity")])
     def test_one_cycle_table_per_trial(self, monkeypatch, targets):
-        # one cycle table and one DP per alpha in {a, -a, a/2}, shared by
-        # both families; a/2 is only read on real input. lieb-type reads
-        # whole tables at a and -a, and only the full set at a/2; marcus
-        # alone reads only full sets
-        import alphaperm.inequalities as ineq
+        # one cycle table per trial. lieb-type runs one DP per alpha in
+        # {a, -a, a/2}: whole tables at a and -a, the full set at a/2, which
+        # only real input reads. marcus and neg-positivity run no DP: they
+        # read one cycle polynomial, a graded recursion on the full set's
+        # index sets
         import alphaperm.kernels as kernels
+        import alphaperm.partitions as partitions
         built = []
         runs = []
+        graded = []
         table, dp = kernels._cycle_sums, kernels._principal_dp
+        sums = partitions.graded_partition_sums
 
         def counting_table(A):
             built.append(A.n)
@@ -1040,19 +1184,27 @@ class TestHunt:
             runs.append((alpha, full_set))
             return dp(A, alpha, C, full_set=full_set)
 
+        def counting_sums(f, n, masks=None):
+            graded.append(n)
+            return sums(f, n, masks)
+
         monkeypatch.setattr(kernels, "_cycle_sums", counting_table)
         monkeypatch.setattr(kernels, "_principal_dp", counting_dp)
+        monkeypatch.setattr(partitions, "graded_partition_sums", counting_sums)
         alpha = Fraction(1)     # trial 0 takes the low end of the range
         for kind in (REAL_SYMMETRIC, HERMITIAN):
             built.clear()
             runs.clear()
+            graded.clear()
             hunt(HuntConfig(targets=targets, n=5, trials=1, seed=6,
                             kind=kind))
             assert built == [5]
-            full_set = "lieb-type" not in targets
-            expect = [(alpha, full_set), (-alpha, full_set)]
-            if kind == REAL_SYMMETRIC:
-                expect.append((alpha / 2, True))
+            assert graded == ([5] if "marcus" in targets else [])
+            expect = []
+            if "lieb-type" in targets:
+                expect = [(alpha, False), (-alpha, False)]
+                if kind == REAL_SYMMETRIC:
+                    expect.append((alpha / 2, True))
             assert runs == expect
 
     def test_findings_build_no_extra_matrices(self, monkeypatch):

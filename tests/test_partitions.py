@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
-from alphaperm.kernels import hafnian, per_alpha_dp, permanent
+from alphaperm.kernels import _dp_masks, hafnian, per_alpha_dp, permanent
 from alphaperm.matrices import (
     Matrix,
     doubled,
@@ -184,6 +184,41 @@ class TestGradedPartitionSums:
         for T in range(1 << n):
             for g, w, s in zip(got[T], want[T], scale[T]):
                 assert abs(g - w) <= 1e-12 * (1 + s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6),
+           ring=st.sampled_from(sorted(_RING_ENTRIES) + ["complex"]),
+           full_set=st.booleans())
+    def test_skipped_zero_terms_change_no_bit(self, data, n, ring, full_set):
+        # the recursion with every term f(S) P[T - S][k-1] added, including
+        # those with P[T - S][0] = 0, gives the same values and types, and
+        # the same signed zeros on floats
+        entry = _RING_ENTRIES.get(ring) or st.builds(
+            complex, st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+            st.sampled_from([0.0, -0.0, 0.5, -3.0]))
+        if ring == "float":
+            entry = st.one_of(entry, st.sampled_from([0.0, -0.0]))
+        f = [None] + data.draw(st.lists(entry, min_size=(1 << n) - 1,
+                                        max_size=(1 << n) - 1))
+        masks = list(_dp_masks(n, full_set)) if full_set else None
+        P = [[1]] + [None] * ((1 << n) - 1)
+        for mask in range(1, 1 << n) if masks is None else masks:
+            lowbit = mask & -mask
+            rest = mask ^ lowbit
+            row = [0] * (mask.bit_count() + 1)
+            s = rest
+            while True:
+                for k, v in enumerate(P[rest ^ s]):
+                    row[k + 1] += f[lowbit | s] * v
+                if s == 0:
+                    break
+                s = (s - 1) & rest
+            P[mask] = row
+        got = graded_partition_sums(f, n, masks)
+        assert [None if row is None else [(type(x), repr(x)) for x in row]
+                for row in got] \
+            == [None if row is None else [(type(x), repr(x)) for x in row]
+                for row in P]
 
     def test_pinned_counts(self):
         # f = 1 counts partitions: the full-set row is Stirling's row
