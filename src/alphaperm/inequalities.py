@@ -43,29 +43,26 @@ Shape averages: for a partition shape of n and sign s in {+1, -1},
 where per_{+1} is the permanent and per_{-1}(B) = (-1)^{dim B} det(B).
 check_majorization_step compares p on shapes related by merging two parts.
 
-Blocks come from principal-minor tables (kernels.per_alpha_minors, each a
-kernels.ScaledTable), one subset DP per alpha for all of A's index sets,
-which A keeps (see Matrix): check_lieb_type reads every split, and the
-whole matrix once (neg-nonneg, half-scaled: split None), from
-lieb_type_minors, check_lieb and check_fischer from sign_minors(A, +1) and
-sign_minors(A, -1) up to n = 10 (above, from Ryser and Bareiss), and
-shape_averages sums block products over the partitions of every shape in
-one shape-keyed partition DP (partitions.shape_partition_sums) on the
-table's ring(). An exact table's entry T is an integer carrying base^|T|,
-so the whole set and the block product of a split both carry base^n:
-_table_compare decides lieb, fischer, lieb-alpha, neg-block and
-neg-nonneg on the sign of one integer (Gaussian-integer) difference and
-makes lhs, rhs and slack as Fractions over base^n, with no scalar
-product. Float tables go through compare. Exact check_marcus and
-check_neg_positivity read no table: per_alpha(A) = sum over k of
-alpha^k c_k(A), and A keeps the integers L^n c_k(A) from one graded
-partition recursion over its cycle table (partitions.cycle_polynomial).
-At alpha = p/q, sum over k of L^n c_k p^k q^(n-k) is (q L)^n per_alpha(A);
--q in place of q gives (q L)^n (-1)^n per_{-alpha}(A), 2q gives
-(2 q L)^n per_{alpha/2}(A), and p^n L^n c_n is (q L)^n alpha^n prod a_ii.
-So each verdict is the sign of one integer difference, and the three
-Fractions are made by the same helper as _table_compare's. Float A
-compares per_alpha_dp's values. The oracle
+Every exact alpha-family (check_lieb_type, check_marcus,
+check_neg_positivity) reads one source, the cycle polynomials A keeps
+(partitions.cycle_polynomials): per_alpha(A[T]) = sum over k of
+alpha^k c_k(A[T]), kept as the integers L^|T| c_k(A[T]). At alpha = p/q,
+sum over k of L^|T| c_k p^k q^(|T|-k) is (q L)^|T| per_alpha(A[T]), and
+-p in place of p gives (q L)^|T| per_{-alpha}(A[T]): the integers the
+minors tables at alpha and -alpha would hold. Over (q L)^n, -q in place
+of q gives (-1)^n per_{-alpha}(A), and p^n L^n c_n is alpha^n prod a_ii;
+over (2 q L)^n, 2q gives per_{alpha/2}(A). check_lieb and check_fischer
+read sign_minors(A, +1) and sign_minors(A, -1) (kernels.per_alpha_minors,
+one subset DP each, kept on A) up to n = 10, above it Ryser and Bareiss,
+and shape_averages sums their block products over the partitions of
+every shape in one shape-keyed partition DP
+(partitions.shape_partition_sums) on the tables' ring(). An integer
+entry of T carries base^|T|, so the whole set and a split's block
+product both carry base^n: _table_compare decides lieb, fischer,
+lieb-alpha and neg-block on the sign of one integer (Gaussian-integer)
+difference, _exact_result the whole-matrix comparisons, and both make
+lhs, rhs and slack as Fractions over one denominator. Float A reads the
+minors tables and per_alpha_dp, and goes through compare. The oracle
 _naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
 walk over the block's permutations. The hunter and the inequality suite
 keep one dict of polynomials per trial, so each block of an instance is
@@ -92,7 +89,6 @@ from .errors import AlphaPermError, DomainError, ScalarFormatError
 from .kernels import (
     _polynomial_at,
     _naive_cycle_polynomial,
-    alpha_key,
     determinant,
     diagonal_product,
     hafnian,
@@ -117,7 +113,7 @@ from .matrices import (
     text_digest,
 )
 from .partitions import (
-    cycle_polynomial,
+    cycle_polynomials,
     shape_partition_count,
     shape_partition_sums,
 )
@@ -236,31 +232,23 @@ def _signed(x, k: int):
 _SPLIT_TABLE_MAX_N = 10
 
 
-def _table_compare(name, table, whole_sign, low, high, block_sign,
-                   direction, hyp) -> ComparisonResult:
-    """compare(name, whole_sign * table[-1], block_sign * table[low] *
-    table[high], direction), with rhs 0 when low is None, decided on the
-    integers of the exact table. Entry T carries base^|T|, so the whole set
-    and the block product both carry base^n: the verdict is the sign of one
-    integer difference, and lhs, rhs and slack are its three Fractions over
-    base^n. An imaginary part of the whole entry or of the block product
+def _table_compare(name, whole, low, high, den: int, sign: int, direction,
+                   hyp) -> ComparisonResult:
+    """compare(name, sign * whole, sign * low * high, direction) on the
+    integer entries (value, imaginary part or None) of the whole set and
+    of a split's two blocks, which all carry den: the verdict is the sign
+    of one integer difference, and lhs, rhs and slack are its Fractions
+    over den. An imaginary part of the whole entry or of the block product
     raises ArithmeticError, as compare does."""
-    values, imag = table.values, table.imag
-    den = table.base ** (len(values).bit_length() - 1)
-    whole = whole_sign * values[-1]
-    if imag is not None:
-        _real_residue(whole_sign * imag[-1], den)
-    if low is None:
-        block = 0
-    else:
-        block = values[low] * values[high]
-        if imag is not None:
-            im_low, im_high = imag[low], imag[high]
-            _real_residue(block_sign * (values[low] * im_high
-                                        + im_low * values[high]), den)
-            block -= im_low * im_high
-        block *= block_sign
-    return _exact_result(name, whole, block, den, direction, hyp)
+    value, imag = whole
+    _real_residue(sign * (imag or 0), den)
+    (a, b), (c, d) = low, high
+    block = a * c
+    if b is not None:
+        _real_residue(sign * (a * d + b * c), den)
+        block -= b * d
+    return _exact_result(name, sign * value, sign * block, den, direction,
+                         hyp)
 
 
 def _exact_result(name, lhs: int, rhs: int, den: int, direction,
@@ -300,8 +288,9 @@ def _split_check(name, A: Matrix, m: int, sign: int, direction,
     if kind_is_exact(A.kind):
         # entry T of the sign -1 table is (-1)^|T| det(A[T]), and the
         # block signs (-1)^m (-1)^(n-m) multiply to (-1)^n
-        sign_n = sign ** n
-        return _table_compare(name, minors, sign_n, low, high, sign_n,
+        entries = [(minors.values[T], minors.imag and minors.imag[T])
+                   for T in (-1, low, high)]
+        return _table_compare(name, *entries, minors.base ** n, sign ** n,
                               direction, None)
     if sign == 1:
         return compare(name, minors[-1], minors[low] * minors[high],
@@ -335,46 +324,42 @@ def _is_real_kind(A: Matrix) -> bool:
     return A.kind in ("rational", "float")
 
 
-def lieb_type_minors(A: Matrix, alpha) -> tuple:
-    """What check_lieb_type reads at every split of A, kept on A: the
-    principal-minor tables of per_alpha and per_{-alpha}, and
-    per_{alpha/2}(A) on real matrices (None otherwise)."""
-    alpha = _real_alpha(alpha)
-    return kept(A, ("lieb-type", alpha_key(alpha)), lambda: (
-        per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha),
-        per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None))
-
-
 def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
     """The Lieb-type families at a given alpha: at the split m, lieb-alpha
     and neg-block; with m None, the comparisons of the whole matrix,
-    neg-nonneg and, on real matrices (half-scaled needs real entries),
-    half-scaled. Every call reads the tables lieb_type_minors(A, alpha)
-    keeps on A."""
+    neg-nonneg (check_neg_positivity) and, on real matrices (half-scaled
+    needs real entries), half-scaled. An exact A reads its kept cycle
+    polynomials (_cycle_polynomial_at); a float A reads the minors tables
+    at alpha and -alpha, and per_alpha_dp at alpha/2."""
+    alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
-    pos, neg, half = lieb_type_minors(A, alpha)
-    exact = kind_is_exact(A.kind)
-    sign_n = -1 if n % 2 else 1
     if m is None:
-        if exact:
-            out = [_table_compare("neg-nonneg", neg, sign_n, None, None, 1,
-                                  ">=", hyp)]
+        out = [check_neg_positivity(A, alpha, tol)]
+        if not _is_real_kind(A):
+            return out
+        if kind_is_exact(A.kind):
+            # over 2^n den: per_{a/2}(A) against 2^-n per_a(A)
+            p, q, den, at = _cycle_polynomial_at(A, alpha)
+            out.append(_exact_result("half-scaled", at(p, 2 * q)[0],
+                                     at(p, q)[0], 2 ** n * den, ">=", hyp))
         else:
-            out = [compare("neg-nonneg", sign_n * neg[-1], 0, ">=", tol,
-                           hyp)]
-        if half is not None:
-            scaled = pos[-1] * (Fraction(1, 2 ** n) if exact else 0.5 ** n)
-            out.append(compare("half-scaled", half, scaled, ">=", tol, hyp))
+            out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2),
+                               per_alpha_minors(A, alpha)[-1] * 0.5 ** n,
+                               ">=", tol, hyp))
         return out
     low, high = split_masks(n, m)
-    if exact:
+    sign_n = -1 if n % 2 else 1
+    if kind_is_exact(A.kind):
         # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
+        p, q, den, at = _cycle_polynomial_at(A, alpha)
         return [
-            _table_compare("lieb-alpha", pos, 1, low, high, 1, ">=", hyp),
-            _table_compare("neg-block", neg, sign_n, low, high, sign_n,
-                           "<=", hyp),
+            _table_compare("lieb-alpha", at(p, q), at(p, q, low),
+                           at(p, q, high), den, 1, ">=", hyp),
+            _table_compare("neg-block", at(-p, q), at(-p, q, low),
+                           at(-p, q, high), den, sign_n, "<=", hyp),
         ]
+    pos, neg = per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha)
     sign_m = -1 if m % 2 else 1
     sign_nm = -1 if (n - m) % 2 else 1
     return [
@@ -397,38 +382,45 @@ def _homogeneous(c: list, p: int, q: int) -> int:
 
 
 def _cycle_polynomial_at(A: Matrix, alpha) -> tuple:
-    """(p, q, den, at) for an exact A and alpha = p/q. With c the integers
-    of A's cycle polynomial and L their base (partitions.cycle_polynomial),
-    den = (q L)^n and at(x, y) = _homogeneous(c, x, y), after raising
-    compare's ArithmeticError when the same sum over c's imaginary parts
-    is nonzero. So over den, at(p, q) is per_alpha(A), at(p, -q) is
-    (-1)^n per_{-alpha}(A) and at(p, 0) = p^n c_n is alpha^n prod a_ii;
-    over 2^n den, at(p, 2q) is per_{alpha/2}(A)."""
+    """(p, q, den, at) for an exact A and alpha = p/q: den = (q L)^n,
+    with L the base of A's cycle polynomials, and at(x, y, T) the integer
+    entry (value, imaginary part or None) _homogeneous(row(T), x, y), T
+    the full set when left out. The module docstring says what each
+    (x, y) gives."""
     p, q = require_alpha_kind(A, alpha).as_integer_ratio()
-    L, c, c_imag = cycle_polynomial(A)
-    den = (q * L) ** A.n
+    base, gaussian, _, rows = polynomials = cycle_polynomials(A)
+    den = (q * base) ** A.n
 
-    def at(x, y):
-        if c_imag is not None:
-            _real_residue(_homogeneous(c_imag, x, y), den)
-        return _homogeneous(c, x, y)
+    def at(x, y, mask=-1):
+        z = _homogeneous(rows[mask] or polynomials.row(mask), x, y)
+        return (int(z.re), int(z.im)) if gaussian else (z, None)
 
     return p, q, den, at
 
 
+def _real(entry: tuple, den: int) -> int:
+    """The value of an integer entry (value, imaginary part or None) over
+    den, after raising compare's ArithmeticError on an imaginary part."""
+    value, imag = entry
+    if imag is not None:
+        _real_residue(imag, den)
+    return value
+
+
 def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
-    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split. An exact
-    A decides it on its cycle polynomial's integers, as marcus-lower's
-    rhs."""
+    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split: an exact
+    A decides it on its cycle polynomial's integers, a float A reads the
+    minors table at -alpha that neg-block reads."""
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     if kind_is_exact(A.kind):
         p, q, den, at = _cycle_polynomial_at(A, alpha)
-        return _exact_result("neg-nonneg", at(p, -q), 0, den, ">=", hyp)
+        return _exact_result("neg-nonneg", _real(at(p, -q), den), 0, den,
+                             ">=", hyp)
     sign_n = -1 if n % 2 else 1
-    return compare("neg-nonneg", sign_n * per_alpha_dp(A, -alpha), 0,
-                   ">=", tol, hyp)
+    return compare("neg-nonneg", sign_n * per_alpha_minors(A, -alpha)[-1],
+                   0, ">=", tol, hyp)
 
 
 def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
@@ -449,13 +441,13 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     if kind_is_exact(A.kind):
         p, q, den, at = _cycle_polynomial_at(A, alpha)
         # in compare's order: per_a, a^n prod a_ii, (-1)^n per_{-a}
-        upper, mid, lower = at(p, q), at(p, 0), at(p, -q)
+        upper, mid, lower = (_real(at(p, y), den) for y in (q, 0, -q))
         out = [
             _exact_result("marcus-upper", upper, mid, den, ">=", hyp_chain),
             _exact_result("marcus-lower", mid, lower, den, ">=", hyp_chain),
         ]
         if _is_real_kind(A):
-            out.append(_exact_result("marcus-half", at(p, 2 * q), mid,
+            out.append(_exact_result("marcus-half", at(p, 2 * q)[0], mid,
                                      2 ** n * den, ">=", hyp))
         return out
     per_a = per_alpha_dp(A, alpha)

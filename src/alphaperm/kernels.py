@@ -26,10 +26,10 @@ Two independent algorithms compute per_alpha:
 
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
 per_alpha of every principal submatrix A[T]. per_alpha_minors keeps that
-table. The inequality families read their blocks from it: the two blocks
-of every split in the Lieb-type checks, and the blocks of every set
-partition in the shape averages, where per_{+1} and per_{-1} stand in for
-Ryser and Bareiss; so do the expansion formulas in partitions.
+table. Lieb, Fischer and the shape averages read their blocks from it at
+alpha = +-1, where per_{+1} and per_{-1} stand in for Ryser and Bareiss,
+and float Lieb-type checks at every alpha; so do the expansion formulas
+in partitions.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps
@@ -38,11 +38,11 @@ the integer lane below); its ring method hands the partition DPs the same
 integers rescaled to a common base, so no other module reads its lists.
 
 A keeps these tables, built on first use by kept(A, key, build): the cycle
-table, and per alpha_key the minors table and per_alpha_dp's value; A also
-keeps the DP's weighted cycle sums per q (below), and the integer cycle
-polynomial that partitions.cycle_polynomial builds from the cycle table
-for exact check_marcus and check_neg_positivity at every alpha. The
-oracle, Ryser, Bareiss and the hafnian neither read nor fill them.
+table, per alpha_key the minors table and per_alpha_dp's value, and the
+integer cycle polynomials that partitions.cycle_polynomials builds from
+the cycle table, which exact check_lieb_type, check_marcus and
+check_neg_positivity read at every alpha. The oracle, Ryser, Bareiss and
+the hafnian neither read nor fill them.
 
 per_alpha_dp reads only the full-set entry. f(full) reads f only on the
 subsets of {1..n-1}, so it fills those (the masks without bit 0, in
@@ -80,8 +80,7 @@ it, so no kernel clears the same matrix twice.
   * for alpha = p/q, weighting cycle S by q^(|S|-1) keeps the subset DP
     integral, g(T) = p * sum over S of q^(|S|-1) C_B(S) g(T minus S), and
     per_alpha(A[T]) = g(T) / (q L)^|T|: per_alpha_dp divides once at the
-    end, and the minors table keeps the integers g(T) (base q L). A keeps
-    the weighted sums of each q, which alpha and -alpha share;
+    end, and the minors table keeps the integers g(T) (base q L);
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
@@ -334,32 +333,22 @@ class ScaledTable(Sequence):
     every entry is real. Float tables hold the floats themselves, with
     base 1. Indexing converts entry T to a scalar of the table's kind,
     from_scaled(base^|T|, values[T], imag[T]); a None entry (the cycle
-    table's entry 0) stays None. The full-set entry is converted once, on
-    first read.
+    table's entry 0) stays None.
     """
 
-    __slots__ = ("kind", "base", "values", "imag", "_full")
+    __slots__ = ("kind", "base", "values", "imag")
 
     def __init__(self, kind: str, base: int, values: list, imag):
         self.kind = kind
         self.base = base
         self.values = values
         self.imag = imag
-        self._full = None
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, mask: int):
-        size = len(self.values)
-        mask = range(size)[mask]
-        if mask != size - 1:
-            return self._entry(mask)
-        if self._full is None:
-            self._full = self._entry(mask)
-        return self._full
-
-    def _entry(self, mask: int):
+        mask = range(len(self.values))[mask]
         value = self.values[mask]
         if value is None or self.kind in FLOAT_KINDS:
             return value
@@ -491,25 +480,19 @@ def _cycle_sums(A: Matrix) -> ScaledTable:
     return ScaledTable(A.kind, L, values, imag if any(imag[1:]) else None)
 
 
-def _weights(A: Matrix, C: ScaledTable, q: int) -> tuple:
-    """(values, imag) of A's exact cycle table C with entry S multiplied
-    by q^(|S|-1), the weights of the DP at alpha = p/q. A keeps them per
-    q, so alpha and -alpha weigh the table once; no cap is checked, as C
-    was built under the caller's."""
+def _weights(C: ScaledTable, q: int) -> tuple:
+    """(values, imag) of an exact cycle table C with entry S multiplied by
+    q^(|S|-1), the weights of the DP at alpha = p/q."""
     if q == 1:
         return C.values, C.imag
-    got = A._tables.get(("weights", q))
-    if got is None:
-        size = len(C)
-        q_pow = [q ** k for k in range(size.bit_length() - 1)]
+    size = len(C)
+    q_pow = [q ** k for k in range(size.bit_length() - 1)]
 
-        def weigh(values):
-            return [0] + [q_pow[m.bit_count() - 1] * values[m]
-                          for m in range(1, size)]
+    def weigh(values):
+        return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                      for m in range(1, size)]
 
-        got = A._tables["weights", q] = (
-            weigh(C.values), None if C.imag is None else weigh(C.imag))
-    return got
+    return weigh(C.values), None if C.imag is None else weigh(C.imag)
 
 
 def kept(A: Matrix, key, build, cap=None):
@@ -612,7 +595,7 @@ def _principal_dp(A: Matrix, alpha, C: ScaledTable,
         return ScaledTable(A.kind, 1, g, None)
     # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral.
     q, [[p]], p_imag = clear_denominators([[alpha]])
-    wr, wi = _weights(A, C, q)
+    wr, wi = _weights(C, q)
     base = q * C.base
     if wi is None and p_imag is None:
         return ScaledTable(A.kind, base, _subset_dp(wr, p, n, masks), None)

@@ -28,9 +28,10 @@ graded_partition_sums sums the block products over the k-block partitions
 of every T, by the anchored recursion of fast subset convolution
 (Bjorklund, Husfeldt, Kaski, Koivisto 2007); the sum formula is an m-fold
 subset convolution, O(m 3^n). On kernels.cycle_sum_table, over the index
-sets the full-set DP walks, the same recursion gives cycle_polynomial:
-per_alpha(A) = sum over k of alpha^k c_k(A), c_k(A) summing prod C(B)
-over the k-block partitions, for every alpha at once.
+sets the full-set DP walks, the same recursion gives cycle_polynomials:
+per_alpha(A[T]) = sum over k of alpha^k c_k(A[T]), c_k summing prod C(B)
+over the k-block partitions of T, for every alpha at once, for the full
+set and every T without element 0, and for any other T in one more step.
 shape_partition_sums runs the same recursion keyed by block shape, for
 the shape averages of inequalities. Both run on table.ring(): exact
 entries stay in the kernels' integers, entry T carrying base^|T|, so a
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import NamedTuple
 
 from .errors import DomainError
 from .kernels import (
@@ -205,22 +207,28 @@ def graded_partition_sums(f, n: int, masks=None) -> list:
     S = T. With masks, only those index sets are filled, in
     kernels._dp_masks order, and the others stay None.
     """
-    size = 1 << n
-    P = [[1]] + [None] * (size - 1)
-    for mask in range(1, size) if masks is None else masks:
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        row = [0] * (mask.bit_count() + 1)
-        row[1] += f[mask]
-        s = (rest - 1) & rest
-        while s != rest:
-            w = f[lowbit | s]
-            Q = P[rest ^ s]
-            for k in range(1, len(Q)):
-                row[k + 1] += w * Q[k]
-            s = (s - 1) & rest
-        P[mask] = row
+    P = [[1]] + [None] * ((1 << n) - 1)
+    for mask in range(1, 1 << n) if masks is None else masks:
+        P[mask] = _graded_row(f, P, mask)
     return P
+
+
+def _graded_row(f, P, mask: int) -> list:
+    """Row mask of graded_partition_sums from the rows P already holds:
+    those of the index sets mask - S, for S subseteq mask with min(mask)
+    in S."""
+    lowbit = mask & -mask
+    rest = mask ^ lowbit
+    row = [0] * (mask.bit_count() + 1)
+    row[1] += f[mask]
+    s = (rest - 1) & rest
+    while s != rest:
+        w = f[lowbit | s]
+        Q = P[rest ^ s]
+        for k in range(1, len(Q)):
+            row[k + 1] += w * Q[k]
+        s = (s - 1) & rest
+    return row
 
 
 def shape_partition_sums(f, n: int) -> dict:
@@ -254,20 +262,33 @@ def shape_partition_sums(f, n: int) -> dict:
     return P[-1]
 
 
-def cycle_polynomial(A: Matrix) -> tuple:
-    """(L, c, c_imag) for an exact A: c[k] = L^n c_k(A), where c_k(A) sums
-    prod over blocks B of C(B) over the k-block partitions of the index
-    set, so per_alpha(A) = sum over k of alpha^k c_k(A) and c_n(A) is
-    prod_i a_ii. L is the base of A's cycle table, whose entry B carries
-    L^|B|, and c_imag holds the imaginary parts (None when the table keeps
-    none, as for Hermitian A).
+class CyclePolynomials(NamedTuple):
+    """A's cycle polynomials, kept by cycle_polynomials: row(T)[k] is
+    L^|T| c_k(A[T]), where c_k(A[T]) sums prod over blocks B of C(B) over
+    the k-block partitions of T, so per_alpha(A[T]) = sum over k of
+    alpha^k c_k(A[T]). L (base) is the base of A's cycle table and f its
+    entries: ints, or GaussianRationals with integer parts when the table
+    keeps imaginary parts (gaussian; never for Hermitian A), as are the
+    rows. rows holds the rows of the index sets the full-set DP walks;
+    any other row T is built on first read from those, as T - S never
+    holds element 0.
+    """
+    base: int
+    gaussian: bool
+    f: list
+    rows: list
 
-    One graded recursion over the cycle table, on the index sets the
-    full-set DP walks, gives the polynomial for every alpha; A keeps it.
-    Its (3^(n-2) (2n - 5) + 1)/4 + 2^(n-1) + (n-1) 2^(n-2) multiply-adds
-    (n >= 2) are about (2n - 5)/6 times the subset pairs of one full-set
-    DP; at one alpha per matrix it beats the three DPs of real
-    check_marcus up to about n = 7 and the two of complex up to n = 6.
+    def row(self, mask: int) -> list:
+        row = self.rows[mask]
+        if row is None:
+            row = self.rows[mask] = _graded_row(self.f, self.rows, mask)
+        return row
+
+
+def cycle_polynomials(A: Matrix) -> CyclePolynomials:
+    """A's CyclePolynomials, which A keeps. The build makes
+    (3^(n-2) (2n - 5) + 1)/4 + 2^(n-1) + (n-1) 2^(n-2) multiply-adds
+    (n >= 2), about (2n - 5)/6 times the subset pairs of one full-set DP.
     """
     def build():
         n = A.n
@@ -276,11 +297,8 @@ def cycle_polynomial(A: Matrix) -> tuple:
         if C.imag is not None:
             f = [None] + [GaussianRational(x, y)
                           for x, y in zip(f[1:], C.imag[1:])]
-        row = graded_partition_sums(f, n, _dp_masks(n, full_set=True))[-1]
-        if C.imag is None:
-            return C.base, row, None
-        row[0] = GaussianRational(0)    # the int 0, as n >= 1 here
-        return C.base, [int(z.re) for z in row], [int(z.im) for z in row]
+        rows = graded_partition_sums(f, n, _dp_masks(n, full_set=True))
+        return CyclePolynomials(C.base, C.imag is not None, f, rows)
 
     return kept(A, "cycle-polynomial", build)
 

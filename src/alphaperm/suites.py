@@ -17,6 +17,7 @@ inequalities.make_finding once the oracle has re-derived it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -218,15 +219,19 @@ def _identity_trial(n_max: int, seed: int, float_mode: bool, tol: float,
                 _exact_eq(per_alpha_dp(Ef, af / 2), half_formula_rhs(Ef, af),
                           tol, float_mode)))
 
-    # the shape DP on unit weights counts the set partitions of each shape
-    n = 1 + t % 8
-    counts = shape_partition_sums([1] * (1 << n), n)
-    ok = (all(c == shape_partition_count(n, s) for s, c in counts.items())
-          and all(sum(c for s, c in counts.items() if len(s) == k)
-                  == stirling2(n, k) for k in range(1, n + 1))
-          and sum(counts.values()) == bell_number(n))
-    out.append(("partition-counts", ok))
+    out.append(("partition-counts", _partition_counts_hold(1 + t % 8)))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_counts_hold(n: int) -> bool:
+    """The shape DP on unit weights counts the set partitions of each
+    shape of n. It reads no instance, so a process runs it once per n."""
+    counts = shape_partition_sums([1] * (1 << n), n)
+    return (all(c == shape_partition_count(n, s) for s, c in counts.items())
+            and all(sum(c for s, c in counts.items() if len(s) == k)
+                    == stirling2(n, k) for k in range(1, n + 1))
+            and sum(counts.values()) == bell_number(n))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from alphaperm.inequalities import (
     compare,
     evaluate_comparison,
     hunt,
-    lieb_type_minors,
     merge_pairs,
     p_shape,
     replay_finding,
@@ -72,7 +71,7 @@ from alphaperm.matrices import (
     submatrix,
 )
 from alphaperm.partitions import (
-    cycle_polynomial,
+    cycle_polynomials,
     enumerate_shape_partitions,
     shape_partition_count,
 )
@@ -267,7 +266,8 @@ _memo_alphas = st.one_of(
 
 # what a caller may build first; every order of them is drawn
 _WARM_UPS = {
-    "lieb-type": lambda A, alpha: lieb_type_minors(A, alpha),
+    "lieb-type": lambda A, alpha: [check_lieb_type(A, m, alpha)
+                                   for m in (None, *range(1, A.n))],
     "marcus": lambda A, alpha: check_marcus(A, alpha),
     "signs": lambda A, alpha: [sign_minors(A, s) for s in (1, -1)],
 }
@@ -444,14 +444,68 @@ class TestLiebType:
                                                          float_mode):
         if float_mode:
             A, alpha = A.to_float(), to_float_scalar(alpha)
-        minors = lieb_type_minors(A, alpha)
+
+        def kept():
+            # the minors tables at alpha and -alpha, or the polynomials
+            if float_mode:
+                return per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha)
+            return (cycle_polynomials(A),)
+
+        first = kept()
         for m in (None, *range(1, A.n)):
             expect = _lieb_type_by_submatrices(A, m, alpha)
             assert check_lieb_type(A, m, alpha) == expect
-            # a copy builds its own tables at its first split
+            # a copy builds its own tables or polynomials at its first split
             copy = submatrix(A, full_mask(A.n))
             assert check_lieb_type(copy, m, alpha) == expect
-        assert lieb_type_minors(A, alpha) is minors
+        assert all(x is y for x, y in zip(kept(), first))
+
+
+def _lieb_type_gate_failures(check):
+    """The (instance, alpha, split) cases, real and Hermitian at n = 2..5,
+    where check(A, m, alpha) is not _lieb_type_by_submatrices."""
+    failures = 0
+    for n in range(2, 6):
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            A = random_psd(n, kind, 3, seed=n)
+            for alpha in (F(13, 10), F(-7, 4), F(5, 2)):
+                for m in range(1, n):
+                    failures += check(A, m, alpha) \
+                        != _lieb_type_by_submatrices(A, m, alpha)
+    return failures
+
+
+class TestLiebTypeMutations:
+    """Broken copies of the polynomial reads fail the per-submatrix gate."""
+
+    def test_unbroken_code_passes(self):
+        assert _lieb_type_gate_failures(check_lieb_type) == 0
+
+    def test_prefix_row_on_the_wrong_mask_fails(self, monkeypatch):
+        # the row of {0..m-1} built as that of {0..m-2}
+        import inspect
+        import textwrap
+        import alphaperm.partitions as partitions
+        source = textwrap.dedent(inspect.getsource(
+            partitions.CyclePolynomials.row))
+        old = "_graded_row(self.f, self.rows, mask)"
+        assert old in source
+        namespace = dict(vars(partitions))
+        exec(source.replace(old, "_graded_row(self.f, self.rows, "
+                                 "mask >> 1 | 1)"), namespace)
+        monkeypatch.setattr(partitions.CyclePolynomials, "row",
+                            namespace["row"])
+        assert _lieb_type_gate_failures(check_lieb_type) > 0
+
+    def test_neg_at_minus_q_without_its_sign_fails(self):
+        # the sum at (p, -q) is (-1)^|T| that at (-p, q)
+        import inspect
+        import alphaperm.inequalities as ineq
+        source = inspect.getsource(ineq.check_lieb_type)
+        assert source.count("at(-p, q") == 3
+        namespace = dict(vars(ineq))
+        exec(source.replace("at(-p, q", "at(p, -q"), namespace)
+        assert _lieb_type_gate_failures(namespace["check_lieb_type"]) > 0
 
 
 def _typed(r):
@@ -515,33 +569,43 @@ class TestTableCompare:
                 compare("fischer", det[0], det[1] * det[2], "<="))
 
     @given(_gaussian_tables(), st.sampled_from([1, -1]),
-           st.sampled_from([1, -1]), st.sampled_from([">=", "<="]),
+           st.sampled_from([">=", "<="]),
            st.sampled_from([None, False, True]))
     @settings(max_examples=200, deadline=None)
-    def test_gaussian_entries_equal_compare(self, drawn, whole_sign,
-                                            block_sign, direction, hyp):
+    def test_gaussian_entries_equal_compare(self, drawn, sign, direction,
+                                            hyp):
         table, m = drawn
         n = len(table).bit_length() - 1
         low, high = split_masks(n, m)
-        whole = whole_sign * table[-1]
+
+        def entry(T):
+            return table.values[T], table.imag[T]
+
         assert _outcome(lambda: _table_compare(
-            "x", table, whole_sign, low, high, block_sign, direction, hyp)) \
+            "x", entry(-1), entry(low), entry(high), table.base ** n, sign,
+            direction, hyp)) \
             == _outcome(lambda: compare(
-                "x", whole, block_sign * (table[low] * table[high]),
+                "x", sign * table[-1], sign * (table[low] * table[high]),
                 direction, 0.0, hyp))
-        assert _outcome(lambda: _table_compare(
-            "x", table, whole_sign, None, None, 1, direction, hyp)) \
-            == _outcome(lambda: compare("x", whole, 0, direction, 0.0, hyp))
 
     @pytest.mark.parametrize("where", ["whole", "block"])
     def test_poisoned_imaginary_part_raises(self, where):
         A = random_psd(4, HERMITIAN, 3, seed=2)
         alpha = F(3, 2)
-        pos, neg, _ = lieb_type_minors(A, alpha)
         low, _ = split_masks(4, 1)
-        for table in (pos, neg, sign_minors(A, 1), sign_minors(A, -1)):
+        poisoned = -1 if where == "whole" else low
+        for table in (sign_minors(A, 1), sign_minors(A, -1)):
             table.imag = [0] * len(table)
-            table.imag[-1 if where == "whole" else low] = 1
+            table.imag[poisoned] = 1
+        # the polynomials' rows as Gaussian integers, one of them with an
+        # imaginary top coefficient: the sum at (+-p, q) is then not real
+        polynomials = cycle_polynomials(A)
+        polynomials.row(low)
+        rows = [None if row is None else [G(x) for x in row]
+                for row in polynomials.rows]
+        rows[poisoned][-1] += G(0, 1)
+        A._tables["cycle-polynomial"] = polynomials._replace(gaussian=True,
+                                                             rows=rows)
         calls = [lambda: check_lieb_type(A, 1, alpha),
                  lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)]
         if where == "whole":
@@ -555,7 +619,7 @@ class TestTableCompare:
         # their entries runs on integers
         A = random_psd(5, HERMITIAN, 3, seed=4)
         alpha = F(7, 5)
-        lieb_type_minors(A, alpha)
+        cycle_polynomials(A)
         sign_minors(A, 1)
         sign_minors(A, -1)
 
@@ -665,14 +729,27 @@ class TestMarcusPolynomial:
         assert list(map(_typed, check_marcus(A, alpha))) == marcus()
         assert _typed(check_neg_positivity(A, alpha)) == neg_positivity()
 
+    @staticmethod
+    def _rows_are_the_oracles(A):
+        # every row T, kept or built on its first read, is the oracle's
+        # cycle polynomial of A[T] times L^|T|
+        polynomials = cycle_polynomials(A)
+        L = polynomials.base
+        assert L == cycle_sum_table(A).base
+        assert cycle_polynomials(A) is polynomials
+        assert polynomials.row(0) == [1]
+        for T in range(1, 1 << A.n):
+            want = [x * L ** T.bit_count()
+                    for x in _naive_cycle_polynomial(submatrix(A, T))]
+            assert polynomials.row(T) == want
+            assert polynomials.row(T) is polynomials.rows[T]
+
     @given(_exact_instances)
     @settings(max_examples=60, deadline=None)
     def test_kept_polynomial_is_the_oracles_times_L_to_the_n(self, A):
-        L, c, c_imag = cycle_polynomial(A)
-        assert L == cycle_sum_table(A).base
-        assert cycle_polynomial(A) is cycle_polynomial(A)
-        assert c_imag is None   # a Hermitian A's cycle sums are real
-        assert c == [x * L ** A.n for x in _naive_cycle_polynomial(A)]
+        self._rows_are_the_oracles(A)
+        # a Hermitian A's cycle sums are real
+        assert not cycle_polynomials(A).gaussian
 
     # non-Hermitian complex input: per_a imaginary; per_a real but
     # a^n prod a_ii not (alpha = 1); both real but (-1)^n per_{-a} not
@@ -688,7 +765,7 @@ class TestMarcusPolynomial:
     @pytest.mark.parametrize("rows", _NON_HERMITIAN)
     def test_non_hermitian_input_raises_as_compare_does(self, rows):
         A = Matrix(rows)
-        assert cycle_polynomial(A)[2] is not None
+        assert cycle_polynomials(A).gaussian
         marcus, neg_positivity = _marcus_by_dps(A, F(1))
         assert _outcome(lambda: list(map(_typed, check_marcus(A, F(1))))) \
             == _outcome(marcus)
@@ -725,6 +802,12 @@ class TestMarcusPolynomial:
             == _outcome(marcus)
         assert _outcome(lambda: _typed(check_neg_positivity(A, alpha))) \
             == _outcome(neg_positivity)
+        # lieb-type reads Gaussian rows, prefix rows built on first read
+        self._rows_are_the_oracles(Matrix(A.rows))
+        for m in (None, *range(1, n)):
+            assert _outcome(lambda: list(map(_typed, check_lieb_type(
+                A, m, alpha)))) == _outcome(lambda: list(map(
+                    _typed, _lieb_type_by_submatrices(A, m, alpha))))
 
     def test_marcus_lower_fails_for_J6_and_J8(self):
         # the chain at alpha >= 1 is proven only for n <= 5; the all-ones
@@ -1161,13 +1244,13 @@ class TestHunt:
                                          ("marcus", "lieb-type"),
                                          ("lieb-type", "marcus"),
                                          ("marcus",),
-                                         ("marcus", "neg-positivity")])
+                                         ("marcus", "neg-positivity"),
+                                         ("lieb-type", "marcus",
+                                          "neg-positivity")])
     def test_one_cycle_table_per_trial(self, monkeypatch, targets):
-        # one cycle table per trial. lieb-type runs one DP per alpha in
-        # {a, -a, a/2}: whole tables at a and -a, the full set at a/2, which
-        # only real input reads. marcus and neg-positivity run no DP: they
-        # read one cycle polynomial, a graded recursion on the full set's
-        # index sets
+        # one cycle table and one cycle polynomial build per trial, a
+        # graded recursion on the full set's index sets, and no subset DP:
+        # every alpha-family reads the polynomials
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions
         built = []
@@ -1199,13 +1282,33 @@ class TestHunt:
             hunt(HuntConfig(targets=targets, n=5, trials=1, seed=6,
                             kind=kind))
             assert built == [5]
-            assert graded == ([5] if "marcus" in targets else [])
-            expect = []
-            if "lieb-type" in targets:
-                expect = [(alpha, False), (-alpha, False)]
-                if kind == REAL_SYMMETRIC:
-                    expect.append((alpha / 2, True))
-            assert runs == expect
+            assert graded == [5]
+            assert runs == []
+
+    def test_only_lieb_type_fills_prefix_rows(self, monkeypatch):
+        # the polynomials' rows are those the full-set DP walks; lieb-type
+        # adds each prefix block {0..m-1} once, marcus and neg-positivity
+        # none
+        import alphaperm.kernels as kernels
+        import alphaperm.partitions as partitions
+        filled = []
+        row = partitions._graded_row
+
+        def spy(f, P, mask):
+            filled.append(mask)
+            return row(f, P, mask)
+
+        monkeypatch.setattr(partitions, "_graded_row", spy)
+        walked = list(kernels._dp_masks(5, full_set=True))
+        prefixes = [(1 << m) - 1 for m in range(1, 5)]
+        for targets, extra in ((("marcus",), []),
+                               (("marcus", "neg-positivity"), []),
+                               (("lieb-type", "marcus"), prefixes)):
+            for kind in (REAL_SYMMETRIC, HERMITIAN):
+                filled.clear()
+                hunt(HuntConfig(targets=targets, n=5, trials=2, seed=6,
+                                kind=kind, alpha_lo="1/2", alpha_hi="3"))
+                assert sorted(filled) == sorted(2 * (walked + extra))
 
     def test_findings_build_no_extra_matrices(self, monkeypatch):
         # the merge reads each trial's matrix text from its chunk; only
@@ -1370,17 +1473,17 @@ class TestOneRecordPerObservation:
 class TestInequalityTrial:
     def test_one_table_pair_per_instance(self, monkeypatch):
         # trial 3 is an n = 5 real instance: one cycle table, one DP per
-        # alpha key the families read (the two sign tables, a and -a, and
-        # a/2 where no table at a/2 is kept), one shape-average build per
-        # sign, and Ryser only inside check_haf_per
+        # sign table (alpha = +1 and -1) and no other, one cycle polynomial
+        # build for the seven alphas, one shape-average build per sign, and
+        # Ryser only inside check_haf_per
         import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions
         import alphaperm.suites as suites
         from alphaperm.suites import alpha_set_for
 
-        calls = {"table": [], "dp": [], "averages": [], "ryser": [],
-                 "bareiss": []}
+        calls = {"table": [], "dp": [], "graded": [], "averages": [],
+                 "ryser": [], "bareiss": []}
         inside_haf_per = []
 
         def counting(key, original, note=lambda *a, **kw: None):
@@ -1400,6 +1503,9 @@ class TestInequalityTrial:
             "_principal_dp": counting("dp", originals["_principal_dp"],
                                       lambda A, alpha, C, full_set=False:
                                       (alpha, full_set)),
+            "graded_partition_sums": counting(
+                "graded", partitions.graded_partition_sums,
+                lambda f, n, masks=None: n),
             "permanent": counting("ryser", originals["permanent"],
                                   lambda *a, **kw: bool(inside_haf_per)),
             "determinant": counting("bareiss", originals["determinant"]),
@@ -1425,12 +1531,11 @@ class TestInequalityTrial:
                                                "majorization-per",
                                                "majorization-det"}
         assert calls["table"] == [5]
-        alphas = alpha_set_for("theorem2", 5, 0, 3)
-        whole = {Fraction(1), Fraction(-1)} | {a for alpha in alphas
-                                               for a in (alpha, -alpha)}
-        halves = {alpha / 2 for alpha in alphas} - whole
-        assert sorted(calls["dp"]) == sorted(
-            [(a, False) for a in whole] + [(a, True) for a in halves])
+        assert len(alpha_set_for("theorem2", 5, 0, 3)) == 7
+        # the sign tables; every alpha-family reads the one polynomial
+        assert sorted(calls["dp"]) == [(Fraction(-1), False),
+                                       (Fraction(1), False)]
+        assert calls["graded"] == [5]
         assert calls["averages"] == [1, -1]
         assert calls["ryser"] == [True]
         assert calls["bareiss"] == []

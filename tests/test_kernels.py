@@ -699,24 +699,22 @@ class TestFullSetDP:
         assert cycle_sum_table(A) is table
 
     def test_weights_built_once_per_q_in_any_order(self):
-        # A keeps the DP's weights per q: alpha and -alpha share them, and
-        # alpha/2 in between does not make -alpha weigh the table again
+        # the DP's weights at q: entry S of the cycle table times
+        # q^(|S|-1), alpha and -alpha alike, the table itself at q = 1
         A = random_matrix(4, "complex-rational", seed=2)
         C = cycle_sum_table(A)
-        alpha = F(5, 3)
-        built = {}
-        for a in (alpha, alpha / 2, alpha, -alpha):
-            per_alpha_minors(A, a)
-            q = a.denominator
-            weights = A._tables["weights", q]
-            assert built.setdefault(q, weights) is weights
-        assert sorted(built) == [3, 6]
-        assert sorted(k[1] for k in A._tables if k[0] == "weights") == [3, 6]
-        for q, (values, imag) in built.items():
+        assert kernels._weights(C, 1) == (C.values, C.imag)
+        for q in (3, 6):
+            values, imag = kernels._weights(C, q)
             for m in range(1, 16):
                 # entry S is q^(|S|-1) C_B(S), with C_B(S) = L^|S| C_A(S)
                 C_B = C.base ** m.bit_count() * C[m]
                 assert G(values[m], imag[m]) == q ** (m.bit_count() - 1) * C_B
+        # A keeps the tables the DPs fill, not their weights
+        for a in (F(5, 3), F(5, 6), F(-5, 3)):
+            per_alpha_minors(A, a)
+        assert sorted(key[0] for key in A._tables if key != "cycle") == [
+            "full-set"] * 3 + ["minors"] * 3
 
     def test_weights_skip_the_default_cap(self, monkeypatch):
         # an explicit cap above the default lets the DP run: the weights
@@ -845,7 +843,7 @@ class TestPrincipalMinors:
         table = cycle_sum_table(A)
         assert per_alpha_minors(A, F(2)) is minors
         for t in (minors, table):
-            assert t[-1] is t[7]
+            assert repr(t[-1]) == repr(t[7])
             with pytest.raises(IndexError):
                 t[8]
             with pytest.raises(IndexError):

@@ -1,4 +1,4 @@
-"""Reference runs: four short CLI runs whose stdout, findings file and
+"""Reference runs: six short CLI runs whose stdout, findings file and
 .argmin.mat must stay byte-identical.
 
 Each run executes in a fresh directory with relative output paths, so the
@@ -54,6 +54,21 @@ REFERENCE_RUNS = {
         ["check", "--suite", "all", "--trials", "6", "--seed", "1"], 0, {
             "stdout": "6b28c39fc27b0ba17b897ae87125ff9c"
                       "491e329972d872a271c2b9ee3c0e808e"}),
+    # every exact alpha-family at once, with neg-positivity violations
+    "hunt-alpha-families": (
+        ["hunt", "--target", "lieb-type,marcus,neg-positivity", "--n", "6",
+         "--trials", "32", "--seed", "1", "--keep-smallest", "2"], 1, {
+            "stdout": "25a405fa61a17bbf4c38d973c1cd3f78"
+                      "8237d2768c4d6db6dd0fe0ab48ddc910",
+            "findings": "6d009b3eb5b137fd8f58e338bfc78eb6"
+                        "3d848d7e4adee44cb4640da6b9886f77",
+            "argmin": "252ca4a85b0066b0268a1220eb075032"
+                      "31c0421cb259ba5b3f7de11de4455b06"}),
+    "check-inequalities-float": (
+        ["check", "--suite", "inequalities", "--mode", "float", "--trials",
+         "6", "--seed", "1"], 0, {
+            "stdout": "f38c0153979fb73f98780a04bb687df2"
+                      "2f59d5d63ec732db5e89dae602200d85"}),
 }
 
 # the files a hunt writes with --out run.jsonl

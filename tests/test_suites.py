@@ -117,8 +117,14 @@ class TestIdentitySuite:
         exec(source.replace(old, new), namespace)
         monkeypatch.setattr(suites, "shape_partition_sums",
                             namespace["shape_partition_sums"])
+        # the row's verdict is kept per n and process: run the broken DP,
+        # and keep none of its verdicts for later tests
+        suites._partition_counts_hold.cache_clear()
         # trials 0..7 give n = 1..8
-        outcomes = run_identity_suite(n_max=2, trials=8, seed=0)
+        try:
+            outcomes = run_identity_suite(n_max=2, trials=8, seed=0)
+        finally:
+            suites._partition_counts_hold.cache_clear()
         row = {oc.name: oc for oc in outcomes}["partition-counts"]
         assert row.total - row.passed == failing
 
