@@ -47,24 +47,27 @@ Every exact alpha-family (check_lieb_type, check_marcus,
 check_neg_positivity) reads one source, the cycle polynomials A keeps
 (partitions.cycle_polynomials): per_alpha(A[T]) = sum over k of
 alpha^k c_k(A[T]), kept as the integers L^|T| c_k(A[T]). At alpha = p/q,
-sum over k of L^|T| c_k p^k q^(|T|-k) is (q L)^|T| per_alpha(A[T]), and
--p in place of p gives (q L)^|T| per_{-alpha}(A[T]): the integers the
-minors tables at alpha and -alpha would hold. Over (q L)^n, -q in place
-of q gives (-1)^n per_{-alpha}(A), and p^n L^n c_n is alpha^n prod a_ii;
-over (2 q L)^n, 2q gives per_{alpha/2}(A). check_lieb and check_fischer
-read sign_minors(A, +1) and sign_minors(A, -1) (kernels.per_alpha_minors,
-one subset DP each, kept on A) up to n = 10, above it Ryser and Bareiss,
-and shape_averages sums their block products over the partitions of
-every shape in one shape-keyed partition DP
-(partitions.shape_partition_sums) on the tables' ring(). An integer
-entry of T carries base^|T|, so the whole set and a split's block
-product both carry base^n: _table_compare decides lieb, fischer,
-lieb-alpha and neg-block on the sign of one integer (Gaussian-integer)
-difference, _exact_result the whole-matrix comparisons, and both make
-lhs, rhs and slack as Fractions over one denominator. Float A reads the
-minors tables and per_alpha_dp, and goes through compare. The oracle
-_naive_slack evaluates each block's cycle polynomial, from per_alpha_naive's
-walk over the block's permutations. The hunter and the inequality suite
+their at(p, q, T), sum over k of L^|T| c_k p^k q^(|T|-k), is
+(q L)^|T| per_alpha(A[T]), and at(-p, q, T) is (q L)^|T|
+per_{-alpha}(A[T]): the integers the minors tables at alpha and -alpha
+would hold. Over (q L)^n, at(p, -q) is (-1)^n per_{-alpha}(A), and
+at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over (2 q L)^n, at(p, 2q) is
+per_{alpha/2}(A). check_lieb and check_fischer read sign_minors(A, +1)
+and sign_minors(A, -1) (kernels.per_alpha_minors, one subset DP each,
+kept on A) up to n = 10, entry T as the table's scaled(T) hands it out;
+above it Ryser and Bareiss, with the whole matrix's value kept on A.
+shape_averages sums their block products over the partitions of every
+shape in one shape-keyed partition DP (partitions.shape_partition_sums)
+on the tables' ring(). No table's lists are read here. An integer entry
+of T carries base^|T|, so the whole set and a split's block product both
+carry base^n, and every exact comparison is _exact_result on two such
+ring elements (ints, or Gaussian integers that must be real) over one
+denominator: the verdict is the sign of one integer difference, and lhs,
+rhs and slack are Fractions over the denominator; compare hands its
+exact inputs to _exact_result over 1. Float A reads the minors tables and
+per_alpha_dp, and goes through compare. The oracle _naive_slack
+evaluates each block's cycle polynomial, from per_alpha_naive's walk over
+the block's permutations. The hunter and the inequality suite
 keep one dict of polynomials per trial, so each block of an instance is
 walked once, for every alpha and every violation.
 
@@ -170,17 +173,47 @@ def _real_value(x, tol):
     return float(x)
 
 
+_EXACT = (Rational, GaussianRational)
+
+
+def _exact_result(name, lhs, rhs, den: int, direction,
+                  hyp) -> ComparisonResult:
+    """compare(name, lhs / den, rhs / den, direction) for exact lhs and
+    rhs over one positive den: ints or Fractions, or GaussianRationals
+    with such parts, as a table or compare hands them over. The verdict is
+    the sign of the difference, and lhs, rhs and slack are three Fractions
+    over den. An imaginary part raises compare's ArithmeticError, lhs
+    first."""
+    if isinstance(lhs, GaussianRational) or isinstance(rhs, GaussianRational):
+        lhs = _rational(lhs, den)
+        rhs = _rational(rhs, den)
+    diff = lhs - rhs if direction == ">=" else rhs - lhs
+    verdict = EQUALITY if diff == 0 else (HOLDS if diff > 0 else VIOLATED)
+    return ComparisonResult(name, Fraction(lhs, den), Fraction(rhs, den),
+                            direction, Fraction(diff, den), verdict,
+                            "exact", 0.0, hyp)
+
+
+def _rational(x, den: int):
+    """The real part of an exact x, after raising compare's
+    ArithmeticError on a nonzero imaginary part of x / den."""
+    if not isinstance(x, GaussianRational):
+        return x
+    if x.im:
+        raise ArithmeticError("imaginary residue %s in a real quantity"
+                              % Fraction(x.im, den))
+    return x.re
+
+
 def compare(name, lhs, rhs, direction=">=", tol=0.0, hypothesis=None) -> ComparisonResult:
     """Build a ComparisonResult; exact inputs get exact verdicts."""
     if direction not in (">=", "<="):
         raise DomainError("direction must be >= or <=")
+    if isinstance(lhs, _EXACT) and isinstance(rhs, _EXACT):
+        return _exact_result(name, lhs, rhs, 1, direction, hypothesis)
     lhs = _real_value(lhs, tol)
     rhs = _real_value(rhs, tol)
     slack = lhs - rhs if direction == ">=" else rhs - lhs
-    if isinstance(slack, Fraction):
-        verdict = EQUALITY if slack == 0 else (HOLDS if slack > 0 else VIOLATED)
-        return ComparisonResult(name, lhs, rhs, direction, slack, verdict,
-                                "exact", 0.0, hypothesis)
     # values grow like n! max|a|^n, so the band scales with them
     band = tol * (1.0 + max(abs(lhs), abs(rhs)))
     verdict = (
@@ -232,66 +265,31 @@ def _signed(x, k: int):
 _SPLIT_TABLE_MAX_N = 10
 
 
-def _table_compare(name, whole, low, high, den: int, sign: int, direction,
-                   hyp) -> ComparisonResult:
-    """compare(name, sign * whole, sign * low * high, direction) on the
-    integer entries (value, imaginary part or None) of the whole set and
-    of a split's two blocks, which all carry den: the verdict is the sign
-    of one integer difference, and lhs, rhs and slack are its Fractions
-    over den. An imaginary part of the whole entry or of the block product
-    raises ArithmeticError, as compare does."""
-    value, imag = whole
-    _real_residue(sign * (imag or 0), den)
-    (a, b), (c, d) = low, high
-    block = a * c
-    if b is not None:
-        _real_residue(sign * (a * d + b * c), den)
-        block -= b * d
-    return _exact_result(name, sign * value, sign * block, den, direction,
-                         hyp)
-
-
-def _exact_result(name, lhs: int, rhs: int, den: int, direction,
-                  hyp) -> ComparisonResult:
-    """compare(name, lhs / den, rhs / den, direction) for integers lhs and
-    rhs over one positive den: the verdict is the sign of the integer
-    difference, and lhs, rhs and slack are three Fractions over den."""
-    diff = lhs - rhs if direction == ">=" else rhs - lhs
-    verdict = EQUALITY if diff == 0 else (HOLDS if diff > 0 else VIOLATED)
-    return ComparisonResult(name, Fraction(lhs, den), Fraction(rhs, den),
-                            direction, Fraction(diff, den), verdict,
-                            "exact", 0.0, hyp)
-
-
-def _real_residue(imag: int, den: int) -> None:
-    """Raise compare's ArithmeticError for a nonzero imaginary part
-    imag / den of a quantity that must be real."""
-    if imag:
-        raise ArithmeticError("imaginary residue %s in a real quantity"
-                              % Fraction(imag, den))
-
-
 def _split_check(name, A: Matrix, m: int, sign: int, direction,
                  tol) -> ComparisonResult:
     """per (sign +1) or det (sign -1) of A against the product of those of
     its blocks A', A'' at the split m: up to _SPLIT_TABLE_MAX_N from
     sign_minors(A, sign), which A keeps for every split, above it by Ryser
-    or Bareiss."""
+    or Bareiss on the blocks, against A's own value, which A keeps under
+    its own key, outside kept and its DP cap."""
     n = A.n
     low, high = split_masks(n, m)
     if n > _SPLIT_TABLE_MAX_N:
         value = permanent if sign == 1 else determinant
-        return compare(name, value(A),
+        whole = A._tables.get(("whole", sign))
+        if whole is None:
+            whole = A._tables["whole", sign] = value(A)
+        return compare(name, whole,
                        value(submatrix(A, low)) * value(submatrix(A, high)),
                        direction, tol)
     minors = sign_minors(A, sign)
     if kind_is_exact(A.kind):
         # entry T of the sign -1 table is (-1)^|T| det(A[T]), and the
         # block signs (-1)^m (-1)^(n-m) multiply to (-1)^n
-        entries = [(minors.values[T], minors.imag and minors.imag[T])
-                   for T in (-1, low, high)]
-        return _table_compare(name, *entries, minors.base ** n, sign ** n,
-                              direction, None)
+        at, sign_n = minors.scaled, sign ** n
+        return _exact_result(name, sign_n * at(-1),
+                             sign_n * (at(low) * at(high)),
+                             minors.base ** n, direction, None)
     if sign == 1:
         return compare(name, minors[-1], minors[low] * minors[high],
                        direction, tol)
@@ -341,8 +339,8 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
         if kind_is_exact(A.kind):
             # over 2^n den: per_{a/2}(A) against 2^-n per_a(A)
             p, q, den, at = _cycle_polynomial_at(A, alpha)
-            out.append(_exact_result("half-scaled", at(p, 2 * q)[0],
-                                     at(p, q)[0], 2 ** n * den, ">=", hyp))
+            out.append(_exact_result("half-scaled", at(p, 2 * q), at(p, q),
+                                     2 ** n * den, ">=", hyp))
         else:
             out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2),
                                per_alpha_minors(A, alpha)[-1] * 0.5 ** n,
@@ -354,10 +352,11 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
         # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
         p, q, den, at = _cycle_polynomial_at(A, alpha)
         return [
-            _table_compare("lieb-alpha", at(p, q), at(p, q, low),
-                           at(p, q, high), den, 1, ">=", hyp),
-            _table_compare("neg-block", at(-p, q), at(-p, q, low),
-                           at(-p, q, high), den, sign_n, "<=", hyp),
+            _exact_result("lieb-alpha", at(p, q),
+                          at(p, q, low) * at(p, q, high), den, ">=", hyp),
+            _exact_result("neg-block", sign_n * at(-p, q),
+                          sign_n * (at(-p, q, low) * at(-p, q, high)), den,
+                          "<=", hyp),
         ]
     pos, neg = per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha)
     sign_m = -1 if m % 2 else 1
@@ -370,41 +369,13 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
     ]
 
 
-def _homogeneous(c: list, p: int, q: int) -> int:
-    """sum over k of c[k] p^k q^(n-k), n = len(c) - 1."""
-    n = len(c) - 1
-    total = c[n]
-    q_pow = 1
-    for k in range(n - 1, -1, -1):
-        q_pow *= q
-        total = total * p + c[k] * q_pow
-    return total
-
-
 def _cycle_polynomial_at(A: Matrix, alpha) -> tuple:
     """(p, q, den, at) for an exact A and alpha = p/q: den = (q L)^n,
-    with L the base of A's cycle polynomials, and at(x, y, T) the integer
-    entry (value, imaginary part or None) _homogeneous(row(T), x, y), T
-    the full set when left out. The module docstring says what each
-    (x, y) gives."""
+    with L the base of A's cycle polynomials, and at = their at method.
+    The module docstring says what each (x, y) of at(x, y, T) gives."""
     p, q = require_alpha_kind(A, alpha).as_integer_ratio()
-    base, gaussian, _, rows = polynomials = cycle_polynomials(A)
-    den = (q * base) ** A.n
-
-    def at(x, y, mask=-1):
-        z = _homogeneous(rows[mask] or polynomials.row(mask), x, y)
-        return (int(z.re), int(z.im)) if gaussian else (z, None)
-
-    return p, q, den, at
-
-
-def _real(entry: tuple, den: int) -> int:
-    """The value of an integer entry (value, imaginary part or None) over
-    den, after raising compare's ArithmeticError on an imaginary part."""
-    value, imag = entry
-    if imag is not None:
-        _real_residue(imag, den)
-    return value
+    polynomials = cycle_polynomials(A)
+    return p, q, (q * polynomials.base) ** A.n, polynomials.at
 
 
 def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
@@ -416,8 +387,7 @@ def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
     hyp = binomials_nonnegative(alpha, n)
     if kind_is_exact(A.kind):
         p, q, den, at = _cycle_polynomial_at(A, alpha)
-        return _exact_result("neg-nonneg", _real(at(p, -q), den), 0, den,
-                             ">=", hyp)
+        return _exact_result("neg-nonneg", at(p, -q), 0, den, ">=", hyp)
     sign_n = -1 if n % 2 else 1
     return compare("neg-nonneg", sign_n * per_alpha_minors(A, -alpha)[-1],
                    0, ">=", tol, hyp)
@@ -441,13 +411,13 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     if kind_is_exact(A.kind):
         p, q, den, at = _cycle_polynomial_at(A, alpha)
         # in compare's order: per_a, a^n prod a_ii, (-1)^n per_{-a}
-        upper, mid, lower = (_real(at(p, y), den) for y in (q, 0, -q))
+        upper, mid, lower = (at(p, y) for y in (q, 0, -q))
         out = [
             _exact_result("marcus-upper", upper, mid, den, ">=", hyp_chain),
             _exact_result("marcus-lower", mid, lower, den, ">=", hyp_chain),
         ]
         if _is_real_kind(A):
-            out.append(_exact_result("marcus-half", at(p, 2 * q)[0], mid,
+            out.append(_exact_result("marcus-half", at(p, 2 * q), mid,
                                      2 ** n * den, ">=", hyp))
         return out
     per_a = per_alpha_dp(A, alpha)

@@ -34,8 +34,10 @@ in partitions.
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps
 the integers the kernel ran on and converts an entry when it is read (see
-the integer lane below); its ring method hands the partition DPs the same
-integers rescaled to a common base, so no other module reads its lists.
+the integer lane below). Its scaled method hands out one entry as those
+integers, an int or a Gaussian integer, and its ring method all of them
+rescaled to a common base, for the partition DPs: no other module reads
+its lists.
 
 A keeps these tables, built on first use by kept(A, key, build): the cycle
 table, per alpha_key the minors table and per_alpha_dp's value, and the
@@ -116,17 +118,16 @@ from .errors import CapacityError, DomainError, MixedModeError
 from .matrices import Matrix, doubled, full_mask
 from .scalars import (
     FLOAT_KINDS,
+    ONE_OF,
     RATIONAL,
+    ZERO_OF,
     GaussianRational,
     as_scalar,
     clear_denominators,
     from_scaled,
     kind_is_complex,
     kind_is_exact,
-    one_like,
-    one_of_kind,
     scalar_kind,
-    zero_like,
 )
 
 DEFAULT_CAPS = {
@@ -168,7 +169,7 @@ def require_alpha_kind(A: Matrix, alpha):
 
 def _empty_per_alpha(A: Matrix, alpha):
     """per_alpha of the empty matrix: 1, complex when A or alpha is."""
-    return one_of_kind(A.kind) if kind_is_complex(A.kind) else one_like(alpha)
+    return ONE_OF[A.kind if kind_is_complex(A.kind) else scalar_kind(alpha)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +211,10 @@ def _naive_cycle_polynomial(A: Matrix, cap=None) -> list:
     n = A.n
     _check_cap("naive", n, cap)
     if n == 0:
-        return [one_of_kind(A.kind)]
+        return [ONE_OF[A.kind]]
     rows = A.rows
     if A.kind in FLOAT_KINDS:
-        return _walk_permutations(rows, n, zero_like(rows[0][0]))
+        return _walk_permutations(rows, n, ZERO_OF[A.kind])
     # the oracle's own clearing, independent of A.cleared
     if A.kind == RATIONAL:
         parts = (rows,)
@@ -332,8 +333,9 @@ class ScaledTable(Sequence):
     carries base^|T|, imag[T] its imaginary part, and imag is None when
     every entry is real. Float tables hold the floats themselves, with
     base 1. Indexing converts entry T to a scalar of the table's kind,
-    from_scaled(base^|T|, values[T], imag[T]); a None entry (the cycle
-    table's entry 0) stays None.
+    from_scaled(base^|T|, values[T], imag[T]); scaled(T) hands it out as
+    the kernels hold it. A None entry (the cycle table's entry 0) stays
+    None.
     """
 
     __slots__ = ("kind", "base", "values", "imag")
@@ -356,6 +358,15 @@ class ScaledTable(Sequence):
         if self.imag is not None:
             part = self.imag[mask]
         return from_scaled(self.base ** mask.bit_count(), value, part)
+
+    def scaled(self, mask: int):
+        """Entry T as the kernels hold it: an int that carries base^|T|
+        (the float itself in a float table), or a GaussianRational with
+        integer parts when the table keeps imaginary parts."""
+        value = self.values[mask]
+        if self.imag is None or value is None:
+            return value
+        return GaussianRational(value, self.imag[mask])
 
     def ring(self, base: int = None) -> tuple:
         """(f, unit) for sums of products over set partitions: f[T] is
@@ -658,7 +669,7 @@ def permanent(A: Matrix, cap=None):
     n = A.n
     _check_cap("ryser", n, cap)
     if n == 0:
-        return one_of_kind(A.kind)
+        return ONE_OF[A.kind]
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
         return from_scaled(L ** n, _ryser(rows, n))
@@ -698,7 +709,7 @@ def determinant(A: Matrix):
     """
     n = A.n
     if n == 0:
-        return one_of_kind(A.kind)
+        return ONE_OF[A.kind]
     if A.kind in FLOAT_KINDS:
         try:
             rows = [[GaussianRational(x.real, x.imag)
@@ -713,7 +724,7 @@ def determinant(A: Matrix):
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
         return from_scaled(L ** n, _bareiss(rows, n, 1, operator.floordiv))
-    return _bareiss(A.rows, n, one_of_kind(A.kind), operator.truediv)
+    return _bareiss(A.rows, n, ONE_OF[A.kind], operator.truediv)
 
 
 def _binary64(q: Fraction) -> float:
@@ -763,11 +774,11 @@ def hafnian(A: Matrix, cap=None):
     if not A.is_symmetric_entrywise():
         raise DomainError("hafnian needs a symmetric matrix")
     if n == 0:
-        return one_of_kind(A.kind)
+        return ONE_OF[A.kind]
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
         return from_scaled(L ** (n // 2), _hafnian(rows, 1)(full_mask(n)))
-    return _hafnian(A.rows, one_of_kind(A.kind))(full_mask(n))
+    return _hafnian(A.rows, ONE_OF[A.kind])(full_mask(n))
 
 
 def _hafnian(rows, one):
@@ -808,7 +819,7 @@ def doubled_hafnian_table(A: Matrix, cap=None) -> ScaledTable:
     D = doubled(A)
     _check_cap("hafnian", D.n, cap)
     if A.kind in FLOAT_KINDS:
-        L, rows, one = 1, D.rows, one_of_kind(A.kind)
+        L, rows, one = 1, D.rows, ONE_OF[A.kind]
     else:
         L, rows, _ = D.cleared
         one = 1
@@ -822,12 +833,12 @@ def alpha_determinant(A: Matrix, alpha, cap=None):
     alpha = require_alpha_kind(A, alpha)
     if not alpha:
         raise DomainError("alpha_determinant needs alpha != 0")
-    inv = one_like(alpha) / alpha
+    inv = ONE_OF[scalar_kind(alpha)] / alpha
     return alpha ** A.n * per_alpha_dp(A, inv, cap=cap)
 
 
 def diagonal_product(A: Matrix):
-    prod = one_of_kind(A.kind)
+    prod = ONE_OF[A.kind]
     for i in range(A.n):
         prod = prod * A.rows[i][i]
     return prod

@@ -41,7 +41,9 @@ from .scalars import (
     COMPLEX_FLOAT,
     COMPLEX_RATIONAL,
     FLOAT,
+    ONE_OF,
     RATIONAL,
+    ZERO_OF,
     GaussianRational,
     as_scalar,
     clear_denominators,
@@ -98,8 +100,9 @@ class Matrix:
     computes it on first use of `cleared`.
 
     It also keeps the tables kernels and inequalities build from it in
-    `_tables`, filled on first use through kernels.kept; keeping one
-    changes no value.
+    `_tables`, filled on first use through kernels.kept (inequalities
+    keeps the permanent and determinant Lieb and Fischer compare above
+    n = 10 there itself); keeping one changes no value.
     """
 
     __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",
@@ -209,9 +212,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, kind: str = RATIONAL) -> "Matrix":
-        from .scalars import one_of_kind, zero_like
-        one = one_of_kind(kind)
-        zero = zero_like(one)
+        one, zero = ONE_OF[kind], ZERO_OF[kind]
         rows = [
             [one if i == j else zero for j in range(n)] for i in range(n)
         ]
@@ -259,7 +260,8 @@ class Matrix:
         if self.real_symmetric:
             if kind_is_complex(self.kind) or not self.is_symmetric_entrywise():
                 raise MatrixFormatError("real-symmetric flag does not hold")
-        if self.hermitian and not self.is_hermitian_entrywise():
+        # a real-symmetric claim that holds implies the Hermitian one
+        elif self.hermitian and not self.is_hermitian_entrywise():
             raise MatrixFormatError("hermitian flag does not hold")
 
     def to_float(self) -> "Matrix":
@@ -294,12 +296,7 @@ def direct_sum(A: Matrix, B: Matrix) -> Matrix:
         raise MixedModeError(
             "direct_sum needs matching kinds, got %s and %s" % (A.kind, B.kind)
         )
-    zero = {
-        RATIONAL: Fraction(0),
-        COMPLEX_RATIONAL: GaussianRational(0),
-        FLOAT: 0.0,
-        COMPLEX_FLOAT: 0j,
-    }[A.kind]
+    zero = ZERO_OF[A.kind]
     n, m = A.n, B.n
     rows = []
     for i in range(n):

@@ -32,11 +32,13 @@ sets the full-set DP walks, the same recursion gives cycle_polynomials:
 per_alpha(A[T]) = sum over k of alpha^k c_k(A[T]), c_k summing prod C(B)
 over the k-block partitions of T, for every alpha at once, for the full
 set and every T without element 0, and for any other T in one more step.
-shape_partition_sums runs the same recursion keyed by block shape, for
-the shape averages of inequalities. Both run on table.ring(): exact
-entries stay in the kernels' integers, entry T carrying base^|T|, so a
-product over a partition of the full set carries base^n, and the ring's
-unit divides it out once.
+It runs on the cycle table's entries as its scaled(T) hands them out, and
+hands out its own rows only evaluated, as CyclePolynomials.at(x, y, T):
+no other module reads the rows. shape_partition_sums runs the same
+recursion keyed by block shape, for the shape averages of inequalities.
+Both run on table.ring(): exact entries stay in the kernels' integers,
+entry T carrying base^|T|, so a product over a partition of the full set
+carries base^n, and the ring's unit divides it out once.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .kernels import (
     require_alpha_kind,
 )
 from .matrices import Matrix
-from .scalars import GaussianRational, as_scalar, gen_binomial, one_like
+from .scalars import ONE_OF, as_scalar, gen_binomial, scalar_kind
 
 
 class SetPartition:
@@ -267,14 +269,13 @@ class CyclePolynomials(NamedTuple):
     L^|T| c_k(A[T]), where c_k(A[T]) sums prod over blocks B of C(B) over
     the k-block partitions of T, so per_alpha(A[T]) = sum over k of
     alpha^k c_k(A[T]). L (base) is the base of A's cycle table and f its
-    entries: ints, or GaussianRationals with integer parts when the table
-    keeps imaginary parts (gaussian; never for Hermitian A), as are the
-    rows. rows holds the rows of the index sets the full-set DP walks;
-    any other row T is built on first read from those, as T - S never
-    holds element 0.
+    entries as the table hands them out: ints, or GaussianRationals with
+    integer parts when the table keeps imaginary parts (never for
+    Hermitian A), as are the rows. rows holds the rows of the index sets
+    the full-set DP walks; any other row T is built on first read from
+    those, as T - S never holds element 0.
     """
     base: int
-    gaussian: bool
     f: list
     rows: list
 
@@ -283,6 +284,19 @@ class CyclePolynomials(NamedTuple):
         if row is None:
             row = self.rows[mask] = _graded_row(self.f, self.rows, mask)
         return row
+
+    def at(self, x: int, y: int, mask: int = -1):
+        """sum over k of row(T)[k] x^k y^(|T|-k), T the full set when left
+        out, in the rows' ring. At x/y = alpha it is (y L)^|T|
+        per_alpha(A[T])."""
+        c = self.rows[mask] or self.row(mask)
+        n = len(c) - 1
+        total = c[n]
+        y_pow = 1
+        for k in range(n - 1, -1, -1):
+            y_pow *= y
+            total = total * x + c[k] * y_pow
+        return total
 
 
 def cycle_polynomials(A: Matrix) -> CyclePolynomials:
@@ -293,12 +307,9 @@ def cycle_polynomials(A: Matrix) -> CyclePolynomials:
     def build():
         n = A.n
         C = cycle_sum_table(A)
-        f = C.values
-        if C.imag is not None:
-            f = [None] + [GaussianRational(x, y)
-                          for x, y in zip(f[1:], C.imag[1:])]
+        f = [C.scaled(T) for T in range(len(C))]
         rows = graded_partition_sums(f, n, _dp_masks(n, full_set=True))
-        return CyclePolynomials(C.base, C.imag is not None, f, rows)
+        return CyclePolynomials(C.base, f, rows)
 
     return kept(A, "cycle-polynomial", build)
 
@@ -347,7 +358,7 @@ def sum_formula_rhs(A: Matrix, betas, cap=None):
         raise DomainError("sum_formula_rhs needs at least one beta")
     n = A.n
     if n == 0:
-        return one_like(betas[0])
+        return ONE_OF[scalar_kind(betas[0])]
     tables = [per_alpha_minors(A, b, cap=cap) for b in betas]
     base = math.lcm(*(M.base for M in tables))
     total, unit = tables[0].ring(base)

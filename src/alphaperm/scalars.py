@@ -199,31 +199,19 @@ def as_scalar(x):
     raise TypeError("not a supported scalar: %r" % (x,))
 
 
-def zero_like(x):
-    return {
-        RATIONAL: Fraction(0),
-        COMPLEX_RATIONAL: GaussianRational(0),
-        FLOAT: 0.0,
-        COMPLEX_FLOAT: 0j,
-    }[scalar_kind(x)]
-
-
-def one_like(x):
-    return {
-        RATIONAL: Fraction(1),
-        COMPLEX_RATIONAL: GaussianRational(1),
-        FLOAT: 1.0,
-        COMPLEX_FLOAT: 1 + 0j,
-    }[scalar_kind(x)]
-
-
-def one_of_kind(kind: str):
-    return {
-        RATIONAL: Fraction(1),
-        COMPLEX_RATIONAL: GaussianRational(1),
-        FLOAT: 1.0,
-        COMPLEX_FLOAT: 1 + 0j,
-    }[kind]
+# the zero and the one of each kind
+ZERO_OF = {
+    RATIONAL: Fraction(0),
+    COMPLEX_RATIONAL: GaussianRational(0),
+    FLOAT: 0.0,
+    COMPLEX_FLOAT: 0j,
+}
+ONE_OF = {
+    RATIONAL: Fraction(1),
+    COMPLEX_RATIONAL: GaussianRational(1),
+    FLOAT: 1.0,
+    COMPLEX_FLOAT: 1 + 0j,
+}
 
 
 def conj_scalar(x):
@@ -387,10 +375,11 @@ def gen_binomial(alpha, k: int):
     if k < 0:
         raise ValueError("k must be nonnegative, got %d" % k)
     alpha = as_scalar(alpha)
-    result = one_like(alpha)
+    kind = scalar_kind(alpha)
+    result = ONE_OF[kind]
     for i in range(k):
         result = result * (alpha - i)
     fact = math.factorial(k)
-    if kind_is_exact(scalar_kind(alpha)):
+    if kind_is_exact(kind):
         return result / Fraction(fact)
     return result / float(fact)

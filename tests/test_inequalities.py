@@ -39,9 +39,9 @@ from alphaperm.inequalities import (
     replay_finding,
     shape_averages,
     sign_minors,
+    _exact_result,
     _naive_slack,
     _real_value,
-    _table_compare,
 )
 from alphaperm.kernels import (
     ScaledTable,
@@ -78,6 +78,7 @@ from alphaperm.partitions import (
 from alphaperm.scalars import (
     COMPLEX_RATIONAL,
     GaussianRational,
+    from_scaled,
     to_float_scalar,
 )
 
@@ -255,6 +256,47 @@ class TestSignTables:
             assert check_fischer(A, m) == compare(
                 "fischer", -det[-1], (-1) ** 11 * det[low] * det[high],
                 "<=", 0.0)
+
+    def test_above_n_10_one_whole_matrix_run_per_instance(self, monkeypatch):
+        # A keeps its whole-matrix permanent and determinant, so each split
+        # runs Ryser and Bareiss on its two blocks only
+        import alphaperm.inequalities as ineq
+        calls = []
+
+        def spy(kernel):
+            def run(B):
+                calls.append((kernel.__name__, B.n))
+                return kernel(B)
+            return run
+
+        monkeypatch.setattr(ineq, "permanent", spy(permanent))
+        monkeypatch.setattr(ineq, "determinant", spy(determinant))
+        for seed in (1, 2):
+            A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=seed)
+            for m in range(1, 11):
+                check_lieb(A, m)
+                check_fischer(A, m)
+        assert sorted(name for name, n in calls if n == 11) \
+            == ["determinant"] * 2 + ["permanent"] * 2
+        assert len(calls) == 4 + 2 * 10 * 2 * 2
+
+    def test_above_n_10_runs_under_a_lowered_dp_cap(self, monkeypatch):
+        # the whole-matrix values are kept outside kernels.kept, whose
+        # default DP cap would refuse this n = 12 matrix
+        monkeypatch.setenv("ALPHAPERM_CAP_DP", "11")
+        A = random_unit_diag_psd(12, REAL_SYMMETRIC, 2, seed=5)
+        fresh = submatrix(A, full_mask(12))
+        per, det = permanent(fresh), determinant(fresh)
+        for m in (1, 6, 11):
+            blocks = [submatrix(A, T) for T in split_masks(12, m)]
+            for _ in range(2):
+                assert check_lieb(A, m) == compare(
+                    "lieb", per, permanent(blocks[0]) * permanent(blocks[1]),
+                    ">=", 0.0)
+                assert check_fischer(A, m) == compare(
+                    "fischer", det,
+                    determinant(blocks[0]) * determinant(blocks[1]), "<=",
+                    0.0)
 
 
 _memo_alphas = st.one_of(
@@ -577,12 +619,9 @@ class TestTableCompare:
         table, m = drawn
         n = len(table).bit_length() - 1
         low, high = split_masks(n, m)
-
-        def entry(T):
-            return table.values[T], table.imag[T]
-
-        assert _outcome(lambda: _table_compare(
-            "x", entry(-1), entry(low), entry(high), table.base ** n, sign,
+        at = table.scaled
+        assert _outcome(lambda: _exact_result(
+            "x", sign * at(-1), sign * (at(low) * at(high)), table.base ** n,
             direction, hyp)) \
             == _outcome(lambda: compare(
                 "x", sign * table[-1], sign * (table[low] * table[high]),
@@ -604,8 +643,7 @@ class TestTableCompare:
         rows = [None if row is None else [G(x) for x in row]
                 for row in polynomials.rows]
         rows[poisoned][-1] += G(0, 1)
-        A._tables["cycle-polynomial"] = polynomials._replace(gaussian=True,
-                                                             rows=rows)
+        A._tables["cycle-polynomial"] = polynomials._replace(rows=rows)
         calls = [lambda: check_lieb_type(A, 1, alpha),
                  lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)]
         if where == "whole":
@@ -689,6 +727,18 @@ _exact_instances = st.one_of(
         lambda kind: Matrix([], kind=kind)))
 
 
+def _row_types(A):
+    """The types of the coefficients k >= 1 in A's kept polynomial rows,
+    after checking that they have integer parts."""
+    types = set()
+    for row in cycle_polynomials(A).rows:
+        for x in row[1:] if row is not None else ():
+            parts = (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
+            assert all(y.denominator == 1 for y in parts)
+            types.add(type(x))
+    return types
+
+
 def _marcus_by_dps(A, alpha):
     """check_marcus and check_neg_positivity, as functions giving their
     results, recomputed as compare on per_alpha_dp of a fresh copy of A,
@@ -748,8 +798,8 @@ class TestMarcusPolynomial:
     @settings(max_examples=60, deadline=None)
     def test_kept_polynomial_is_the_oracles_times_L_to_the_n(self, A):
         self._rows_are_the_oracles(A)
-        # a Hermitian A's cycle sums are real
-        assert not cycle_polynomials(A).gaussian
+        # a Hermitian A's cycle sums are real, so its rows are ints
+        assert _row_types(A) <= {int}
 
     # non-Hermitian complex input: per_a imaginary; per_a real but
     # a^n prod a_ii not (alpha = 1); both real but (-1)^n per_{-a} not
@@ -765,7 +815,7 @@ class TestMarcusPolynomial:
     @pytest.mark.parametrize("rows", _NON_HERMITIAN)
     def test_non_hermitian_input_raises_as_compare_does(self, rows):
         A = Matrix(rows)
-        assert cycle_polynomials(A).gaussian
+        assert _row_types(A) == {GaussianRational}
         marcus, neg_positivity = _marcus_by_dps(A, F(1))
         assert _outcome(lambda: list(map(_typed, check_marcus(A, F(1))))) \
             == _outcome(marcus)
@@ -826,6 +876,102 @@ class TestMarcusPolynomial:
         for call in (check_marcus, check_neg_positivity):
             with pytest.raises(MixedModeError):
                 call(A, 1.5)
+
+
+@st.composite
+def _complex_matrices(draw):
+    """A random complex-rational matrix at n = 1..4."""
+    n = draw(st.integers(1, 4))
+    part = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    return Matrix([[G(draw(part), draw(part)) for _ in range(n)]
+                   for _ in range(n)])
+
+
+class TestScaledEntries:
+    """A table hands out entry T as the kernels hold it: converted over
+    base^|T|, it is the entry indexing gives, of the same type."""
+
+    @given(st.one_of(_exact_instances, _complex_matrices()), _poly_alphas,
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_entries_convert_to_the_indexed_ones(self, A, alpha,
+                                                        complex_alpha):
+        # the minors at a complex alpha keep imaginary parts on every kind
+        if complex_alpha:
+            alpha = G(alpha, 1)
+        tables = [cycle_sum_table(A), per_alpha_minors(A, alpha),
+                  per_alpha_minors(A, -alpha), sign_minors(A, -1)]
+        for table in tables:
+            for T in range(len(table)):
+                x = table.scaled(T)
+                if x is None:
+                    assert table[T] is None
+                    continue
+                if isinstance(x, GaussianRational):
+                    assert x.re.denominator == x.im.denominator == 1
+                    parts = int(x.re), int(x.im)
+                else:
+                    assert type(x) is int
+                    parts = x, None if A.kind == "rational" else 0
+                assert repr(from_scaled(table.base ** T.bit_count(),
+                                        *parts)) == repr(table[T])
+
+
+def _exact_result_gate_failures():
+    """The exact results, on real and Hermitian instances at n = 2..4,
+    whose verdict is not the sign of their slack or whose slack is not the
+    oracle's, plus the imaginary residues not raised as compare raises
+    them: on the rhs of compare, and on a poisoned block product."""
+    failures = 0
+    for n in range(2, 5):
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            A = random_psd(n, kind, 3, seed=n)
+            for alpha in (F(13, 10), F(-7, 4), F(5, 2)):
+                results = [(r, None) for r in (*check_marcus(A, alpha),
+                                               *check_lieb_type(A, None,
+                                                                alpha))]
+                for m in range(1, n):
+                    results += [(r, m) for r in (
+                        check_lieb(A, m), check_fischer(A, m),
+                        *check_lieb_type(A, m, alpha))]
+                for r, m in results:
+                    sign = EQUALITY if r.slack == 0 else (
+                        HOLDS if r.slack > 0 else VIOLATED)
+                    failures += r.verdict != sign
+                    failures += r.slack != _naive_slack(r.name, A, alpha, m)
+    failures += _outcome(lambda: compare("x", F(1), G(1, 2), ">=")) \
+        != ("raises", "imaginary residue 2 in a real quantity")
+    A = random_psd(4, HERMITIAN, 3, seed=2)
+    table = sign_minors(A, 1)
+    table.imag = [0] * len(table)
+    table.imag[split_masks(4, 1)[0]] = 1
+    failures += _outcome(lambda: check_lieb(A, 1))[0] != "raises"
+    return failures
+
+
+class TestExactResultMutations:
+    """Broken copies of _exact_result, the one builder of every exact
+    result, fail the gate."""
+
+    def test_unbroken_code_passes(self):
+        assert _exact_result_gate_failures() == 0
+
+    @pytest.mark.parametrize("old, new", [
+        # the rhs residue check skipped
+        ("rhs = _rational(rhs, den)",
+         "rhs = rhs.re if isinstance(rhs, GaussianRational) else rhs"),
+        # the verdict's sign flipped
+        ("HOLDS if diff > 0 else VIOLATED", "HOLDS if diff < 0 else VIOLATED"),
+    ])
+    def test_mutant_fails(self, monkeypatch, old, new):
+        import inspect
+        import alphaperm.inequalities as ineq
+        source = inspect.getsource(ineq._exact_result)
+        assert source.count(old) == 1
+        namespace = dict(vars(ineq))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(ineq, "_exact_result", namespace["_exact_result"])
+        assert _exact_result_gate_failures() > 0
 
 
 def _set_partitions(items):

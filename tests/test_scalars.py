@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from alphaperm.errors import MixedModeError, ScalarFormatError
 from alphaperm.scalars import (
+    ONE_OF,
+    ZERO_OF,
     GaussianRational,
     as_scalar,
     conj_scalar,
@@ -17,11 +19,9 @@ from alphaperm.scalars import (
     gen_binomial,
     kind_is_complex,
     kind_is_exact,
-    one_of_kind,
     parse_scalar,
     scalar_kind,
     to_float_scalar,
-    zero_like,
 )
 
 G = GaussianRational
@@ -109,9 +109,12 @@ class TestKinds:
         assert as_scalar(1.25) == 1.25
 
     def test_helpers(self):
-        assert zero_like(G(5, 5)) == G(0)
-        assert one_of_kind("complex-rational") == G(1)
-        assert one_of_kind("float") == 1.0
+        assert ZERO_OF[scalar_kind(G(5, 5))] == G(0)
+        assert ONE_OF["complex-rational"] == G(1)
+        assert ONE_OF["float"] == 1.0
+        for kind in ONE_OF:
+            assert type(ZERO_OF[kind]) is type(ONE_OF[kind])
+            assert scalar_kind(ONE_OF[kind]) == kind
         assert conj_scalar(G(1, 2)) == G(1, -2)
         assert conj_scalar(Fraction(3)) == Fraction(3)
         assert conj_scalar(1 - 2j) == 1 + 2j
