@@ -43,33 +43,35 @@ Shape averages: for a partition shape of n and sign s in {+1, -1},
 where per_{+1} is the permanent and per_{-1}(B) = (-1)^{dim B} det(B).
 check_majorization_step compares p on shapes related by merging two parts.
 
-Every exact alpha-family (check_lieb_type, check_marcus,
-check_neg_positivity) reads one source, the cycle polynomials A keeps
+Every alpha-family (check_lieb_type, check_marcus, check_neg_positivity)
+reads one source in both lanes, the cycle polynomials A keeps
 (partitions.cycle_polynomials): per_alpha(A[T]) = sum over k of
-alpha^k c_k(A[T]), kept as the integers L^|T| c_k(A[T]). At alpha = p/q,
-their at(p, q, T), sum over k of L^|T| c_k p^k q^(|T|-k), is
+alpha^k c_k(A[T]), kept as L^|T| c_k(A[T]), integers for an exact A and
+floats with L = 1 for a float A. At alpha = p/q (p = alpha, q = 1.0 for a
+float A), their at(p, q, T), sum over k of L^|T| c_k p^k q^(|T|-k), is
 (q L)^|T| per_alpha(A[T]), and at(-p, q, T) is (q L)^|T|
-per_{-alpha}(A[T]): the integers the minors tables at alpha and -alpha
-would hold. Over (q L)^n, at(p, -q) is (-1)^n per_{-alpha}(A), and
-at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over (2 q L)^n, at(p, 2q) is
-per_{alpha/2}(A). check_lieb and check_fischer read sign_minors(A, +1)
-and sign_minors(A, -1) (kernels.per_alpha_minors, one subset DP each,
-kept on A) up to n = 10, entry T as the table's scaled(T) hands it out;
-above it Ryser and Bareiss, with the whole matrix's value kept on A.
-shape_averages sums their block products over the partitions of every
-shape in one shape-keyed partition DP (partitions.shape_partition_sums)
-on the tables' ring(). No table's lists are read here. An integer entry
-of T carries base^|T|, so the whole set and a split's block product both
-carry base^n, and every exact comparison is _exact_result on two such
-ring elements (ints, or Gaussian integers that must be real) over one
-denominator: the verdict is the sign of one integer difference, and lhs,
-rhs and slack are Fractions over the denominator; compare hands its
-exact inputs to _exact_result over 1. Float A reads the minors tables and
-per_alpha_dp, and goes through compare. The oracle _naive_slack
-evaluates each block's cycle polynomial, from per_alpha_naive's walk over
-the block's permutations. The hunter and the inequality suite
-keep one dict of polynomials per trial, so each block of an instance is
-walked once, for every alpha and every violation.
+per_{-alpha}(A[T]). Over den = (q L)^n, at(p, -q) is (-1)^n
+per_{-alpha}(A), and at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over
+2^n den, at(p, 2q) is per_{alpha/2}(A). check_lieb and check_fischer read
+sign_minors(A, +1) and sign_minors(A, -1) (kernels.per_alpha_minors, one
+subset DP each, kept on A) up to n = 10, entry T as the table's scaled(T)
+hands it out; above it Ryser and Bareiss, with the whole matrix's value
+kept on A. shape_averages sums their block products over the partitions
+of every shape in one shape-keyed partition DP
+(partitions.shape_partition_sums) on the tables' ring(). No table's lists
+are read here. An integer entry of T carries base^|T|, so the whole set
+and a split's block product both carry base^n. Each comparison of a
+family, and of lieb and fischer up to n = 10, is _result on two such
+values over one denominator. On an exact A that is _exact_result on ring
+elements (ints, or Gaussian integers that must be real): the verdict is
+the sign of one integer difference, and lhs, rhs and slack are Fractions
+over the denominator. On a float A it is compare on their real parts
+over the denominator, in compare's relative band; compare hands exact
+inputs to _exact_result over 1. The oracle _naive_slack evaluates each
+block's cycle polynomial, from per_alpha_naive's walk over the block's
+permutations. The hunter and the inequality suite keep one dict of
+polynomials per trial, so each block of an instance is walked once, for
+every alpha and every violation.
 
 Every Finding is made by make_finding, where it is observed: a hunt trial
 returns its violation and sign records with its least gated slack, and
@@ -96,7 +98,6 @@ from .kernels import (
     diagonal_product,
     hafnian,
     kept,
-    per_alpha_dp,
     per_alpha_minors,
     permanent,
     require_alpha_kind,
@@ -131,7 +132,7 @@ from .scalars import (
 
 
 class OracleMismatch(AlphaPermError):
-    """per_alpha_dp and per_alpha_naive disagreed; a kernel is buggy."""
+    """The fast kernels and per_alpha_naive disagreed; a kernel is buggy."""
 
 
 HOLDS = "holds"
@@ -224,6 +225,18 @@ def compare(name, lhs, rhs, direction=">=", tol=0.0, hypothesis=None) -> Compari
                             "float", tol, hypothesis)
 
 
+def _result(A: Matrix, name, lhs, rhs, den, direction, hyp,
+            tol) -> ComparisonResult:
+    """The comparison of lhs / den against rhs / den, with lhs and rhs
+    read from A's tables or cycle polynomials: for an exact A,
+    _exact_result on the integers; for a float A, compare in its band."""
+    if kind_is_exact(A.kind):
+        return _exact_result(name, lhs, rhs, den, direction, hyp)
+    # real parts first: x / 1 can flip the sign of a complex x's real zero
+    lhs, rhs = (_real_value(x, tol) / den for x in (lhs, rhs))
+    return compare(name, lhs, rhs, direction, tol, hyp)
+
+
 def binomials_nonnegative(alpha, n: int) -> bool:
     """True iff binom(alpha, k) >= 0 for every 0 <= k <= n.
 
@@ -283,19 +296,14 @@ def _split_check(name, A: Matrix, m: int, sign: int, direction,
                        value(submatrix(A, low)) * value(submatrix(A, high)),
                        direction, tol)
     minors = sign_minors(A, sign)
-    if kind_is_exact(A.kind):
-        # entry T of the sign -1 table is (-1)^|T| det(A[T]), and the
-        # block signs (-1)^m (-1)^(n-m) multiply to (-1)^n
-        at, sign_n = minors.scaled, sign ** n
-        return _exact_result(name, sign_n * at(-1),
-                             sign_n * (at(low) * at(high)),
-                             minors.base ** n, direction, None)
-    if sign == 1:
-        return compare(name, minors[-1], minors[low] * minors[high],
-                       direction, tol)
-    return compare(name, _signed(minors[-1], n),
-                   _signed(minors[low], m) * _signed(minors[high], n - m),
-                   direction, tol)
+    # entry T of the sign -1 table is (-1)^|T| det(A[T]); each sign is a
+    # negation, which keeps the sign of a complex zero where a product by
+    # an int sign would not
+    at, odd = minors.scaled, sign == -1
+    return _result(A, name, _signed(at(-1), odd * n),
+                   _signed(at(low), odd * m)
+                   * _signed(at(high), odd * (n - m)),
+                   minors.base ** n, direction, None, tol)
 
 
 def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
@@ -326,113 +334,79 @@ def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
     """The Lieb-type families at a given alpha: at the split m, lieb-alpha
     and neg-block; with m None, the comparisons of the whole matrix,
     neg-nonneg (check_neg_positivity) and, on real matrices (half-scaled
-    needs real entries), half-scaled. An exact A reads its kept cycle
-    polynomials (_cycle_polynomial_at); a float A reads the minors tables
-    at alpha and -alpha, and per_alpha_dp at alpha/2."""
+    needs real entries), half-scaled. Each reads A's kept cycle
+    polynomials (_cycle_polynomial_at) at alpha, -alpha or alpha/2."""
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
+    p, q, den, at = _cycle_polynomial_at(A, alpha)
     if m is None:
         out = [check_neg_positivity(A, alpha, tol)]
-        if not _is_real_kind(A):
-            return out
-        if kind_is_exact(A.kind):
+        if _is_real_kind(A):
             # over 2^n den: per_{a/2}(A) against 2^-n per_a(A)
-            p, q, den, at = _cycle_polynomial_at(A, alpha)
-            out.append(_exact_result("half-scaled", at(p, 2 * q), at(p, q),
-                                     2 ** n * den, ">=", hyp))
-        else:
-            out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2),
-                               per_alpha_minors(A, alpha)[-1] * 0.5 ** n,
-                               ">=", tol, hyp))
+            out.append(_result(A, "half-scaled", at(p, 2 * q), at(p, q),
+                               2 ** n * den, ">=", hyp, tol))
         return out
     low, high = split_masks(n, m)
+    # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
     sign_n = -1 if n % 2 else 1
-    if kind_is_exact(A.kind):
-        # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
-        p, q, den, at = _cycle_polynomial_at(A, alpha)
-        return [
-            _exact_result("lieb-alpha", at(p, q),
-                          at(p, q, low) * at(p, q, high), den, ">=", hyp),
-            _exact_result("neg-block", sign_n * at(-p, q),
-                          sign_n * (at(-p, q, low) * at(-p, q, high)), den,
-                          "<=", hyp),
-        ]
-    pos, neg = per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha)
-    sign_m = -1 if m % 2 else 1
-    sign_nm = -1 if (n - m) % 2 else 1
     return [
-        compare("lieb-alpha", pos[-1], pos[low] * pos[high], ">=", tol, hyp),
-        compare("neg-block", sign_n * neg[-1],
-                (sign_m * neg[low]) * (sign_nm * neg[high]),
-                "<=", tol, hyp),
+        _result(A, "lieb-alpha", at(p, q), at(p, q, low) * at(p, q, high),
+                den, ">=", hyp, tol),
+        _result(A, "neg-block", sign_n * at(-p, q),
+                sign_n * (at(-p, q, low) * at(-p, q, high)), den, "<=", hyp,
+                tol),
     ]
 
 
 def _cycle_polynomial_at(A: Matrix, alpha) -> tuple:
-    """(p, q, den, at) for an exact A and alpha = p/q: den = (q L)^n,
-    with L the base of A's cycle polynomials, and at = their at method.
-    The module docstring says what each (x, y) of at(x, y, T) gives."""
-    p, q = require_alpha_kind(A, alpha).as_integer_ratio()
+    """(p, q, den, at) for A at alpha = p/q: at is the method of A's cycle
+    polynomials (the module docstring says what each at(x, y, T) gives)
+    and den = (q L)^n, L their base; a float A's have base 1, and give
+    (alpha, 1.0, 1.0, at)."""
+    alpha = require_alpha_kind(A, alpha)
     polynomials = cycle_polynomials(A)
+    if not kind_is_exact(A.kind):
+        return alpha, 1.0, 1.0, polynomials.at
+    p, q = alpha.as_integer_ratio()
     return p, q, (q * polynomials.base) ** A.n, polynomials.at
 
 
 def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
-    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split: an exact
-    A decides it on its cycle polynomial's integers, a float A reads the
-    minors table at -alpha that neg-block reads."""
+    """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split, from A's
+    cycle polynomial at (alpha, -1)."""
     alpha = _real_alpha(alpha)
-    n = A.n
-    hyp = binomials_nonnegative(alpha, n)
-    if kind_is_exact(A.kind):
-        p, q, den, at = _cycle_polynomial_at(A, alpha)
-        return _exact_result("neg-nonneg", at(p, -q), 0, den, ">=", hyp)
-    sign_n = -1 if n % 2 else 1
-    return compare("neg-nonneg", sign_n * per_alpha_minors(A, -alpha)[-1],
-                   0, ">=", tol, hyp)
+    hyp = binomials_nonnegative(alpha, A.n)
+    p, q, den, at = _cycle_polynomial_at(A, alpha)
+    return _result(A, "neg-nonneg", at(p, -q), 0, den, ">=", hyp, tol)
 
 
 def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
     """Diagonal chain per_a(A) >= a^n prod a_ii >= (-1)^n per_{-a}(A),
     plus the half-strength lower bound on real matrices.
 
-    An exact A evaluates its cycle polynomial at a, -a and a/2 in
-    integers: each verdict is the sign of one integer difference against
-    p^n c_n (a = p/q), and lhs, rhs and slack are Fractions over (q L)^n,
-    or (2 q L)^n for marcus-half. An imaginary part raises ArithmeticError
-    in compare's order. A float A compares full-set DPs (per_alpha_dp).
+    A's cycle polynomial is evaluated at a, -a and a/2, against
+    p^n c_n = a^n prod a_ii over den (a = p/q): on an exact A each
+    verdict is the sign of one integer difference, and lhs, rhs and slack
+    are Fractions over (q L)^n, or (2 q L)^n for marcus-half; an
+    imaginary part raises ArithmeticError in compare's order. A float A
+    compares the same sums over den in compare's band.
     """
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     # the chain is also proven for every alpha >= 1 when n <= 5
     hyp_chain = hyp or (alpha >= 1 and n <= 5)
-    if kind_is_exact(A.kind):
-        p, q, den, at = _cycle_polynomial_at(A, alpha)
-        # in compare's order: per_a, a^n prod a_ii, (-1)^n per_{-a}
-        upper, mid, lower = (at(p, y) for y in (q, 0, -q))
-        out = [
-            _exact_result("marcus-upper", upper, mid, den, ">=", hyp_chain),
-            _exact_result("marcus-lower", mid, lower, den, ">=", hyp_chain),
-        ]
-        if _is_real_kind(A):
-            out.append(_exact_result("marcus-half", at(p, 2 * q), mid,
-                                     2 ** n * den, ">=", hyp))
-        return out
-    per_a = per_alpha_dp(A, alpha)
-    per_na = per_alpha_dp(A, -alpha)
-    half = per_alpha_dp(A, alpha / 2) if _is_real_kind(A) else None
-    diag = diagonal_product(A)
-    mid = alpha ** n * diag
-    sign_n = -1 if n % 2 else 1
+    p, q, den, at = _cycle_polynomial_at(A, alpha)
+    # in compare's order: per_a, a^n prod a_ii, (-1)^n per_{-a}
+    upper, mid, lower = (at(p, y) for y in (q, 0, -q))
     out = [
-        compare("marcus-upper", per_a, mid, ">=", tol, hyp_chain),
-        compare("marcus-lower", mid, sign_n * per_na, ">=", tol, hyp_chain),
+        _result(A, "marcus-upper", upper, mid, den, ">=", hyp_chain, tol),
+        _result(A, "marcus-lower", mid, lower, den, ">=", hyp_chain, tol),
     ]
-    if half is not None:
-        out.append(compare("marcus-half", half, (alpha / 2) ** n * diag,
-                           ">=", tol, hyp))
+    if _is_real_kind(A):
+        out.append(_result(A, "marcus-half", at(p, 2 * q), mid, 2 ** n * den,
+                           ">=", hyp, tol))
     return out
 
 

@@ -27,9 +27,8 @@ Two independent algorithms compute per_alpha:
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
 per_alpha of every principal submatrix A[T]. per_alpha_minors keeps that
 table. Lieb, Fischer and the shape averages read their blocks from it at
-alpha = +-1, where per_{+1} and per_{-1} stand in for Ryser and Bareiss,
-and float Lieb-type checks at every alpha; so do the expansion formulas
-in partitions.
+alpha = +-1, where per_{+1} and per_{-1} stand in for Ryser and Bareiss;
+the expansion formulas in partitions read it at every beta.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps
@@ -41,10 +40,10 @@ its lists.
 
 A keeps these tables, built on first use by kept(A, key, build): the cycle
 table, per alpha_key the minors table and per_alpha_dp's value, and the
-integer cycle polynomials that partitions.cycle_polynomials builds from
-the cycle table, which exact check_lieb_type, check_marcus and
-check_neg_positivity read at every alpha. The oracle, Ryser, Bareiss and
-the hafnian neither read nor fill them.
+cycle polynomials that partitions.cycle_polynomials builds from the cycle
+table (integers, or floats for a float A), which check_lieb_type,
+check_marcus and check_neg_positivity read at every alpha. The oracle,
+Ryser, Bareiss and the hafnian neither read nor fill them.
 
 per_alpha_dp reads only the full-set entry. f(full) reads f only on the
 subsets of {1..n-1}, so it fills those (the masks without bit 0, in

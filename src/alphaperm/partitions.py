@@ -271,9 +271,10 @@ class CyclePolynomials(NamedTuple):
     alpha^k c_k(A[T]). L (base) is the base of A's cycle table and f its
     entries as the table hands them out: ints, or GaussianRationals with
     integer parts when the table keeps imaginary parts (never for
-    Hermitian A), as are the rows. rows holds the rows of the index sets
-    the full-set DP walks; any other row T is built on first read from
-    those, as T - S never holds element 0.
+    Hermitian A), as are the rows; for a float A, floats or complex
+    floats, with base 1. rows holds the rows of the index sets the
+    full-set DP walks; any other row T is built on first read from those,
+    as T - S never holds element 0.
     """
     base: int
     f: list
@@ -285,7 +286,7 @@ class CyclePolynomials(NamedTuple):
             row = self.rows[mask] = _graded_row(self.f, self.rows, mask)
         return row
 
-    def at(self, x: int, y: int, mask: int = -1):
+    def at(self, x, y, mask: int = -1):
         """sum over k of row(T)[k] x^k y^(|T|-k), T the full set when left
         out, in the rows' ring. At x/y = alpha it is (y L)^|T|
         per_alpha(A[T])."""

@@ -261,14 +261,15 @@ class TestCheck:
         assert "tol >= 0" in err
 
     def test_float_mode_keeps_the_sign_of_zero(self):
-        # at alpha = 0 the float lane reads per_{-0.0}, whose slack is -0.0:
-        # a table kept for alpha = 0.0 must not stand in for it
+        # at alpha = 0 the float lane reads (-1)^n per_{-0.0}(A) as the
+        # cycle polynomial at (0.0, -1.0), c_0 = 0, whose sum is +0.0; the
+        # printed slack keeps that sign
         code, out, _ = run_cli("check", "--suite", "inequalities", "--mode",
                                "float", "--trials", "1", "--seed", "3")
         assert code == 0
         (line,) = [x for x in out.splitlines()
                    if x.split()[0] == "neg-nonneg"]
-        assert line.endswith(" min-slack=-0.0 trial=0")
+        assert line.endswith(" min-slack=0.0 trial=0")
 
     def test_float_mode_informational(self):
         code, out, _ = run_cli("check", "--suite", "identities", "--n-max",

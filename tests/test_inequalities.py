@@ -79,6 +79,7 @@ from alphaperm.scalars import (
     COMPLEX_RATIONAL,
     GaussianRational,
     from_scaled,
+    kind_is_exact,
     to_float_scalar,
 )
 
@@ -107,14 +108,21 @@ class TestCompare:
         assert compare("x", 1.1, 1.0, ">=", tol=1e-9).verdict == HOLDS
 
     def test_float_band_is_relative(self):
-        # exact equalities on a large diagonal; in floats both sides round
-        # to about 7.1e19, and their difference is thousands, not zero
+        # exact equalities on a large diagonal stay equalities in floats,
+        # where both sides are about 7.1e19
         D = Matrix([[F(20001, 3) if i == j else F(0) for j in range(5)]
                     for i in range(5)], real_symmetric=True)
         assert all(r.verdict == EQUALITY for r in check_marcus(D, F(7, 5)))
         rs = check_marcus(D.to_float(), 1.4, tol=1e-9)
-        assert rs[1].name == "marcus-lower" and rs[1].slack < -1000
         assert [r.verdict for r in rs] == [EQUALITY] * 3
+        # the cycle polynomial reads alpha^n prod a_ii on both sides
+        assert rs[1].name == "marcus-lower" and rs[1].slack == 0.0
+        # one unit in the last place there is 8192: the band scales with
+        # the values, and a zero band does not
+        big = 7.084226758140209e19
+        r = compare("x", big, big + 8192, ">=", tol=1e-9)
+        assert r.slack == -8192 and r.verdict == EQUALITY
+        assert compare("x", big, big + 8192, ">=").verdict == VIOLATED
 
     def test_complex_float_small_imag(self):
         r = compare("x", 2 + 1e-14j, 1 + 0j, ">=", tol=1e-9)
@@ -236,6 +244,28 @@ class TestSignTables:
                 assert got.verdict == want.verdict
                 band = tol * (1.0 + max(abs(want.lhs), abs(want.rhs)))
                 assert abs(got.slack - want.slack) <= band
+
+    def test_float_tables_keep_the_sign_of_zero(self):
+        # a zero row gives a complex zero entry; lieb and fischer read each
+        # entry with its sign flips as negations, and its real part before
+        # any division, either of which could otherwise flip a zero's sign
+        def signed(x, k):
+            return -x if k % 2 else x
+
+        zero = Matrix([[F(0)]], kind=COMPLEX_RATIONAL)
+        for n, seed in ((3, 0), (3, 1), (4, 0), (4, 1)):
+            B = random_psd(n - 1, HERMITIAN, 3, seed=seed)
+            for A in (direct_sum(B, zero), direct_sum(zero, B)):
+                A = A.to_float()
+                per, det = sign_minors(A, 1), sign_minors(A, -1)
+                for m in range(1, n):
+                    low, high = split_masks(n, m)
+                    assert repr(check_lieb(A, m)) == repr(compare(
+                        "lieb", per[-1], per[low] * per[high], ">="))
+                    assert repr(check_fischer(A, m)) == repr(compare(
+                        "fischer", signed(det[-1], n),
+                        signed(det[low], m) * signed(det[high], n - m),
+                        "<="))
 
     def test_above_n_10_no_dp_and_equal_values(self, monkeypatch):
         # there one subset DP costs more than Ryser and Bareiss at every
@@ -378,19 +408,25 @@ _real_alphas = st.one_of(
 
 def _lieb_type_by_submatrices(A, m, alpha):
     """check_lieb_type recomputed at the split m (the whole matrix for m
-    None): every per_alpha by its own DP, on submatrix copies, which keep
-    no tables."""
+    None) on submatrix copies, which keep no tables: every per_alpha of
+    an exact A by its own DP, and of a float A by the copy's own cycle
+    polynomial."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     A = submatrix(A, full_mask(n))
-    per_a, per_na = per_alpha_dp(A, alpha), per_alpha_dp(A, -alpha)
+    if kind_is_exact(A.kind):
+        per_alpha = per_alpha_dp
+    else:
+        def per_alpha(B, a):
+            return cycle_polynomials(B).at(a, 1.0)
+    per_a, per_na = per_alpha(A, alpha), per_alpha(A, -alpha)
     sign_n = (-1) ** n
     if m is None:
         out = [compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp)]
         if A.kind in ("rational", "float"):
             scaled = per_a * (F(1, 2 ** n) if A.kind == "rational"
                               else 0.5 ** n)
-            out.append(compare("half-scaled", per_alpha_dp(A, alpha / 2),
+            out.append(compare("half-scaled", per_alpha(A, alpha / 2),
                                scaled, ">=", 0.0, hyp))
         return out
     low, high = split_masks(n, m)
@@ -398,11 +434,11 @@ def _lieb_type_by_submatrices(A, m, alpha):
     sign_m, sign_nm = (-1) ** m, (-1) ** (n - m)
     return [
         compare("lieb-alpha", per_a,
-                per_alpha_dp(Ap, alpha) * per_alpha_dp(App, alpha),
+                per_alpha(Ap, alpha) * per_alpha(App, alpha),
                 ">=", 0.0, hyp),
         compare("neg-block", sign_n * per_na,
-                (sign_m * per_alpha_dp(Ap, -alpha))
-                * (sign_nm * per_alpha_dp(App, -alpha)), "<=", 0.0, hyp),
+                (sign_m * per_alpha(Ap, -alpha))
+                * (sign_nm * per_alpha(App, -alpha)), "<=", 0.0, hyp),
     ]
 
 
@@ -484,23 +520,17 @@ class TestLiebType:
     @settings(max_examples=40, deadline=None)
     def test_shared_tables_equal_per_split_recomputation(self, A, alpha,
                                                          float_mode):
+        # a float A's values equal those of its blocks' own polynomials
         if float_mode:
             A, alpha = A.to_float(), to_float_scalar(alpha)
-
-        def kept():
-            # the minors tables at alpha and -alpha, or the polynomials
-            if float_mode:
-                return per_alpha_minors(A, alpha), per_alpha_minors(A, -alpha)
-            return (cycle_polynomials(A),)
-
-        first = kept()
+        kept = cycle_polynomials(A)
         for m in (None, *range(1, A.n)):
             expect = _lieb_type_by_submatrices(A, m, alpha)
             assert check_lieb_type(A, m, alpha) == expect
-            # a copy builds its own tables or polynomials at its first split
+            # a copy builds its own polynomials at its first split
             copy = submatrix(A, full_mask(A.n))
             assert check_lieb_type(copy, m, alpha) == expect
-        assert all(x is y for x, y in zip(kept(), first))
+        assert cycle_polynomials(A) is kept
 
 
 def _lieb_type_gate_failures(check):
@@ -548,6 +578,112 @@ class TestLiebTypeMutations:
         namespace = dict(vars(ineq))
         exec(source.replace("at(-p, q", "at(p, -q"), namespace)
         assert _lieb_type_gate_failures(namespace["check_lieb_type"]) > 0
+
+
+def _float_families_by_dps(A, alpha) -> dict:
+    """{(name, split): (lhs, rhs)} of every alpha-family of a float A,
+    recomputed with per_alpha_dp on a copy of each block, which keeps no
+    tables: split None for the comparisons of the whole matrix."""
+    n = A.n
+    sign_n = (-1) ** n
+    B = submatrix(A, full_mask(n))
+
+    def per(mask, a):
+        return per_alpha_dp(submatrix(A, mask), a)
+
+    diag = diagonal_product(B)
+    per_a, per_na = per_alpha_dp(B, alpha), per_alpha_dp(B, -alpha)
+    out = {("neg-nonneg", None): (sign_n * per_na, 0.0),
+           ("marcus-upper", None): (per_a, alpha ** n * diag),
+           ("marcus-lower", None): (alpha ** n * diag, sign_n * per_na)}
+    if A.kind == "float":
+        half = per_alpha_dp(B, alpha / 2)
+        out["half-scaled", None] = (half, per_a * 0.5 ** n)
+        out["marcus-half", None] = (half, (alpha / 2) ** n * diag)
+    for m in range(1, n):
+        low, high = split_masks(n, m)
+        out["lieb-alpha", m] = (per_a, per(low, alpha) * per(high, alpha))
+        out["neg-block", m] = (sign_n * per_na,
+                               (-1) ** m * per(low, -alpha)
+                               * (-1) ** (n - m) * per(high, -alpha))
+    return out
+
+
+def _float_family_misses(tol=1e-9) -> list:
+    """The float alpha-family results, real and Hermitian at n = 2..5,
+    whose lhs or rhs lies outside compare's band around
+    _float_families_by_dps's."""
+    def close(x, y):
+        x, y = _real_value(x, tol), _real_value(y, tol)
+        return abs(x - y) <= tol * (1.0 + max(abs(x), abs(y)))
+
+    misses = []
+    for n in range(2, 6):
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            A = random_psd(n, kind, 3, seed=n).to_float()
+            for alpha in (0.0, 1.0, 1.3, -1.75, n - 1.0, float(n)):
+                want = _float_families_by_dps(A, alpha)
+                got = [(r, None) for r in check_lieb_type(A, None, alpha,
+                                                          tol)]
+                got += [(r, None) for r in check_marcus(A, alpha, tol)]
+                got += [(r, m) for m in range(1, n)
+                        for r in check_lieb_type(A, m, alpha, tol)]
+                assert len(got) == len(want)
+                for r, m in got:
+                    lhs, rhs = want[r.name, m]
+                    if not (close(r.lhs, lhs) and close(r.rhs, rhs)):
+                        misses.append((n, kind, alpha, r.name, m))
+    return misses
+
+
+class TestFloatFamilies:
+    """Float alpha-families read A's float cycle polynomials; their values
+    agree with per_alpha_dp's on each block within compare's band, and
+    their verdicts equal the exact lane's on the edge cases."""
+
+    def test_lhs_and_rhs_agree_with_the_subset_dps(self):
+        assert _float_family_misses() == []
+
+    def test_result_without_its_denominator_fails(self, monkeypatch):
+        # half-scaled and marcus-half carry 2^n in their denominator
+        import inspect
+        import textwrap
+        import alphaperm.inequalities as ineq
+        source = textwrap.dedent(inspect.getsource(ineq._result))
+        old = "_real_value(x, tol) / den"
+        assert source.count(old) == 1
+        namespace = dict(vars(ineq))
+        exec(source.replace(old, "_real_value(x, tol)"), namespace)
+        monkeypatch.setattr(ineq, "_result", namespace["_result"])
+        misses = _float_family_misses()
+        assert {name for *_, name, _ in misses} \
+            == {"half-scaled", "marcus-half"}
+
+    @pytest.mark.parametrize("A", [
+        Matrix([], kind="rational"),
+        random_psd(1, REAL_SYMMETRIC, 3, seed=2),
+        direct_sum(random_psd(3, REAL_SYMMETRIC, 3, seed=4),
+                   Matrix([[F(0)]])),
+        random_psd(4, HERMITIAN, 3, seed=6),
+        direct_sum(random_psd(3, HERMITIAN, 3, seed=4),
+                   Matrix([[F(0)]], kind=COMPLEX_RATIONAL)),
+    ], ids=["n0", "n1", "zero-row", "hermitian", "hermitian-zero-row"])
+    def test_float_verdicts_equal_the_exact_ones(self, A):
+        n = A.n
+        Af = A.to_float()
+
+        def verdicts(B, alpha, tol):
+            rs = check_marcus(B, alpha, tol) \
+                + check_lieb_type(B, None, alpha, tol)
+            for m in range(1, n):
+                rs += check_lieb_type(B, m, alpha, tol)
+            return [(r.name, r.verdict) for r in rs]
+
+        for alpha in (F(0), F(1), F(13, 10), F(-7, 4), F(n - 1), F(n)):
+            exact = verdicts(A, alpha, 0.0)
+            assert verdicts(Af, to_float_scalar(alpha), 1e-9) == exact
+            if A.rows and not any(A.rows[-1]):
+                assert {v for _, v in exact} == {EQUALITY}
 
 
 def _typed(r):

@@ -7,6 +7,10 @@ as table.scaled(T) or table.ring(), and a polynomial as
 cycle_polynomials(A).at(x, y, T). These tests parse the two modules and
 fail on a subscripted .values, .imag or .rows attribute, and on an
 unpacking of cycle_polynomials(...).
+
+Both lanes of inequalities read one alpha-source, the cycle polynomials:
+it calls no per_alpha_dp, and per_alpha_minors only inside sign_minors,
+the +-1 tables of lieb, fischer and the shape averages.
 """
 
 import ast
@@ -68,3 +72,42 @@ def test_each_kind_of_read_is_caught(line):
 ])
 def test_methods_and_plain_names_pass(line):
     assert layering_violations(line) == []
+
+
+def alpha_source_violations(source: str) -> list:
+    """(line, function, kernel) for each call in source of per_alpha_dp,
+    or of per_alpha_minors outside sign_minors; function is the top-level
+    definition that holds the call."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            for kernel in ("per_alpha_dp", "per_alpha_minors"):
+                if _called(node, kernel) and not (
+                        kernel == "per_alpha_minors"
+                        and where == "sign_minors"):
+                    found.append((node.lineno, where, kernel))
+    return found
+
+
+def test_inequalities_reads_one_alpha_source():
+    source = (SRC / "inequalities.py").read_text(encoding="utf-8")
+    assert alpha_source_violations(source) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def check_marcus(A, alpha):\n    return per_alpha_dp(A, alpha)",
+    "def check_lieb_type(A, m, alpha):\n"
+    "    pos = per_alpha_minors(A, alpha)",
+    "def check_neg_positivity(A, alpha):\n"
+    "    return kernels.per_alpha_minors(A, -alpha)[-1]",
+    "x = per_alpha_dp(A, 1)",
+])
+def test_each_second_alpha_source_is_caught(source):
+    assert alpha_source_violations(source) != []
+
+
+def test_sign_minors_may_build_the_sign_tables():
+    source = ("def sign_minors(A, sign):\n"
+              "    return per_alpha_minors(A, sign)")
+    assert alpha_source_violations(source) == []
