@@ -190,9 +190,12 @@ def _exact_result(name, lhs, rhs, den: int, direction,
         rhs = _rational(rhs, den)
     diff = lhs - rhs if direction == ">=" else rhs - lhs
     verdict = EQUALITY if diff == 0 else (HOLDS if diff > 0 else VIOLATED)
-    return ComparisonResult(name, Fraction(lhs, den), Fraction(rhs, den),
-                            direction, Fraction(diff, den), verdict,
-                            "exact", 0.0, hyp)
+    # from ints: Fraction(x, den) takes numbers.Rational's path on a Fraction
+    return ComparisonResult(
+        name, Fraction(lhs.numerator, lhs.denominator * den),
+        Fraction(rhs.numerator, rhs.denominator * den), direction,
+        Fraction(diff.numerator, diff.denominator * den), verdict, "exact",
+        0.0, hyp)
 
 
 def _rational(x, den: int):
@@ -419,7 +422,8 @@ def sign_minors(A: Matrix, sign: int):
     keeps: permanents for sign +1, (-1)^|T| det(A[T]) for sign -1."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    return per_alpha_minors(A, sign if kind_is_exact(A.kind) else float(sign))
+    return kept(A, ("sign", sign), lambda: per_alpha_minors(
+        A, sign if kind_is_exact(A.kind) else float(sign)))
 
 
 def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:

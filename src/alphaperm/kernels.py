@@ -25,10 +25,10 @@ Two independent algorithms compute per_alpha:
     walk dynamic program anchored at the smallest element of each subset.
 
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
-per_alpha of every principal submatrix A[T]. per_alpha_minors keeps that
-table. Lieb, Fischer and the shape averages read their blocks from it at
-alpha = +-1, where per_{+1} and per_{-1} stand in for Ryser and Bareiss;
-the expansion formulas in partitions read it at every beta.
+per_alpha of every principal submatrix A[T]: per_alpha_minors. Lieb,
+Fischer and the shape averages read their blocks from it at alpha = +-1,
+where per_{+1} and per_{-1} stand in for Ryser and Bareiss; the expansion
+formulas in partitions read it at every beta.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps
@@ -38,19 +38,18 @@ integers, an int or a Gaussian integer, and its ring method all of them
 rescaled to a common base, for the partition DPs: no other module reads
 its lists.
 
-A keeps these tables, built on first use by kept(A, key, build): the cycle
-table, per alpha_key the minors table and per_alpha_dp's value, and the
-cycle polynomials that partitions.cycle_polynomials builds from the cycle
-table (integers, or floats for a float A), which check_lieb_type,
-check_marcus and check_neg_positivity read at every alpha. The oracle,
-Ryser, Bareiss and the hafnian neither read nor fill them.
+A keeps what its checks read again, built on first use by kept(A, key,
+build): the cycle table, the cycle polynomials that every alpha-family
+reads (partitions.cycle_polynomials) and the tables of inequalities at
+alpha = +-1. Nothing is keyed by alpha: per_alpha_dp and per_alpha_minors
+run a DP at each call. The oracle, Ryser, Bareiss and the hafnian neither
+read nor fill the kept tables.
 
-per_alpha_dp reads only the full-set entry. f(full) reads f only on the
-subsets of {1..n-1}, so it fills those (the masks without bit 0, in
-ascending order) and then the full set: (3^(n-1) - 1)/2 + 2^(n-1) subset
-pairs, about a third of the table's. Each entry it fills is computed by
-the table's loop in the table's order, so its value, exact or float, is
-bit-identical to per_alpha_minors(A, alpha)[-1].
+per_alpha_dp fills only what f(full) reads: the subsets of {1..n-1} (the
+masks without bit 0, ascending), then the full set, (3^(n-1) - 1)/2 +
+2^(n-1) subset pairs, about a third of the table's, each by the table's
+loop in its order, so its value, exact or float, is bit-identical to
+per_alpha_minors(A, alpha)[-1].
 
 The hafnian of a symmetric even-dimensional matrix sums, over all perfect
 matchings of the index set, the product of matched entries; the diagonal is
@@ -517,18 +516,6 @@ def kept(A: Matrix, key, build, cap=None):
     return got
 
 
-def alpha_key(alpha) -> tuple:
-    """The key A keeps its tables at alpha under, equal only for alphas the
-    kernels give equal results of one type: an exact alpha's integer parts
-    (Fraction(1), GaussianRational(1) differ), else type and repr (0.0, -0.0
-    differ)."""
-    if type(alpha) in (Fraction, int):
-        return alpha.as_integer_ratio()
-    if isinstance(alpha, GaussianRational):
-        return alpha.re.as_integer_ratio() + alpha.im.as_integer_ratio()
-    return type(alpha), repr(alpha)
-
-
 def _dp_masks(n: int, full_set: bool):
     """The index sets the subset DP fills, in an order where every proper
     subset comes first: all of them, or for the full set alone the sets
@@ -585,12 +572,12 @@ def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int, masks) -> tuple:
     return gr, gi
 
 
-def _principal_dp(A: Matrix, alpha, C: ScaledTable,
+def _principal_dp(A: Matrix, alpha, cap, C=None,
                   full_set=False) -> ScaledTable:
-    """The subset DP of A at alpha on A's cycle table C, over every index
-    set T, or with full_set over the sets per_alpha(A) reads: entry T is
-    per_alpha(A[T]), with the value and type per_alpha_dp(submatrix(A, T),
-    alpha) returns.
+    """The subset DP of A at alpha under the DP cap, run at each call on
+    A's cycle table (C, if given), over every index set T, or with full_set
+    over the sets per_alpha(A) reads: entry T is per_alpha(A[T]), with the
+    value and type per_alpha_dp(submatrix(A, T), alpha) returns.
 
     Exact tables hold the integers base^|T| per_alpha(A[T]) with base = q L
     for alpha = p/q, and their imaginary parts unless the DP ran on plain
@@ -598,6 +585,9 @@ def _principal_dp(A: Matrix, alpha, C: ScaledTable,
     the full set are left unfilled.
     """
     n = A.n
+    _check_cap("dp", n, cap)
+    alpha = require_alpha_kind(A, alpha)
+    C = cycle_sum_table(A, cap=cap) if C is None else C
     masks = _dp_masks(n, full_set)
     if A.kind in FLOAT_KINDS:
         g = _subset_dp(C.values, alpha, n, masks)
@@ -619,39 +609,18 @@ def _principal_dp(A: Matrix, alpha, C: ScaledTable,
 
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     """per_alpha via the cycle-sum decomposition: the full-set entry of
-    per_alpha_minors, from a DP over only the index sets it reads,
-    (3^(n-1) - 1)/2 + 2^(n-1) subset pairs.
-
-    A keeps the value; when A keeps the whole table at alpha, the value is
-    its full-set entry, bit-identical. cycle_table, if given, must be
-    cycle_sum_table(A), the table A keeps anyway.
+    per_alpha_minors, bit-identical, from a DP over only the index sets it
+    reads, (3^(n-1) - 1)/2 + 2^(n-1) subset pairs. cycle_table, if given,
+    must be cycle_sum_table(A), the table A keeps anyway.
     """
-    def build():
-        a = require_alpha_kind(A, alpha)
-        C = cycle_sum_table(A, cap=cap) if cycle_table is None else cycle_table
-        return _principal_dp(A, a, C, full_set=True)[-1]
-
-    return kept(A, ("full-set", alpha_key(alpha)), build, cap)
+    return _principal_dp(A, alpha, cap, cycle_table, full_set=True)[-1]
 
 
 def per_alpha_minors(A: Matrix, alpha, cap=None) -> ScaledTable:
-    """per_alpha of every principal submatrix A[T] from one subset DP.
-
-    The DP behind per_alpha_dp computes per_alpha(A[T]) for every T on the
-    way to the full set; this keeps them all, and A keeps the table: one
-    DP per matrix and alpha key, on A's cycle table. Entry 0 is per_alpha
-    of the empty matrix.
+    """per_alpha of every principal submatrix A[T], from one subset DP on
+    A's cycle table at each call; entry 0 is per_alpha of the empty matrix.
     """
-    key = alpha_key(alpha)
-
-    def build():
-        minors = _principal_dp(A, require_alpha_kind(A, alpha),
-                               cycle_sum_table(A, cap=cap))
-        # per_alpha_dp at alpha reads the full-set entry, bit-identical
-        A._tables["full-set", key] = minors[-1]
-        return minors
-
-    return kept(A, ("minors", key), build, cap)
+    return _principal_dp(A, alpha, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ class Matrix:
     Gram generators hand it over at construction; any other exact matrix
     computes it on first use of `cleared`.
 
-    It also keeps the tables kernels and inequalities build from it in
-    `_tables`, filled on first use through kernels.kept (inequalities
-    keeps the permanent and determinant Lieb and Fischer compare above
-    n = 10 there itself); keeping one changes no value.
+    It also keeps in `_tables` what its checks read again, none of it
+    keyed by alpha, through kernels.kept (inequalities keeps the per and
+    det Lieb and Fischer compare above n = 10 there itself); keeping one
+    changes no value.
     """
 
     __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",

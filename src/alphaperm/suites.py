@@ -9,8 +9,8 @@ whole-table form of the DP per_alpha_dp runs over the full set, and stay
 real checks: each compares the DP at one alpha with products of
 minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
-The DP side runs first, so it never reads a table the formula side kept
-(a test guards the order); an inequality instance keeps its tables.
+Both sides share at most the cycle table, as a matrix keeps nothing
+keyed by alpha; an inequality instance keeps its tables.
 An inequality trial's rows carry each violation's Finding, made by
 inequalities.make_finding once the oracle has re-derived it.
 """

@@ -406,6 +406,59 @@ class TestHunt:
         assert code == 3
 
 
+class TestKeptKeys:
+    @staticmethod
+    def _allowed(key) -> bool:
+        """The keys a matrix may keep its tables under: none names an
+        alpha, only the sign of a table at +-1."""
+        if key in ("cycle", "cycle-polynomial"):
+            return True
+        if not isinstance(key, tuple) or key[1:2] not in ((1,), (-1,)):
+            return False
+        return (key[0] in ("sign", "whole") and len(key) == 2
+                or key[0] == "shape-averages" and len(key) == 3)
+
+    def test_no_table_is_keyed_by_alpha(self, monkeypatch, tmp_path):
+        # both check suites in either mode, and a hunt of every family that
+        # reads tables at n = 5 and at n = 11, where lieb and fischer run
+        # Ryser and Bareiss on the blocks against the whole matrix's value
+        seen = set()
+
+        class Log(dict):
+            def __setitem__(self, key, value):
+                seen.add(key)
+                dict.__setitem__(self, key, value)
+
+        init, from_cleared = Matrix.__init__, Matrix._from_cleared.__func__
+
+        def logged_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            object.__setattr__(self, "_tables", Log())
+
+        def logged_from_cleared(cls, *args, **kwargs):
+            self = from_cleared(cls, *args, **kwargs)
+            object.__setattr__(self, "_tables", Log())
+            return self
+
+        monkeypatch.setattr(Matrix, "__init__", logged_init)
+        monkeypatch.setattr(Matrix, "_from_cleared",
+                            classmethod(logged_from_cleared))
+        for mode in ("exact", "float"):
+            code, _, _ = run_cli("check", "--suite", "all", "--trials", "1",
+                                 "--mode", mode)
+            assert code == 0
+        for n in ("5", "11"):
+            code, _, _ = run_cli("hunt", "--target",
+                                 "lieb,fischer,lieb-type,marcus", "--n", n,
+                                 "--trials", "1",
+                                 "--out", str(tmp_path / "f.jsonl"))
+            assert code == 0
+        assert sorted(repr(key) for key in seen
+                      if not self._allowed(key)) == []
+        assert {"cycle", "cycle-polynomial", ("sign", 1), ("sign", -1),
+                ("whole", 1), ("whole", -1)} <= seen
+
+
 class TestSurface:
     def test_exports_and_subcommands(self):
         # every name in __all__ resolves, so `from alphaperm import *` works

@@ -141,6 +141,27 @@ class TestCompare:
         r = compare("x", F(1), F(0), ">=", hypothesis=False)
         assert r.hypothesis is False
 
+    @pytest.mark.parametrize("lhs, rhs", [
+        (F(7, 3), F(5, 2)), (F(-4), F(-4)), (7, -2), (F(7, 3), 2),
+        (True, F(1, 2)), (G(F(7, 3)), G(F(5, 2))), (G(F(-1, 6)), F(1, 3)),
+        (G(4), 4), (3, G(F(9, 4)))])
+    @pytest.mark.parametrize("direction", [">=", "<="])
+    def test_exact_fields_are_fractions(self, lhs, rhs, direction):
+        # whatever exact type comes in, lhs, rhs and slack are Fractions
+        # of the real parts, and the verdict is the slack's sign
+        def re(x):
+            return x.re if isinstance(x, GaussianRational) else x
+
+        r = compare("x", lhs, rhs, direction)
+        slack = re(lhs) - re(rhs) if direction == ">=" else re(rhs) - re(lhs)
+        assert (r.lhs, r.rhs, r.slack) == (re(lhs), re(rhs), slack)
+        assert [type(x) for x in (r.lhs, r.rhs, r.slack)] == [Fraction] * 3
+        assert r.verdict == (EQUALITY if slack == 0
+                             else HOLDS if slack > 0 else VIOLATED)
+        assert (r.direction, r.mode, r.tol) == (direction, "exact", 0.0)
+        # the same comparison as ring elements over a denominator
+        assert _exact_result("x", 6 * lhs, 6 * rhs, 6, direction, None) == r
+
 
 class TestBinomialsNonnegative:
     def test_nonnegative_integers(self):
@@ -266,6 +287,32 @@ class TestSignTables:
                         "fischer", signed(det[-1], n),
                         signed(det[low], m) * signed(det[high], n - m),
                         "<="))
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_entries_equal_the_oracle_on_edge_cases(self, float_mode):
+        # n = 0 and 1, Hermitian, and direct sums with a zero row or an
+        # empty block: entry T of each sign table is per_{+-1}(A[T])
+        H = random_psd(3, HERMITIAN, 3, seed=5)
+        zero = Matrix([[F(0)]], kind=COMPLEX_RATIONAL)
+        empty = Matrix([], kind=COMPLEX_RATIONAL)
+        cases = [Matrix([], kind="rational"), empty,
+                 Matrix([[F(5, 3)]]), Matrix([[G(F(-2, 7))]], hermitian=True),
+                 H, direct_sum(H, zero), direct_sum(zero, H),
+                 direct_sum(empty, zero), direct_sum(H, empty)]
+        for A in cases:
+            if float_mode:
+                A = A.to_float()
+            for sign in (1, -1):
+                a = sign if kind_is_exact(A.kind) else float(sign)
+                table = sign_minors(A, sign)
+                assert len(table) == 1 << A.n
+                for T in range(1 << A.n):
+                    want = per_alpha_naive(submatrix(A, T), a)
+                    assert type(table[T]) is type(want)
+                    if float_mode:
+                        assert abs(table[T] - want) <= 1e-9 * (1 + abs(want))
+                    else:
+                        assert table[T] == want
 
     def test_above_n_10_no_dp_and_equal_values(self, monkeypatch):
         # there one subset DP costs more than Ryser and Bareiss at every

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from alphaperm import kernels
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
 from alphaperm import fastpath
+from alphaperm.inequalities import sign_minors
 from alphaperm.kernels import (
     alpha_determinant,
-    alpha_key,
     cycle_sum_table,
     determinant,
     diagonal_product,
@@ -710,11 +710,11 @@ class TestFullSetDP:
                 # entry S is q^(|S|-1) C_B(S), with C_B(S) = L^|S| C_A(S)
                 C_B = C.base ** m.bit_count() * C[m]
                 assert G(values[m], imag[m]) == q ** (m.bit_count() - 1) * C_B
-        # A keeps the tables the DPs fill, not their weights
+        # A keeps its cycle table, not the weights nor the DPs' tables
         for a in (F(5, 3), F(5, 6), F(-5, 3)):
             per_alpha_minors(A, a)
-        assert sorted(key[0] for key in A._tables if key != "cycle") == [
-            "full-set"] * 3 + ["minors"] * 3
+            per_alpha_dp(A, a)
+        assert list(A._tables) == ["cycle"]
 
     def test_weights_skip_the_default_cap(self, monkeypatch):
         # an explicit cap above the default lets the DP run: the weights
@@ -760,24 +760,24 @@ class TestKeptTables:
             assert repr(per_alpha_dp(B, second)) == repr(want)
             assert repr(per_alpha_minors(B, second)[-1]) == repr(want)
 
-    def test_exact_keys_are_integer_parts(self):
-        # no Fraction is hashed: Fraction.__hash__ computes a modular
-        # inverse on every call
-        assert alpha_key(F(-3, 2)) == (-3, 2)
-        assert alpha_key(G(F(1, 2), F(-1, 3))) == (1, 2, -1, 3)
-        assert alpha_key(F(0)) == alpha_key(-F(0))
-        assert alpha_key(F(2)) == alpha_key(2)
-        assert alpha_key(0.0) != alpha_key(-0.0)
-        assert alpha_key(1.0) != alpha_key(1 + 0j)
-
     def test_one_build_per_matrix_and_key(self):
+        # A keeps its cycle table and sign tables; a table at any alpha is
+        # a new DP at each call
         A = random_matrix(4, "complex-rational", seed=3)
         table = cycle_sum_table(A)
-        minors = per_alpha_minors(A, F(3, 2))
+        signs = [sign_minors(A, s) for s in (1, -1)]
         assert cycle_sum_table(A) is table
-        assert per_alpha_minors(A, F(6, 4)) is minors
-        assert per_alpha_minors(_fresh(A), F(3, 2)) is not minors
-        assert per_alpha_minors(A.to_float(), 1.5) is not minors
+        for s, kept in zip((1, -1), signs):
+            assert sign_minors(A, s) is kept
+            assert sign_minors(_fresh(A), s) is not kept
+            assert sign_minors(A.to_float(), s) is not kept
+            assert per_alpha_minors(A, F(s)) is not kept
+        minors = per_alpha_minors(A, F(3, 2))
+        again = per_alpha_minors(A, F(6, 4))
+        assert again is not minors
+        assert [repr(x) for x in again] == [repr(x) for x in minors]
+        assert sorted(A._tables, key=repr) == ["cycle", ("sign", -1),
+                                               ("sign", 1)]
 
     def test_kept_tables_stay_under_an_explicit_cap(self):
         A = random_matrix(4, "rational", seed=6)
@@ -791,18 +791,34 @@ class TestKeptTables:
                 call()
 
     def test_kept_tables_read_under_a_lowered_default_cap(self, monkeypatch):
-        # ALPHAPERM_CAP_DP lowers the default cap: it stops a new build, not
-        # the read of a kept table
+        # ALPHAPERM_CAP_DP lowers the default cap: it stops a new build and
+        # every DP, not the read of a kept table
         A = random_matrix(4, "rational", seed=6)
-        value = per_alpha_dp(A, F(3, 2))
         table = cycle_sum_table(A)
-        minors = per_alpha_minors(A, F(2))
+        signs = [sign_minors(A, s) for s in (1, -1)]
         monkeypatch.setenv("ALPHAPERM_CAP_DP", "3")
-        _same(per_alpha_dp(A, F(3, 2)), value)
         assert cycle_sum_table(A) is table
-        assert per_alpha_minors(A, F(2)) is minors
+        assert all(sign_minors(A, s) is t for s, t in zip((1, -1), signs))
+        for B in (A, _fresh(A)):
+            for dp in (per_alpha_dp, per_alpha_minors):
+                with pytest.raises(CapacityError, match="exceeds cap 3"):
+                    dp(B, F(3, 2))
         with pytest.raises(CapacityError, match="exceeds cap 3"):
-            per_alpha_dp(_fresh(A), F(3, 2))
+            sign_minors(_fresh(A), 1)
+
+    @pytest.mark.parametrize("kind", ["rational", "complex-rational"])
+    def test_kept_cycle_table_leaves_the_dp_cap_checked(self, kind):
+        # the cycle table A keeps does not lift the cap of a DP on it
+        A = random_matrix(4, kind, seed=8)
+        C = cycle_sum_table(A)
+        for call in (lambda cap: per_alpha_dp(A, F(3, 2), cap=cap),
+                     lambda cap: per_alpha_dp(A, F(3, 2), cap=cap,
+                                              cycle_table=C),
+                     lambda cap: per_alpha_minors(A, F(3, 2), cap=cap)[-1]):
+            with pytest.raises(CapacityError, match="size 4 exceeds cap 3"):
+                call(3)
+            _same(call(4), per_alpha_naive(A, F(3, 2)))
+        assert cycle_sum_table(A) is C
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +857,6 @@ class TestPrincipalMinors:
         A = random_matrix(3, "rational", seed=4)
         minors = per_alpha_minors(A, F(2))
         table = cycle_sum_table(A)
-        assert per_alpha_minors(A, F(2)) is minors
         for t in (minors, table):
             assert repr(t[-1]) == repr(t[7])
             with pytest.raises(IndexError):

@@ -74,23 +74,22 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("float_mode", [False, True])
     def test_dp_sides_read_no_kept_table(self, monkeypatch, float_mode):
         # each identity compares a DP with a formula on the same entries; a
-        # DP answered from a table the formula side kept at the same alpha
-        # would compare that table with itself, whatever the order
+        # DP answered from a table the formula side kept would compare that
+        # table with itself. At every DP call the matrix keeps at most its
+        # cycle table, which is no value at any alpha
         import alphaperm.suites as suites
-        from alphaperm.kernels import alpha_key
-        hits = []
+        kept = []
         dp = suites.per_alpha_dp
 
         def spy(A, alpha, *args, **kwargs):
-            hits.extend(key for key in (("full-set", alpha_key(alpha)),
-                                        ("minors", alpha_key(alpha)))
-                        if key in A._tables)
+            kept.append(sorted(A._tables, key=repr))
             return dp(A, alpha, *args, **kwargs)
 
         monkeypatch.setattr(suites, "per_alpha_dp", spy)
         for t in range(12):
             suites._identity_trial(5, 0, float_mode, 1e-7, t)
-        assert hits == []
+        assert len(kept) == 12 * 7
+        assert all(keys in ([], ["cycle"]) for keys in kept)
 
     def test_float_mode(self):
         outcomes = run_identity_suite(n_max=4, trials=5, seed=3,
