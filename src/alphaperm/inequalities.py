@@ -55,7 +55,7 @@ per_{-alpha}(A), and at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over
 2^n den, at(p, 2q) is per_{alpha/2}(A). check_lieb and check_fischer read
 sign_minors(A, +1) and sign_minors(A, -1) (kernels.per_alpha_minors, one
 subset DP each, kept on A) up to n = 10, entry T as the table's scaled(T)
-hands it out; above it Ryser and Bareiss, with the whole matrix's value
+hands it out; above it Glynn and Bareiss, with the whole matrix's value
 kept on A. shape_averages sums their block products over the partitions
 of every shape in one shape-keyed partition DP
 (partitions.shape_partition_sums) on the tables' ring(). No table's lists
@@ -276,8 +276,11 @@ def _signed(x, k: int):
     return -x if k % 2 else x
 
 
-# Above this n one subset DP costs more than Ryser or Bareiss on A and both
-# blocks at every split (lieb and fischer hunts cross over at n = 10..14).
+# Above this n lieb and fischer run Glynn or Bareiss on A and both blocks
+# at every split instead of one subset DP. In-process lieb,fischer hunts:
+# on real A the kernels win from n = 9 on; on Hermitian A, whose kernels
+# run in GaussianRational arithmetic, the DP wins by 14x at n = 10 and by
+# 10x at n = 11 (BENCH_glynn_permanent.json). One cut serves both kinds.
 _SPLIT_TABLE_MAX_N = 10
 
 
@@ -285,7 +288,7 @@ def _split_check(name, A: Matrix, m: int, sign: int, direction,
                  tol) -> ComparisonResult:
     """per (sign +1) or det (sign -1) of A against the product of those of
     its blocks A', A'' at the split m: up to _SPLIT_TABLE_MAX_N from
-    sign_minors(A, sign), which A keeps for every split, above it by Ryser
+    sign_minors(A, sign), which A keeps for every split, above it by Glynn
     or Bareiss on the blocks, against A's own value, which A keeps under
     its own key, outside kept and its DP cap."""
     n = A.n

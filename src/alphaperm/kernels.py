@@ -27,7 +27,7 @@ Two independent algorithms compute per_alpha:
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
 per_alpha of every principal submatrix A[T]: per_alpha_minors. Lieb,
 Fischer and the shape averages read their blocks from it at alpha = +-1,
-where per_{+1} and per_{-1} stand in for Ryser and Bareiss; the expansion
+where per_{+1} and per_{-1} stand in for Glynn and Bareiss; the expansion
 formulas in partitions read it at every beta.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
@@ -42,7 +42,7 @@ A keeps what its checks read again, built on first use by kept(A, key,
 build): the cycle table, the cycle polynomials that every alpha-family
 reads (partitions.cycle_polynomials) and the tables of inequalities at
 alpha = +-1. Nothing is keyed by alpha: per_alpha_dp and per_alpha_minors
-run a DP at each call. The oracle, Ryser, Bareiss and the hafnian neither
+run a DP at each call. The oracle, Glynn, Bareiss and the hafnian neither
 read nor fill the kept tables.
 
 per_alpha_dp fills only what f(full) reads: the subsets of {1..n-1} (the
@@ -57,7 +57,7 @@ ignored. haf of the empty matrix is 1. doubled_hafnian_table gives
 haf(doubled(A[T])) for every T from one memoized recursion.
 
 All kernels accept exact (Fraction / GaussianRational) and float matrices.
-Float matrices run on the same cycle-sum, subset-DP, Ryser and hafnian loops
+Float matrices run on the same cycle-sum, subset-DP, Glynn and hafnian loops
 as the integer lane below, on Python floats and complex numbers; the float
 determinant is the exact one of the binary64 entries, rounded once. Exact
 inputs demand exact alpha, float inputs demand float alpha; anything else
@@ -84,11 +84,11 @@ it, so no kernel clears the same matrix twice.
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
-  * rational Ryser, Bareiss (whose divisions are exact on integers) and the
-    hafnian run on B and divide by L^n, L^n and L^(n/2); the doubled
-    hafnian table has base L.
+  * rational Glynn, Bareiss (whose divisions are exact on integers) and the
+    hafnian run on B and divide by 2^(n-1) L^n, L^n and L^(n/2); the
+    doubled hafnian table has base L.
 
-Complex-rational Ryser, Bareiss and hafnian stay on GaussianRational.
+Complex-rational Glynn, Bareiss and hafnian stay on GaussianRational.
 The oracle does its own clearing and shares nothing with the integer lane:
 it reads A's entries, not A.cleared, scales them to integers (Gaussian
 integers for complex-rational A) by their own common denominator L, walks
@@ -98,9 +98,10 @@ Float matrices are walked on their floats. Results are Fractions or
 GaussianRationals, never bare ints.
 
 Size caps are configuration: pass cap=... explicitly or override the
-defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER,
-_HAFNIAN. Exceeding a cap raises CapacityError. A kept table is returned
-under the default caps; an explicit cap is checked either way.
+defaults with environment variables ALPHAPERM_CAP_NAIVE, _DP, _RYSER
+(the permanent's cap) and _HAFNIAN. Exceeding a cap raises CapacityError.
+A kept table is returned under the default caps; an explicit cap is
+checked either way.
 """
 
 from __future__ import annotations
@@ -628,11 +629,14 @@ def per_alpha_minors(A: Matrix, alpha, cap=None) -> ScaledTable:
 # ---------------------------------------------------------------------------
 
 def permanent(A: Matrix, cap=None):
-    """Permanent by inclusion-exclusion over column subsets (Gray-coded).
+    """Permanent by Glynn's formula (Gray-coded over the row signs).
 
-    per(A) = (-1)^n sum over S of (-1)^{|S|} prod_i (sum_{j in S} a_ij);
-    each Gray step flips one column in or out, so row sums update in O(n).
-    Rational matrices run on L*A in integers: per(L*A) = L^n per(A).
+    per(A) = 2^-(n-1) sum over d in {+1, -1}^n with d_0 = +1 of
+    prod_k d_k prod_j (sum_i d_i a_ij) (D. G. Glynn, European J. Combin.
+    31, 2010); each Gray step flips the sign of one row 1..n-1, so the
+    column sums update in O(n). Rational matrices run on L*A in integers:
+    per(L*A) = L^n per(A). Other kinds divide by 2^(n-1), which is exact on
+    floats short of underflow.
     """
     n = A.n
     _check_cap("ryser", n, cap)
@@ -640,31 +644,27 @@ def permanent(A: Matrix, cap=None):
         return ONE_OF[A.kind]
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
-        return from_scaled(L ** n, _ryser(rows, n))
-    return _ryser(A.rows, n)
+        return from_scaled(L ** n << (n - 1), _glynn(rows, n))
+    return _glynn(A.rows, n) / (1 << (n - 1))
 
 
-def _ryser(rows, n: int):
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    zero = rows[0][0] - rows[0][0]
-    sums = [zero] * n
-    total = zero
-    gray = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        if gray & bit:
-            sums = [s + x for s, x in zip(sums, cols[j])]
-        else:
-            sums = [s - x for s, x in zip(sums, cols[j])]
-        prod = math.prod(sums)
-        # popcount(gray) flips parity once per step, so it equals k mod 2.
+def _glynn(rows, n: int):
+    """2^(n-1) per(rows): Glynn's sum over the signs of rows 1..n-1."""
+    sums = [sum(col) for col in zip(*rows)]
+    twice = [[x + x for x in row] for row in rows]
+    total = math.prod(sums)
+    flipped = 0
+    for k in range(1, 1 << (n - 1)):
+        bit = k & -k
+        flipped ^= bit
+        step = operator.sub if flipped & bit else operator.add
+        sums = list(map(step, sums, twice[bit.bit_length()]))
+        # prod d_k is (-1)^popcount(flipped), whose parity is k's
         if k & 1:
-            total = total - prod
+            total = total - math.prod(sums)
         else:
-            total = total + prod
-    return total if n % 2 == 0 else -total
+            total = total + math.prod(sums)
+    return total
 
 
 def determinant(A: Matrix):

@@ -295,32 +295,37 @@ def from_scaled(den: int, real: int, imag: int = None):
 # text round-trip
 # ---------------------------------------------------------------------------
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# matched with fullmatch: a "$" anchor would let a trailing newline through
+_RAT_RE = re.compile(r"(?P<num>[+-]?\d+)(?:/(?P<den>[1-9]\d*))?")
 _CRAT_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/[1-9]\d*)?)"
-    r"(?P<sign>[+-])(?P<im>\d+(?:/[1-9]\d*)?) ?i$"
+    r"(?P<re>[+-]?\d+(?:/[1-9]\d*)?)"
+    r"(?P<sign>[+-])(?P<im>\d+(?:/[1-9]\d*)?) ?i"
 )
-_CRAT_IM_ONLY_RE = re.compile(r"^(?P<im>[+-]?\d+(?:/[1-9]\d*)?) ?i$")
+_CRAT_IM_ONLY_RE = re.compile(r"(?P<im>[+-]?\d+(?:/[1-9]\d*)?) ?i")
 
 
 def _parse_rational(text: str) -> Fraction:
-    if not _RAT_RE.match(text):
+    m = _RAT_RE.fullmatch(text)
+    if not m:
         raise ScalarFormatError("bad rational %r" % (text,))
-    return Fraction(text)
+    num, den = m.group("num", "den")
+    if den is None:
+        return Fraction(int(num))
+    return Fraction(int(num), int(den))
 
 
 def _parse_complex_rational(text: str) -> GaussianRational:
-    m = _CRAT_RE.match(text)
+    m = _CRAT_RE.fullmatch(text)
     if m:
-        im = Fraction(m.group("im"))
+        im = _parse_rational(m.group("im"))
         if m.group("sign") == "-":
             im = -im
-        return GaussianRational(Fraction(m.group("re")), im)
-    m = _CRAT_IM_ONLY_RE.match(text)
+        return GaussianRational(_parse_rational(m.group("re")), im)
+    m = _CRAT_IM_ONLY_RE.fullmatch(text)
     if m:
-        return GaussianRational(0, Fraction(m.group("im")))
-    if _RAT_RE.match(text):
-        return GaussianRational(Fraction(text), 0)
+        return GaussianRational(0, _parse_rational(m.group("im")))
+    if _RAT_RE.fullmatch(text):
+        return GaussianRational(_parse_rational(text), 0)
     raise ScalarFormatError("bad complex rational %r" % (text,))
 
 

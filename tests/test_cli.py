@@ -125,6 +125,14 @@ class TestCompute:
         code, _, err = run_cli("compute", "per-alpha", plain_file)
         assert code == 2 and "alpha" in err
 
+    @pytest.mark.parametrize("alpha", ["3/2\n", "1+2i\n"])
+    def test_alpha_with_trailing_newline_is_input_error(self, plain_file,
+                                                       alpha):
+        code, out, err = run_cli("compute", "per-alpha", "--alpha", alpha,
+                                 plain_file)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_is_input_error(self):
         code, _, err = run_cli("compute", "per", "/nonexistent/x.mat")
         assert code == 3 and "error:" in err
@@ -421,7 +429,7 @@ class TestKeptKeys:
     def test_no_table_is_keyed_by_alpha(self, monkeypatch, tmp_path):
         # both check suites in either mode, and a hunt of every family that
         # reads tables at n = 5 and at n = 11, where lieb and fischer run
-        # Ryser and Bareiss on the blocks against the whole matrix's value
+        # Glynn and Bareiss on the blocks against the whole matrix's value
         seen = set()
 
         class Log(dict):

@@ -315,7 +315,7 @@ class TestSignTables:
                         assert table[T] == want
 
     def test_above_n_10_no_dp_and_equal_values(self, monkeypatch):
-        # there one subset DP costs more than Ryser and Bareiss at every
+        # there one subset DP costs more than Glynn and Bareiss at every
         # split, so lieb and fischer run those, with the tables' values
         import alphaperm.kernels as kernels
         A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=3)
@@ -336,7 +336,7 @@ class TestSignTables:
 
     def test_above_n_10_one_whole_matrix_run_per_instance(self, monkeypatch):
         # A keeps its whole-matrix permanent and determinant, so each split
-        # runs Ryser and Bareiss on its two blocks only
+        # runs Glynn and Bareiss on its two blocks only
         import alphaperm.inequalities as ineq
         calls = []
 
@@ -1318,7 +1318,7 @@ class TestMajorization:
         import alphaperm.kernels as kernels
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("p_shape called Ryser or Bareiss")
+            raise AssertionError("p_shape called Glynn or Bareiss")
 
         for module in (ineq, kernels):
             for name in ("permanent", "determinant"):
@@ -1804,7 +1804,7 @@ class TestInequalityTrial:
         # trial 3 is an n = 5 real instance: one cycle table, one DP per
         # sign table (alpha = +1 and -1) and no other, one cycle polynomial
         # build for the seven alphas, one shape-average build per sign, and
-        # Ryser only inside check_haf_per
+        # Glynn only inside check_haf_per
         import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions

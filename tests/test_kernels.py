@@ -7,6 +7,7 @@ enumeration, cycle sums by enumerating cyclic arrangements directly.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,16 @@ class TestPermanent:
         A = Matrix.identity(6, "rational")
         with pytest.raises(CapacityError):
             permanent(A, cap=5)
+
+    def test_float_accuracy_pinned(self):
+        # positive entries p/q, 1 <= p, q <= 3, at n = 13: Glynn's sums
+        # stay within about 1e-15 of the exact value here, where Ryser's
+        # alternating subset sums cancel down to about 2e-11
+        rng = random.Random(0)
+        A = Matrix([[F(rng.randint(1, 3), rng.randint(1, 3))
+                     for _ in range(13)] for _ in range(13)])
+        exact = permanent(A)
+        assert abs(F(permanent(A.to_float())) - exact) <= exact / 10 ** 12
 
 
 class TestDeterminant:
@@ -469,6 +480,20 @@ def _fresh(A):
     return submatrix(A, full_mask(A.n))
 
 
+@st.composite
+def exact_matrices_with_zero_line(draw, max_n=7):
+    """exact_matrices, some with one row or one column zeroed."""
+    A = draw(exact_matrices(max_n))
+    line = draw(st.sampled_from([None, "row", "column"]))
+    if A.n == 0 or line is None:
+        return A
+    k = draw(st.integers(0, A.n - 1))
+    zero = A.rows[0][0] * 0
+    rows = [[zero if k == (j if line == "column" else i) else x
+             for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
+    return Matrix(rows, kind=A.kind)
+
+
 class TestIntegerLane:
     @given(any_exact_matrices(), _alphas)
     @settings(max_examples=80, deadline=None)
@@ -491,6 +516,15 @@ class TestIntegerLane:
         assert table[0] is None
         for mask in range(1, 1 << A.n):
             _same(table[mask], oracle_cycle_sum(A, indices_from_mask(mask)))
+
+    @given(exact_matrices_with_zero_line())
+    @example(Matrix([[F(5, 7)]]))
+    @example(Matrix([[G(3, -2)]]))
+    @settings(max_examples=60, deadline=None)
+    def test_permanent_equals_naive_and_dp(self, A):
+        per = permanent(A)
+        _same(per, per_alpha_naive(A, F(1)))
+        _same(per, per_alpha_dp(A, F(1)))
 
     @given(exact_matrices())
     @example(Matrix([], kind="complex-rational"))

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alphaperm.errors import MixedModeError, ScalarFormatError
 from alphaperm.scalars import (
+    _RAT_RE,
     ONE_OF,
     ZERO_OF,
     GaussianRational,
@@ -138,9 +139,18 @@ class TestParsing:
         assert parse_scalar("+7/2", "rational") == Fraction(7, 2)
 
     def test_rational_rejects(self):
-        for bad in ("3/0", "3/-4", "1.5", "", "3 /4", "0x3", "2/4/8", "i"):
+        for bad in ("3/0", "3/-4", "1.5", "", "3 /4", "0x3", "2/4/8", "i",
+                    "3/2\n", "3\n"):
             with pytest.raises(ScalarFormatError):
                 parse_scalar(bad, "rational")
+
+    @given(st.from_regex(_RAT_RE, fullmatch=True))
+    @example("007")
+    @example("-0")
+    @example("+5/10")
+    def test_rational_equals_fraction_of_text(self, text):
+        got = parse_scalar(text, "rational")
+        assert type(got) is Fraction and got == Fraction(text)
 
     def test_complex_forms(self):
         assert parse_scalar("1/2+1/3i", "complex-rational") == G(
@@ -154,7 +164,8 @@ class TestParsing:
             1, Fraction(1, 2))
 
     def test_complex_rejects(self):
-        for bad in ("1+", "i+1", "1+i2", "1 + 2i", "2i+1", "1+2j"):
+        for bad in ("1+", "i+1", "1+i2", "1 + 2i", "2i+1", "1+2j", "1+2i\n",
+                    "2i\n", "5\n"):
             with pytest.raises(ScalarFormatError):
                 parse_scalar(bad, "complex-rational")
 
