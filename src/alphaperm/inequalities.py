@@ -45,33 +45,33 @@ check_majorization_step compares p on shapes related by merging two parts.
 
 Every alpha-family (check_lieb_type, check_marcus, check_neg_positivity)
 reads one source in both lanes, the cycle polynomials A keeps
-(partitions.cycle_polynomials): per_alpha(A[T]) = sum over k of
-alpha^k c_k(A[T]), kept as L^|T| c_k(A[T]), integers for an exact A and
-floats with L = 1 for a float A. At alpha = p/q (p = alpha, q = 1.0 for a
-float A), their at(p, q, T), sum over k of L^|T| c_k p^k q^(|T|-k), is
+(partitions.cycle_polynomials): per_alpha(A[T]) = sum over k of alpha^k
+c_k(A[T]), kept as L^|T| c_k(A[T]), integers for an exact A and floats
+with L = 1 for a float A. At alpha = p/q (p = alpha, q = 1.0 for a float
+A), their at(p, q, T), sum over k of L^|T| c_k p^k q^(|T|-k), is
 (q L)^|T| per_alpha(A[T]), and at(-p, q, T) is (q L)^|T|
 per_{-alpha}(A[T]). Over den = (q L)^n, at(p, -q) is (-1)^n
 per_{-alpha}(A), and at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over
-2^n den, at(p, 2q) is per_{alpha/2}(A). check_lieb and check_fischer read
-sign_minors(A, +1) and sign_minors(A, -1) (kernels.per_alpha_minors, one
-subset DP each, kept on A) up to n = 10, entry T as the table's scaled(T)
-hands it out; above it Glynn and Bareiss, with the whole matrix's value
-kept on A. shape_averages sums their block products over the partitions
-of every shape in one shape-keyed partition DP
-(partitions.shape_partition_sums) on the tables' ring(). No table's lists
-are read here. An integer entry of T carries base^|T|, so the whole set
-and a split's block product both carry base^n. Each comparison of a
-family, and of lieb and fischer up to n = 10, is _result on two such
-values over one denominator. On an exact A that is _exact_result on ring
-elements (ints, or Gaussian integers that must be real): the verdict is
-the sign of one integer difference, and lhs, rhs and slack are Fractions
-over the denominator. On a float A it is compare on their real parts
-over the denominator, in compare's relative band; compare hands exact
-inputs to _exact_result over 1. The oracle _naive_slack evaluates each
-block's cycle polynomial, from per_alpha_naive's walk over the block's
-permutations. The hunter and the inequality suite keep one dict of
-polynomials per trial, so each block of an instance is walked once, for
-every alpha and every violation.
+2^n den, at(p, 2q) is per_{alpha/2}(A). Lieb and Fischer are lieb-alpha
+and neg-block at alpha = 1, as per_{-1}(B) = (-1)^{dim B} det(B):
+check_lieb and check_fischer read the polynomials at (1, 1) and (-1, 1)
+up to n = 10, and above it run Glynn and Bareiss on the blocks, with the
+whole matrix's value kept on A. shape_averages sums the block products
+of per_alpha_minors(A, +-1), one subset DP, over the partitions of every
+shape in one shape-keyed partition DP (partitions.shape_partition_sums)
+on the table's ring(). No table's lists are read here. An integer entry
+of T carries base^|T|, so the whole set and a split's block product both
+carry base^n. Each comparison of a family, and of lieb and fischer up to
+n = 10, is _result on two such values over one denominator. On an exact
+A that is _exact_result on ring elements (ints, or Gaussian integers
+that must be real): the verdict is the sign of one integer difference,
+and lhs, rhs and slack are Fractions over the denominator. On a float A
+it is compare on their real parts over the denominator, in compare's
+relative band; compare hands exact inputs to _exact_result over 1. The
+oracle _naive_slack evaluates each block's cycle polynomial, from
+per_alpha_naive's walk over the block's permutations. The hunter and the
+inequality suite keep one dict of polynomials per trial, so each block
+of an instance is walked once, for every alpha and every violation.
 
 Every Finding is made by make_finding, where it is observed: a hunt trial
 returns its violation and sign records with its least gated slack, and
@@ -271,29 +271,28 @@ def _real_alpha(alpha):
 # base inequalities (alpha-free)
 # ---------------------------------------------------------------------------
 
-def _signed(x, k: int):
-    """(-1)^k x."""
-    return -x if k % 2 else x
-
-
 # Above this n lieb and fischer run Glynn or Bareiss on A and both blocks
-# at every split instead of one subset DP. In-process lieb,fischer hunts:
-# on real A the kernels win from n = 9 on; on Hermitian A, whose kernels
-# run in GaussianRational arithmetic, the DP wins by 14x at n = 10 and by
-# 10x at n = 11 (BENCH_glynn_permanent.json). One cut serves both kinds.
-_SPLIT_TABLE_MAX_N = 10
+# at every split instead of reading A's cycle polynomials at alpha = 1.
+# Both at every split of a fresh instance, in ms (the +-1 tables read
+# before / the polynomials / Glynn and Bareiss): real A, n = 9:
+# 4.6 / 3.6 / 2.7, n = 10: 13.0 / 10.3 / 4.3, n = 11: 39 / 29 / 7.0;
+# Hermitian A, whose kernels run in GaussianRational arithmetic, n = 9:
+# 6.5 / 6.4 / 145, n = 10: 18.7 / 15.9 / 299, n = 11: 54 / 43 / 588
+# (BENCH_lieb_from_polynomials.json). The kernels win from n = 9 on real
+# A and never on Hermitian A; one cut serves both.
+_SPLIT_POLYNOMIAL_MAX_N = 10
 
 
 def _split_check(name, A: Matrix, m: int, sign: int, direction,
                  tol) -> ComparisonResult:
     """per (sign +1) or det (sign -1) of A against the product of those of
-    its blocks A', A'' at the split m: up to _SPLIT_TABLE_MAX_N from
-    sign_minors(A, sign), which A keeps for every split, above it by Glynn
-    or Bareiss on the blocks, against A's own value, which A keeps under
-    its own key, outside kept and its DP cap."""
+    its blocks A', A'' at the split m: up to _SPLIT_POLYNOMIAL_MAX_N from
+    A's cycle polynomials, above it by Glynn or Bareiss on the blocks,
+    against A's own value, which A keeps under its own key, outside kept
+    and its DP cap."""
     n = A.n
     low, high = split_masks(n, m)
-    if n > _SPLIT_TABLE_MAX_N:
+    if n > _SPLIT_POLYNOMIAL_MAX_N:
         value = permanent if sign == 1 else determinant
         whole = A._tables.get(("whole", sign))
         if whole is None:
@@ -301,15 +300,16 @@ def _split_check(name, A: Matrix, m: int, sign: int, direction,
         return compare(name, whole,
                        value(submatrix(A, low)) * value(submatrix(A, high)),
                        direction, tol)
-    minors = sign_minors(A, sign)
-    # entry T of the sign -1 table is (-1)^|T| det(A[T]); each sign is a
-    # negation, which keeps the sign of a complex zero where a product by
-    # an int sign would not
-    at, odd = minors.scaled, sign == -1
-    return _result(A, name, _signed(at(-1), odd * n),
-                   _signed(at(low), odd * m)
-                   * _signed(at(high), odd * (n - m)),
-                   minors.base ** n, direction, None, tol)
+    # lieb and fischer are lieb-alpha and neg-block at alpha = 1, as
+    # det(B) = (-1)^|B| per_{-1}(B); read as check_lieb_type reads those
+    p, q, den, at = _cycle_polynomial_at(A, 1 if kind_is_exact(A.kind)
+                                         else 1.0)
+    x = sign * p
+    whole, blocks = at(x, q), at(x, q, low) * at(x, q, high)
+    if sign == -1:
+        sign_n = -1 if n % 2 else 1
+        whole, blocks = sign_n * whole, sign_n * blocks
+    return _result(A, name, whole, blocks, den, direction, None, tol)
 
 
 def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
@@ -420,31 +420,25 @@ def check_marcus(A: Matrix, alpha, tol=0.0) -> list:
 # shape averages and majorization steps
 # ---------------------------------------------------------------------------
 
-def sign_minors(A: Matrix, sign: int):
-    """per_{sign}(A[T]) for every index set T, from one subset DP that A
-    keeps: permanents for sign +1, (-1)^|T| det(A[T]) for sign -1."""
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    return kept(A, ("sign", sign), lambda: per_alpha_minors(
-        A, sign if kind_is_exact(A.kind) else float(sign)))
-
-
 def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:
     """{shape: p_sign(shape)} for every partition shape of n = A.n: the
     average over set partitions with that shape of the product of
     per_{sign} over blocks (sign +1: permanents; sign -1: signed dets).
 
-    One shape-keyed partition DP over sign_minors(A, sign) serves every
-    shape; exact tables run it on the DP's integers and divide once per
-    shape. A keeps the result for each (sign, tol).
+    One shape-keyed partition DP over per_alpha_minors(A, sign) serves
+    every shape; exact tables run it on the DP's integers and divide once
+    per shape. A keeps the result for each (sign, tol).
     """
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
     return kept(A, ("shape-averages", sign, tol),
                 lambda: _shape_averages(A, sign, tol))
 
 
 def _shape_averages(A: Matrix, sign: int, tol) -> dict:
     n = A.n
-    f, unit = sign_minors(A, sign).ring()
+    f, unit = per_alpha_minors(
+        A, sign if kind_is_exact(A.kind) else float(sign)).ring()
     return {shape: _real_value(total * unit, tol)
             / shape_partition_count(n, shape)
             for shape, total in shape_partition_sums(f, n).items()}
@@ -621,7 +615,7 @@ def _naive_slack(name: str, A: Matrix, alpha, split, polynomials=None):
         return exact_real(_polynomial_at(coeffs, a))
 
     def det(mask):
-        return _signed(pa(mask, -one), mask.bit_count())
+        return (-1) ** mask.bit_count() * pa(mask, -one)
 
     if name in ("lieb", "fischer", "lieb-alpha", "neg-block"):
         low, high = split_masks(n, split)

@@ -25,25 +25,24 @@ Two independent algorithms compute per_alpha:
     walk dynamic program anchored at the smallest element of each subset.
 
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
-per_alpha of every principal submatrix A[T]: per_alpha_minors. Lieb,
-Fischer and the shape averages read their blocks from it at alpha = +-1,
-where per_{+1} and per_{-1} stand in for Glynn and Bareiss; the expansion
+per_alpha of every principal submatrix A[T]: per_alpha_minors. The shape
+averages of inequalities read their blocks from it at alpha = +-1, where
+per_{+1} and per_{-1} stand in for Glynn and Bareiss; the expansion
 formulas in partitions read it at every beta.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps
 the integers the kernel ran on and converts an entry when it is read (see
-the integer lane below). Its scaled method hands out one entry as those
-integers, an int or a Gaussian integer, and its ring method all of them
-rescaled to a common base, for the partition DPs: no other module reads
-its lists.
+the integer lane below). Its ring method hands out all of them as those
+integers, ints or Gaussian integers, rescaled to a common base, for the
+partition DPs: no other module reads its lists.
 
 A keeps what its checks read again, built on first use by kept(A, key,
 build): the cycle table, the cycle polynomials that every alpha-family
-reads (partitions.cycle_polynomials) and the tables of inequalities at
-alpha = +-1. Nothing is keyed by alpha: per_alpha_dp and per_alpha_minors
-run a DP at each call. The oracle, Glynn, Bareiss and the hafnian neither
-read nor fill the kept tables.
+and lieb and fischer read (partitions.cycle_polynomials), and the shape
+averages of inequalities. Nothing is keyed by alpha: per_alpha_dp and
+per_alpha_minors run a DP at each call. The oracle, Glynn, Bareiss and
+the hafnian neither read nor fill the kept tables.
 
 per_alpha_dp fills only what f(full) reads: the subsets of {1..n-1} (the
 masks without bit 0, ascending), then the full set, (3^(n-1) - 1)/2 +
@@ -332,9 +331,9 @@ class ScaledTable(Sequence):
     carries base^|T|, imag[T] its imaginary part, and imag is None when
     every entry is real. Float tables hold the floats themselves, with
     base 1. Indexing converts entry T to a scalar of the table's kind,
-    from_scaled(base^|T|, values[T], imag[T]); scaled(T) hands it out as
-    the kernels hold it. A None entry (the cycle table's entry 0) stays
-    None.
+    from_scaled(base^|T|, values[T], imag[T]); ring() hands every entry
+    out as the kernels hold it. A None entry (the cycle table's entry 0)
+    stays None.
     """
 
     __slots__ = ("kind", "base", "values", "imag")
@@ -358,31 +357,29 @@ class ScaledTable(Sequence):
             part = self.imag[mask]
         return from_scaled(self.base ** mask.bit_count(), value, part)
 
-    def scaled(self, mask: int):
-        """Entry T as the kernels hold it: an int that carries base^|T|
-        (the float itself in a float table), or a GaussianRational with
-        integer parts when the table keeps imaginary parts."""
-        value = self.values[mask]
-        if self.imag is None or value is None:
-            return value
-        return GaussianRational(value, self.imag[mask])
-
     def ring(self, base: int = None) -> tuple:
         """(f, unit) for sums of products over set partitions: f[T] is
-        entry T as an int, Gaussian integer or float, rescaled to carry
+        entry T as the kernels hold it (an int, a GaussianRational with
+        integer parts, or a float; None stays None), rescaled to carry
         base^|T| (base defaults to the table's and must be a multiple of
         it), and unit = 1/base^n turns a sum of products of f over the
-        partitions of the full set into a value of the table's kind."""
+        partitions of the full set into a value of the table's kind. f is
+        the table's own list when there is nothing to convert."""
         if self.kind in FLOAT_KINDS:
             return self.values, 1
         if base is None:
             base = self.base
-        r = [(base // self.base) ** m.bit_count() for m in range(len(self))]
-        f = [v * x for v, x in zip(self.values, r)]
-        if self.imag is not None:
-            f = [GaussianRational(a, b * x) for a, b, x in zip(f, self.imag, r)]
-        imag = None if self.kind == RATIONAL else 0
-        return f, from_scaled(base ** (len(r).bit_length() - 1), 1, imag)
+        f, imag = self.values, self.imag
+        if base != self.base:
+            r = [(base // self.base) ** m.bit_count() for m in range(len(f))]
+            f = [v * x for v, x in zip(f, r)]
+            if imag is not None:
+                imag = [v * x for v, x in zip(imag, r)]
+        if imag is not None:
+            f = [a if b is None else GaussianRational(a, b)
+                 for a, b in zip(f, imag)]
+        unit_imag = None if self.kind == RATIONAL else 0
+        return f, from_scaled(base ** (len(f).bit_length() - 1), 1, unit_imag)
 
 
 def _walk_cycle_sums(rows, n: int) -> list:

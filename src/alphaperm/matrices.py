@@ -100,9 +100,10 @@ class Matrix:
     computes it on first use of `cleared`.
 
     It also keeps in `_tables` what its checks read again, none of it
-    keyed by alpha, through kernels.kept (inequalities keeps the per and
-    det Lieb and Fischer compare above n = 10 there itself); keeping one
-    changes no value.
+    keyed by alpha, through kernels.kept: the cycle sums and polynomials
+    and the shape averages (inequalities keeps the per and det Lieb and
+    Fischer compare above n = 10 there itself); keeping one changes no
+    value.
     """
 
     __slots__ = ("n", "rows", "kind", "real_symmetric", "hermitian",

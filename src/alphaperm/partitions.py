@@ -32,7 +32,7 @@ sets the full-set DP walks, the same recursion gives cycle_polynomials:
 per_alpha(A[T]) = sum over k of alpha^k c_k(A[T]), c_k summing prod C(B)
 over the k-block partitions of T, for every alpha at once, for the full
 set and every T without element 0, and for any other T in one more step.
-It runs on the cycle table's entries as its scaled(T) hands them out, and
+It runs on the cycle table's entries as its ring() hands them out, and
 hands out its own rows only evaluated, as CyclePolynomials.at(x, y, T):
 no other module reads the rows. shape_partition_sums runs the same
 recursion keyed by block shape, for the shape averages of inequalities.
@@ -308,7 +308,7 @@ def cycle_polynomials(A: Matrix) -> CyclePolynomials:
     def build():
         n = A.n
         C = cycle_sum_table(A)
-        f = [C.scaled(T) for T in range(len(C))]
+        f, _ = C.ring()
         rows = graded_partition_sums(f, n, _dp_masks(n, full_set=True))
         return CyclePolynomials(C.base, f, rows)
 

@@ -330,6 +330,8 @@ def _parse_complex_rational(text: str) -> GaussianRational:
 
 
 def _parse_float(text: str) -> float:
+    if text.strip() != text:  # float() would take surrounding whitespace
+        raise ScalarFormatError("bad float %r" % (text,))
     try:
         value = float(text)
     except ValueError:

@@ -10,7 +10,8 @@ real checks: each compares the DP at one alpha with products of
 minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
 Both sides share at most the cycle table, as a matrix keeps nothing
-keyed by alpha; an inequality instance keeps its tables.
+keyed by alpha; an inequality instance keeps the cycle polynomials every
+family reads, lieb and fischer included.
 An inequality trial's rows carry each violation's Finding, made by
 inequalities.make_finding once the oracle has re-derived it.
 """
@@ -34,13 +35,13 @@ from .inequalities import (
     make_finding,
     merge_pairs,
     run_trials,
-    sign_minors,
 )
 from .kernels import (
     determinant,
     diagonal_product,
     hafnian,
     per_alpha_dp,
+    per_alpha_minors,
     per_alpha_naive,
     permanent,
 )
@@ -292,8 +293,6 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
                                    result.slack, seed, t)
         rows.append((check_name, ok, result.slack, finding))
 
-    # the tables A_eval keeps at alpha = +1 and -1 serve lieb, fischer,
-    # block-lift, the majorization steps and alpha = 1
     for m in range(1, n):
         record("lieb", check_lieb(A_eval, m, tol), None, m)
         record("fischer", check_fischer(A_eval, m, tol), None, m)
@@ -315,7 +314,8 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
     # (+-1)^|B| prod_{i in B} a_ii, so per_{+-1}(D, k) = k! S(n, k)
     # (+-1)^n prod a_ii
     if n <= 4 and not float_mode:
-        per_A, det_A = (per_beta_by_k(sign_minors(A, s)) for s in (1, -1))
+        per_A, det_A = (per_beta_by_k(per_alpha_minors(A, s))
+                        for s in (1, -1))
         diag = diagonal_product(A)
         sign = -1 if n % 2 else 1
         ok = True

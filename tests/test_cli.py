@@ -418,12 +418,13 @@ class TestKeptKeys:
     @staticmethod
     def _allowed(key) -> bool:
         """The keys a matrix may keep its tables under: none names an
-        alpha, only the sign of a table at +-1."""
+        alpha, only the sign of Lieb's or Fischer's value above the cut
+        and of the shape averages; no table at +-1 is kept."""
         if key in ("cycle", "cycle-polynomial"):
             return True
         if not isinstance(key, tuple) or key[1:2] not in ((1,), (-1,)):
             return False
-        return (key[0] in ("sign", "whole") and len(key) == 2
+        return (key[0] == "whole" and len(key) == 2
                 or key[0] == "shape-averages" and len(key) == 3)
 
     def test_no_table_is_keyed_by_alpha(self, monkeypatch, tmp_path):
@@ -463,8 +464,8 @@ class TestKeptKeys:
             assert code == 0
         assert sorted(repr(key) for key in seen
                       if not self._allowed(key)) == []
-        assert {"cycle", "cycle-polynomial", ("sign", 1), ("sign", -1),
-                ("whole", 1), ("whole", -1)} <= seen
+        assert {"cycle", "cycle-polynomial", ("whole", 1),
+                ("whole", -1)} <= seen
 
 
 class TestSurface:

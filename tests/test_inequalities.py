@@ -38,7 +38,6 @@ from alphaperm.inequalities import (
     p_shape,
     replay_finding,
     shape_averages,
-    sign_minors,
     _exact_result,
     _naive_slack,
     _real_value,
@@ -65,6 +64,7 @@ from alphaperm.matrices import (
     full_mask,
     loads_matrix,
     matrix_digest,
+    random_matrix,
     random_psd,
     random_unit_diag_psd,
     split_masks,
@@ -267,31 +267,38 @@ class TestSignTables:
                 assert abs(got.slack - want.slack) <= band
 
     def test_float_tables_keep_the_sign_of_zero(self):
-        # a zero row gives a complex zero entry; lieb and fischer read each
-        # entry with its sign flips as negations, and its real part before
-        # any division, either of which could otherwise flip a zero's sign
-        def signed(x, k):
-            return -x if k % 2 else x
-
+        # a zero row gives complex zero values; lieb and fischer read the
+        # cycle polynomials at (1, 1) and (-1, 1) as lieb-alpha and
+        # neg-block do, (-1)^n signing fischer's sides, and take each real
+        # part before any division, which could otherwise flip a zero's
+        # sign
         zero = Matrix([[F(0)]], kind=COMPLEX_RATIONAL)
         for n, seed in ((3, 0), (3, 1), (4, 0), (4, 1)):
             B = random_psd(n - 1, HERMITIAN, 3, seed=seed)
+            sign_n = (-1) ** n
             for A in (direct_sum(B, zero), direct_sum(zero, B)):
                 A = A.to_float()
-                per, det = sign_minors(A, 1), sign_minors(A, -1)
+                at = cycle_polynomials(A).at
                 for m in range(1, n):
                     low, high = split_masks(n, m)
                     assert repr(check_lieb(A, m)) == repr(compare(
-                        "lieb", per[-1], per[low] * per[high], ">="))
+                        "lieb", at(1.0, 1.0),
+                        at(1.0, 1.0, low) * at(1.0, 1.0, high), ">="))
                     assert repr(check_fischer(A, m)) == repr(compare(
-                        "fischer", signed(det[-1], n),
-                        signed(det[low], m) * signed(det[high], n - m),
+                        "fischer", sign_n * at(-1.0, 1.0),
+                        sign_n * (at(-1.0, 1.0, low) * at(-1.0, 1.0, high)),
                         "<="))
+        # the zeros' signs these give, n = 4 and the zero row last
+        A = direct_sum(random_psd(3, HERMITIAN, 3, seed=0), zero).to_float()
+        assert [repr((r.lhs, r.rhs, r.slack)) for r in
+                (check_fischer(A, m) for m in (1, 2, 3))] \
+            == ["(0.0, -0.0, -0.0)", "(0.0, 0.0, 0.0)", "(0.0, -0.0, -0.0)"]
 
     @pytest.mark.parametrize("float_mode", [False, True])
     def test_entries_equal_the_oracle_on_edge_cases(self, float_mode):
         # n = 0 and 1, Hermitian, and direct sums with a zero row or an
-        # empty block: entry T of each sign table is per_{+-1}(A[T])
+        # empty block: the cycle polynomials at (+-1, 1) give
+        # base^|T| per_{+-1}(A[T]) for every T
         H = random_psd(3, HERMITIAN, 3, seed=5)
         zero = Matrix([[F(0)]], kind=COMPLEX_RATIONAL)
         empty = Matrix([], kind=COMPLEX_RATIONAL)
@@ -302,30 +309,31 @@ class TestSignTables:
         for A in cases:
             if float_mode:
                 A = A.to_float()
-            for sign in (1, -1):
-                a = sign if kind_is_exact(A.kind) else float(sign)
-                table = sign_minors(A, sign)
-                assert len(table) == 1 << A.n
+            polynomials = cycle_polynomials(A)
+            one = 1 if kind_is_exact(A.kind) else 1.0
+            for a in (one, -one):
                 for T in range(1 << A.n):
-                    want = per_alpha_naive(submatrix(A, T), a)
-                    assert type(table[T]) is type(want)
+                    got = polynomials.at(a, one, T)
+                    want = (polynomials.base ** T.bit_count()
+                            * per_alpha_naive(submatrix(A, T), a))
                     if float_mode:
-                        assert abs(table[T] - want) <= 1e-9 * (1 + abs(want))
+                        assert abs(got - want) <= 1e-9 * (1 + abs(want))
                     else:
-                        assert table[T] == want
+                        assert got == want
 
     def test_above_n_10_no_dp_and_equal_values(self, monkeypatch):
-        # there one subset DP costs more than Glynn and Bareiss at every
-        # split, so lieb and fischer run those, with the tables' values
+        # there the cycle polynomials cost more than Glynn and Bareiss at
+        # every split, so lieb and fischer run those, with the DP's values
+        import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=3)
-        fresh = submatrix(A, full_mask(A.n))   # a copy that keeps no table
-        per, det = sign_minors(fresh, 1), sign_minors(fresh, -1)
+        per, det = per_alpha_minors(A, F(1)), per_alpha_minors(A, F(-1))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("lieb or fischer ran the subset DP")
 
         monkeypatch.setattr(kernels, "_principal_dp", forbidden)
+        monkeypatch.setattr(ineq, "cycle_polynomials", forbidden)
         for m in (1, 4, 10):
             low, high = split_masks(11, m)
             assert check_lieb(A, m) == compare(
@@ -376,6 +384,108 @@ class TestSignTables:
                     0.0)
 
 
+@st.composite
+def _split_instances(draw):
+    """An exact matrix at n = 2..7: real or Hermitian PSD, non-Hermitian
+    complex-rational, PSD with a zero row, or a direct sum of two PSD
+    blocks."""
+    n = draw(st.integers(2, 7))
+    seed = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from([REAL_SYMMETRIC, HERMITIAN]))
+    shape = draw(st.sampled_from(["psd", "complex", "zero-row",
+                                  "direct-sum"]))
+    if shape == "psd":
+        return random_psd(n, kind, 3, seed)
+    if shape == "complex":
+        return random_matrix(n, COMPLEX_RATIONAL, 3, seed)
+    if shape == "zero-row":
+        zero = Matrix([[F(0)]], kind=random_psd(1, kind, 3, 0).kind)
+        B = random_psd(n - 1, kind, 3, seed)
+        return direct_sum(B, zero) if seed % 2 else direct_sum(zero, B)
+    k = draw(st.integers(1, n - 1))
+    return direct_sum(random_psd(k, kind, 3, seed),
+                      random_psd(n - k, kind, 3, seed + 1))
+
+
+def _split_branch_failures(module) -> int:
+    """The (instance, split, family) cases, real and Hermitian at
+    n = 2..5, where module's check_lieb or check_fischer differs from
+    compare on Glynn's and Bareiss's values of the whole matrix and its
+    blocks."""
+    failures = 0
+    for n in range(2, 6):
+        for kind in (REAL_SYMMETRIC, HERMITIAN):
+            for make in (random_psd, random_unit_diag_psd):
+                A = make(n, kind, 3, n)
+                for m in range(1, n):
+                    blocks = [submatrix(A, T) for T in split_masks(n, m)]
+                    failures += module.check_lieb(A, m) != compare(
+                        "lieb", permanent(A),
+                        permanent(blocks[0]) * permanent(blocks[1]), ">=")
+                    failures += module.check_fischer(A, m) != compare(
+                        "fischer", determinant(A),
+                        determinant(blocks[0]) * determinant(blocks[1]),
+                        "<=")
+    return failures
+
+
+class TestLiebFischerFromPolynomials:
+    """Up to the cut, Lieb and Fischer are lieb-alpha and neg-block at
+    alpha = 1, read from the cycle polynomials; above it Glynn and
+    Bareiss give the same results."""
+
+    @given(_psd_instances(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_lieb_alpha_and_neg_block_at_one(self, A, float_mode):
+        # bit for bit on a float A: reprs keep types and signed zeros
+        one = F(1)
+        if float_mode:
+            A, one = A.to_float(), 1.0
+        for m in range(1, A.n):
+            lieb_alpha, neg_block = check_lieb_type(A, m, one)
+            assert repr(check_lieb(A, m)) == repr(
+                lieb_alpha._replace(name="lieb", hypothesis=None))
+            assert repr(check_fischer(A, m)) == repr(
+                neg_block._replace(name="fischer", hypothesis=None))
+
+    @given(_split_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_both_branches_agree(self, A):
+        import unittest.mock
+        import alphaperm.inequalities as ineq
+        n = A.n
+        below = [_outcome(lambda: check(A, m))
+                 for check in (check_lieb, check_fischer)
+                 for m in range(1, n)]
+        B = submatrix(A, full_mask(n))   # a copy that keeps nothing
+        with unittest.mock.patch.object(ineq, "_SPLIT_POLYNOMIAL_MAX_N", 0):
+            above = [_outcome(lambda: check(B, m))
+                     for check in (check_lieb, check_fischer)
+                     for m in range(1, n)]
+        assert "cycle-polynomial" not in B._tables
+        assert below == above
+
+    def test_unbroken_code_passes(self):
+        import alphaperm.inequalities as ineq
+        assert _split_branch_failures(ineq) == 0
+
+    @pytest.mark.parametrize("old, new", [
+        # fischer without its (-1)^n
+        ("sign_n = -1 if n % 2 else 1", "sign_n = 1"),
+        # lieb evaluated at (-1, 1)
+        ("x = sign * p", "x = -p"),
+    ])
+    def test_mutant_fails(self, monkeypatch, old, new):
+        import inspect
+        import alphaperm.inequalities as ineq
+        source = inspect.getsource(ineq._split_check)
+        assert source.count(old) == 1
+        namespace = dict(vars(ineq))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(ineq, "_split_check", namespace["_split_check"])
+        assert _split_branch_failures(ineq) > 0
+
+
 _memo_alphas = st.one_of(
     st.just(F(0)),
     st.builds(F, st.integers(-9, -1), st.integers(1, 4)),
@@ -388,7 +498,8 @@ _WARM_UPS = {
     "lieb-type": lambda A, alpha: [check_lieb_type(A, m, alpha)
                                    for m in (None, *range(1, A.n))],
     "marcus": lambda A, alpha: check_marcus(A, alpha),
-    "signs": lambda A, alpha: [sign_minors(A, s) for s in (1, -1)],
+    "lieb-fischer": lambda A, alpha: [(check_lieb(A, m), check_fischer(A, m))
+                                      for m in range(1, A.n)],
 }
 
 
@@ -408,9 +519,8 @@ def _reads(n, alpha, tol):
                   lambda A, m=m: repr(check_fischer(A, m, tol)),
                   lambda A, m=m: repr(check_lieb_type(A, m, alpha, tol))]
     for sign in (1, -1):
-        reads += [lambda A, s=sign: repr(sorted(
-                      shape_averages(A, s, tol).items())),
-                  lambda A, s=sign: entries(sign_minors(A, s))]
+        reads.append(lambda A, s=sign: repr(sorted(
+            shape_averages(A, s, tol).items())))
     for a in (alpha, -alpha, alpha / 2):
         reads += [lambda A, a=a: repr(per_alpha_dp(A, a)),
                   lambda A, a=a: entries(per_alpha_minors(A, a))]
@@ -771,6 +881,18 @@ def _gaussian_tables(draw):
                        imag), m
 
 
+def _poison_row(A, mask):
+    """Keep A's cycle polynomials with their rows as Gaussian integers, and
+    row mask with an imaginary top coefficient: the sum at (+-p, q) on
+    that index set is then not real."""
+    polynomials = cycle_polynomials(A)
+    polynomials.row(mask)
+    rows = [None if row is None else [G(x) for x in row]
+            for row in polynomials.rows]
+    rows[mask][-1] += G(0, 1)
+    A._tables["cycle-polynomial"] = polynomials._replace(rows=rows)
+
+
 class TestTableCompare:
     """The table comparisons decided on the tables' integers equal compare
     on the converted entries: the same fields of the same types, or the
@@ -802,9 +924,9 @@ class TestTableCompare:
         table, m = drawn
         n = len(table).bit_length() - 1
         low, high = split_masks(n, m)
-        at = table.scaled
+        f, _ = table.ring()
         assert _outcome(lambda: _exact_result(
-            "x", sign * at(-1), sign * (at(low) * at(high)), table.base ** n,
+            "x", sign * f[-1], sign * (f[low] * f[high]), table.base ** n,
             direction, hyp)) \
             == _outcome(lambda: compare(
                 "x", sign * table[-1], sign * (table[low] * table[high]),
@@ -812,21 +934,11 @@ class TestTableCompare:
 
     @pytest.mark.parametrize("where", ["whole", "block"])
     def test_poisoned_imaginary_part_raises(self, where):
+        # lieb and fischer read the polynomials lieb-alpha reads
         A = random_psd(4, HERMITIAN, 3, seed=2)
         alpha = F(3, 2)
         low, _ = split_masks(4, 1)
-        poisoned = -1 if where == "whole" else low
-        for table in (sign_minors(A, 1), sign_minors(A, -1)):
-            table.imag = [0] * len(table)
-            table.imag[poisoned] = 1
-        # the polynomials' rows as Gaussian integers, one of them with an
-        # imaginary top coefficient: the sum at (+-p, q) is then not real
-        polynomials = cycle_polynomials(A)
-        polynomials.row(low)
-        rows = [None if row is None else [G(x) for x in row]
-                for row in polynomials.rows]
-        rows[poisoned][-1] += G(0, 1)
-        A._tables["cycle-polynomial"] = polynomials._replace(rows=rows)
+        _poison_row(A, -1 if where == "whole" else low)
         calls = [lambda: check_lieb_type(A, 1, alpha),
                  lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)]
         if where == "whole":
@@ -841,8 +953,6 @@ class TestTableCompare:
         A = random_psd(5, HERMITIAN, 3, seed=4)
         alpha = F(7, 5)
         cycle_polynomials(A)
-        sign_minors(A, 1)
-        sign_minors(A, -1)
 
         def forbidden(self, other):
             raise AssertionError("GaussianRational arithmetic")
@@ -1071,8 +1181,8 @@ def _complex_matrices(draw):
 
 
 class TestScaledEntries:
-    """A table hands out entry T as the kernels hold it: converted over
-    base^|T|, it is the entry indexing gives, of the same type."""
+    """A table's ring() hands out entry T as the kernels hold it: converted
+    over base^|T|, it is the entry indexing gives, of the same type."""
 
     @given(st.one_of(_exact_instances, _complex_matrices()), _poly_alphas,
            st.booleans())
@@ -1083,10 +1193,14 @@ class TestScaledEntries:
         if complex_alpha:
             alpha = G(alpha, 1)
         tables = [cycle_sum_table(A), per_alpha_minors(A, alpha),
-                  per_alpha_minors(A, -alpha), sign_minors(A, -1)]
+                  per_alpha_minors(A, -alpha), per_alpha_minors(A, F(-1))]
         for table in tables:
+            f, _ = table.ring()
+            assert len(f) == len(table)
+            if table.imag is None:
+                assert f is table.values
             for T in range(len(table)):
-                x = table.scaled(T)
+                x = f[T]
                 if x is None:
                     assert table[T] is None
                     continue
@@ -1125,9 +1239,7 @@ def _exact_result_gate_failures():
     failures += _outcome(lambda: compare("x", F(1), G(1, 2), ">=")) \
         != ("raises", "imaginary residue 2 in a real quantity")
     A = random_psd(4, HERMITIAN, 3, seed=2)
-    table = sign_minors(A, 1)
-    table.imag = [0] * len(table)
-    table.imag[split_masks(4, 1)[0]] = 1
+    _poison_row(A, split_masks(4, 1)[0])
     failures += _outcome(lambda: check_lieb(A, 1))[0] != "raises"
     return failures
 
@@ -1245,7 +1357,8 @@ class TestPShape:
         tol = 1e-9 if float_mode else 0.0
         if float_mode:
             A = A.to_float()
-        minors = sign_minors(A, sign)
+        minors = per_alpha_minors(A, sign if kind_is_exact(A.kind)
+                                  else float(sign))
         got = shape_averages(A, sign, tol)
         assert sorted(got) == sorted(_shapes(A.n))
         for shape in _shapes(A.n):
@@ -1802,9 +1915,10 @@ class TestOneRecordPerObservation:
 class TestInequalityTrial:
     def test_one_table_pair_per_instance(self, monkeypatch):
         # trial 3 is an n = 5 real instance: one cycle table, one DP per
-        # sign table (alpha = +1 and -1) and no other, one cycle polynomial
-        # build for the seven alphas, one shape-average build per sign, and
-        # Glynn only inside check_haf_per
+        # sign (alpha = +1 and -1) for the shape averages and no other, one
+        # cycle polynomial build for lieb, fischer and the seven alphas,
+        # one shape-average build per sign, and Glynn only inside
+        # check_haf_per
         import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions
@@ -1861,7 +1975,8 @@ class TestInequalityTrial:
                                                "majorization-det"}
         assert calls["table"] == [5]
         assert len(alpha_set_for("theorem2", 5, 0, 3)) == 7
-        # the sign tables; every alpha-family reads the one polynomial
+        # the shape averages' tables; lieb, fischer and every alpha-family
+        # read the one polynomial
         assert sorted(calls["dp"]) == [(Fraction(-1), False),
                                        (Fraction(1), False)]
         assert calls["graded"] == [5]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from alphaperm import kernels
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
 from alphaperm import fastpath
-from alphaperm.inequalities import sign_minors
+from alphaperm.inequalities import shape_averages
 from alphaperm.kernels import (
     alpha_determinant,
     cycle_sum_table,
@@ -33,11 +33,13 @@ from alphaperm.kernels import (
     require_alpha_kind,
 )
 from alphaperm.matrices import (
+    HERMITIAN,
     Matrix,
     doubled,
     full_mask,
     indices_from_mask,
     random_matrix,
+    random_psd,
     random_symmetric_matrix,
     submatrix,
 )
@@ -795,23 +797,23 @@ class TestKeptTables:
             assert repr(per_alpha_minors(B, second)[-1]) == repr(want)
 
     def test_one_build_per_matrix_and_key(self):
-        # A keeps its cycle table and sign tables; a table at any alpha is
-        # a new DP at each call
-        A = random_matrix(4, "complex-rational", seed=3)
+        # A keeps its cycle table and shape averages; a table at any alpha,
+        # +-1 included, is a new DP at each call
+        A = random_psd(4, HERMITIAN, 3, seed=3)
         table = cycle_sum_table(A)
-        signs = [sign_minors(A, s) for s in (1, -1)]
+        averages = [shape_averages(A, s) for s in (1, -1)]
         assert cycle_sum_table(A) is table
-        for s, kept in zip((1, -1), signs):
-            assert sign_minors(A, s) is kept
-            assert sign_minors(_fresh(A), s) is not kept
-            assert sign_minors(A.to_float(), s) is not kept
-            assert per_alpha_minors(A, F(s)) is not kept
+        for s, kept in zip((1, -1), averages):
+            assert shape_averages(A, s) is kept
+            assert shape_averages(_fresh(A), s) is not kept
+            assert shape_averages(A.to_float(), s) is not kept
+            assert per_alpha_minors(A, F(s)) is not per_alpha_minors(A, F(s))
         minors = per_alpha_minors(A, F(3, 2))
         again = per_alpha_minors(A, F(6, 4))
         assert again is not minors
         assert [repr(x) for x in again] == [repr(x) for x in minors]
-        assert sorted(A._tables, key=repr) == ["cycle", ("sign", -1),
-                                               ("sign", 1)]
+        assert sorted(A._tables, key=repr) == [
+            "cycle", ("shape-averages", -1, 0.0), ("shape-averages", 1, 0.0)]
 
     def test_kept_tables_stay_under_an_explicit_cap(self):
         A = random_matrix(4, "rational", seed=6)
@@ -829,16 +831,17 @@ class TestKeptTables:
         # every DP, not the read of a kept table
         A = random_matrix(4, "rational", seed=6)
         table = cycle_sum_table(A)
-        signs = [sign_minors(A, s) for s in (1, -1)]
+        averages = [shape_averages(A, s) for s in (1, -1)]
         monkeypatch.setenv("ALPHAPERM_CAP_DP", "3")
         assert cycle_sum_table(A) is table
-        assert all(sign_minors(A, s) is t for s, t in zip((1, -1), signs))
+        assert all(shape_averages(A, s) is t for s, t in zip((1, -1),
+                                                             averages))
         for B in (A, _fresh(A)):
             for dp in (per_alpha_dp, per_alpha_minors):
                 with pytest.raises(CapacityError, match="exceeds cap 3"):
                     dp(B, F(3, 2))
         with pytest.raises(CapacityError, match="exceeds cap 3"):
-            sign_minors(_fresh(A), 1)
+            shape_averages(_fresh(A), 1)
 
     @pytest.mark.parametrize("kind", ["rational", "complex-rational"])
     def test_kept_cycle_table_leaves_the_dp_cap_checked(self, kind):

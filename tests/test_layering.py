@@ -2,15 +2,16 @@
 methods the tables hand their entries out by.
 
 A ScaledTable's lists (values, imag) and the rows of the cycle
-polynomials belong to kernels and partitions: inequalities reads an entry
-as table.scaled(T) or table.ring(), and a polynomial as
+polynomials belong to kernels and partitions: inequalities reads a
+table's entries as table.ring(), and a polynomial as
 cycle_polynomials(A).at(x, y, T). These tests parse the two modules and
 fail on a subscripted .values, .imag or .rows attribute, and on an
 unpacking of cycle_polynomials(...).
 
-Both lanes of inequalities read one alpha-source, the cycle polynomials:
-it calls no per_alpha_dp, and per_alpha_minors only inside sign_minors,
-the +-1 tables of lieb, fischer and the shape averages.
+Both lanes of inequalities read one alpha-source, the cycle polynomials,
+lieb and fischer at alpha = 1 included: it calls no per_alpha_dp, and
+per_alpha_minors only inside _shape_averages, the +-1 tables of the
+shape averages.
 """
 
 import ast
@@ -76,8 +77,8 @@ def test_methods_and_plain_names_pass(line):
 
 def alpha_source_violations(source: str) -> list:
     """(line, function, kernel) for each call in source of per_alpha_dp,
-    or of per_alpha_minors outside sign_minors; function is the top-level
-    definition that holds the call."""
+    or of per_alpha_minors outside _shape_averages; function is the
+    top-level definition that holds the call."""
     found = []
     for top in ast.parse(source).body:
         where = getattr(top, "name", None)
@@ -85,7 +86,7 @@ def alpha_source_violations(source: str) -> list:
             for kernel in ("per_alpha_dp", "per_alpha_minors"):
                 if _called(node, kernel) and not (
                         kernel == "per_alpha_minors"
-                        and where == "sign_minors"):
+                        and where == "_shape_averages"):
                     found.append((node.lineno, where, kernel))
     return found
 
@@ -107,7 +108,20 @@ def test_each_second_alpha_source_is_caught(source):
     assert alpha_source_violations(source) != []
 
 
-def test_sign_minors_may_build_the_sign_tables():
-    source = ("def sign_minors(A, sign):\n"
-              "    return per_alpha_minors(A, sign)")
+def test_shape_averages_may_build_the_sign_tables():
+    source = ("def _shape_averages(A, sign, tol):\n"
+              "    minors = per_alpha_minors(A, sign)")
     assert alpha_source_violations(source) == []
+
+
+def test_sign_tables_for_lieb_and_fischer_are_caught():
+    # the +-1 tables lieb and fischer read before they read the cycle
+    # polynomials, built and kept by this function
+    source = ("def sign_minors(A: Matrix, sign: int):\n"
+              "    if sign not in (1, -1):\n"
+              "        raise DomainError('sign must be +1 or -1')\n"
+              "    return kept(A, ('sign', sign), lambda: per_alpha_minors(\n"
+              "        A, sign if kind_is_exact(A.kind) else float(sign)))\n")
+    assert [(where, kernel) for _, where, kernel
+            in alpha_source_violations(source)] \
+        == [("sign_minors", "per_alpha_minors")]

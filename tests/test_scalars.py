@@ -172,10 +172,9 @@ class TestParsing:
     def test_float_forms(self):
         assert parse_scalar("1.5", "float") == 1.5
         assert parse_scalar("-2e-3", "float") == -0.002
-        with pytest.raises(ScalarFormatError):
-            parse_scalar("abc", "float")
-        with pytest.raises(ScalarFormatError):
-            parse_scalar("nan", "float")
+        for bad in ("abc", "nan", " 1.5\n", "\t2", "1.5 ", "\n", "1 .5"):
+            with pytest.raises(ScalarFormatError):
+                parse_scalar(bad, "float")
 
     def test_format_round_trip_exact(self):
         for v in (Fraction(-7, 3), Fraction(0), Fraction(12)):
