@@ -46,9 +46,14 @@ from .suites import run_identity_suite, run_inequality_suite
 
 
 def _load_matrix_arg(path: str) -> Matrix:
-    if path == "-":
+    if path != "-":
+        return read_matrix(path)
+    # stdin's bytes, decoded as read_matrix decodes a file's; a text stream
+    # without them, such as an io.StringIO, is read as text
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
         return loads_matrix(sys.stdin.read())
-    return read_matrix(path)
+    return loads_matrix(buffer.read().decode("latin-1"))
 
 
 def _parse_alpha_text(text: str):

@@ -52,8 +52,10 @@ per_alpha_minors(A, alpha)[-1].
 
 The hafnian of a symmetric even-dimensional matrix sums, over all perfect
 matchings of the index set, the product of matched entries; the diagonal is
-ignored. haf of the empty matrix is 1. doubled_hafnian_table gives
-haf(doubled(A[T])) for every T from one memoized recursion.
+ignored. haf of the empty matrix is 1. It expands on the lowest index,
+run bottom-up over exactly the index sets that expansion reaches: from
+the full set for hafnian, and from every root, T with T + n, at once for
+doubled_hafnian_table, which gives haf(doubled(A[T])) for every T.
 
 All kernels accept exact (Fraction / GaussianRational) and float matrices.
 Float matrices run on the same cycle-sum, subset-DP, Glynn and hafnian loops
@@ -66,8 +68,9 @@ Exact kernels run in an integer lane, on A.cleared: the common
 denominator L of A's entries and B = L*A as integers (Gaussian integers,
 kept as integer real and imaginary parts, for complex-rational A), as
 scalars.clear_denominators computes them. A is cleared once: the Gram
-generators build their instances in integers and hand this form to the
-constructor, and any other exact matrix computes it on first use and keeps
+generators build their instances in integers, and loads_matrix parses a
+file's tokens straight into them, and both hand this form to the
+constructor; any other exact matrix computes it on first use and keeps
 it, so no kernel clears the same matrix twice.
 
   * a ScaledTable holds integers that carry base^|T| in entry T, and
@@ -85,7 +88,8 @@ it, so no kernel clears the same matrix twice.
     plain ints;
   * rational Glynn, Bareiss (whose divisions are exact on integers) and the
     hafnian run on B and divide by 2^(n-1) L^n, L^n and L^(n/2); the
-    doubled hafnian table has base L.
+    doubled hafnian table, one bottom-up evaluation on L*doubled(A), has
+    base L.
 
 Complex-rational Glynn, Bareiss and hafnian stay on GaussianRational.
 The oracle does its own clearing and shares nothing with the integer lane:
@@ -105,6 +109,7 @@ checked either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -728,8 +733,9 @@ def _bareiss(rows, n: int, one, exact_div):
 def hafnian(A: Matrix, cap=None):
     """Hafnian of a symmetric matrix of even dimension.
 
-    Recurses on the lowest unmatched index: haf(S) = sum over partners j of
-    a_{i,j} * haf(S minus {i, j}), memoized on the index-set bitmask.
+    Expands on the lowest index i of an index set S: haf(S) = sum over
+    partners j of a_{i,j} * haf(S minus {i, j}), run bottom-up over the
+    sets that expansion reaches from the full set (_hafnians).
     Rational matrices run on L*A in integers: haf(L*A) = L^(n/2) haf(A).
     """
     n = A.n
@@ -742,45 +748,110 @@ def hafnian(A: Matrix, cap=None):
         return ONE_OF[A.kind]
     if A.kind == RATIONAL:
         L, rows, _ = A.cleared
-        return from_scaled(L ** (n // 2), _hafnian(rows, 1)(full_mask(n)))
-    return _hafnian(A.rows, ONE_OF[A.kind])(full_mask(n))
+        return from_scaled(L ** (n // 2), _hafnians(
+            rows, 1, _full_set_levels(n))[full_mask(n)])
+    return _hafnians(A.rows, ONE_OF[A.kind],
+                     _full_set_levels(n))[full_mask(n)]
 
 
-def _hafnian(rows, one):
-    """haf of rows restricted to an index-set bitmask, memoized across
-    calls."""
-    memo = {0: one}
+def _full_set_levels(n: int):
+    """The index sets the expansion of _hafnians reaches from {0..n-1},
+    n even, as its levels: those of size n - 2k of {k..n-1}, for k from
+    n/2 - 1 down to 0."""
+    return (itertools.combinations(range(k, n), n - 2 * k)
+            for k in range(n // 2 - 1, -1, -1))
 
-    def rec(mask: int):
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        ibit = mask & -mask
-        i = ibit.bit_length() - 1
-        rest = mask ^ ibit
-        acc = None
-        m = rest
-        while m:
-            jbit = m & -m
-            m ^= jbit
-            j = jbit.bit_length() - 1
-            entry = rows[i][j]
-            if entry:
-                t = entry * rec(rest ^ jbit)
-                acc = t if acc is None else acc + t
-        if acc is None:
-            acc = one - one
-        memo[mask] = acc
-        return acc
 
-    return rec
+def _hafnians(rows, one, levels) -> dict:
+    """{S: haf of rows restricted to S} for S empty and every index set in
+    levels, as a bitmask.
+
+    levels lists the sets as ascending index tuples, by size, smallest
+    first; a set's children, S minus its least element i and a partner
+    j, must be empty or in an earlier level. Each set sums its terms over
+    j ascending, skips a zero a_{i,j} and starts from its first term (an
+    empty sum is one - one), as the top-down recursion would, so float
+    and GaussianRational values are that recursion's to the bit.
+
+    From a root R, the expansion reaches S (besides the empty set)
+    exactly when |R - S| = 2k and at least k elements of R lie below
+    min S: each step removes the least element left and one more, so the
+    k least elements removed lie below min S; and pairing the elements of
+    R - S smallest with largest is such a path. From {0..N-1} these are
+    the sets of size N - 2k of {k..N-1}, with the empty set F(N+1) sets
+    (Fibonacci).
+    """
+    bit = [1 << j for j in range(len(rows))]
+    zero = one - one
+    haf = {0: one}
+    for level in levels:
+        for c in level:
+            i = c[0]
+            row = rows[i]
+            partners = c[1:]
+            rest = 0
+            for j in partners:
+                rest |= bit[j]
+            acc = None
+            for j in partners:
+                entry = row[j]
+                if entry:
+                    t = entry * haf[rest ^ bit[j]]
+                    acc = t if acc is None else acc + t
+            haf[rest | bit[i]] = zero if acc is None else acc
+    return haf
+
+
+@functools.lru_cache(maxsize=None)
+def _doubled_levels(n: int) -> tuple:
+    """The index sets of a doubled matrix, of dimension 2n, that the
+    expansion of _hafnians reaches from the roots, the unions of T and
+    T + n over the subsets T of {0..n-1}, as its levels: with the empty
+    set, 2 * 3^(n-1) sets for n >= 1.
+
+    Write S as the union of P and Q + n, P and Q subsets of {0..n-1}. S
+    is reached from some root exactly when it is from the root of
+    T = P | Q, as a further t in T costs two more removals and lifts the
+    count below min S by at most one. With P empty that holds when |Q|
+    is even. Otherwise, with m = min P, b = |Q below m| and d the number
+    of elements of {m..n-1} in exactly one of P and Q, the removals
+    number b + d and b elements of the root lie below m, so S is reached
+    when d <= b and d = b mod 2. One scan of x = 0..n-1 puts x in P, in
+    Q, in both or in neither, keeping only the choices with d <= b, and
+    checks the parity at the end. The levels depend on n alone, and the
+    identity suite asks for the same few n again and again, so each n is
+    enumerated once per process.
+    """
+    # (P, Q + n, b, d), d None while P is empty
+    states = [((), (), 0, None)]
+    for x in range(n):
+        y = x + n
+        grown = []
+        for low, high, b, d in states:
+            if d is None:
+                grown += [(low, high, b, None), (low, high + (y,), b + 1, None),
+                          (low + (x,), high + (y,), b, 0)]
+                if b:
+                    grown.append((low + (x,), high, b, 1))
+            else:
+                grown += [(low, high, b, d), (low + (x,), high + (y,), b, d)]
+                if d < b:
+                    grown += [(low + (x,), high, b, d + 1),
+                              (low, high + (y,), b, d + 1)]
+        states = grown
+    levels = [[] for _ in range(n)]
+    for low, high, b, d in states:
+        if (b - (d or 0)) % 2 == 0 and (low or high):
+            levels[(len(low) + len(high)) // 2 - 1].append(low + high)
+    return tuple(map(tuple, levels))
 
 
 def doubled_hafnian_table(A: Matrix, cap=None) -> ScaledTable:
     """haf(doubled(A[T])) for every index set T of a real symmetric A:
-    doubled(A) restricted to T and T + n is doubled(A[T]), so one memoized
-    recursion on L*doubled(A) serves every T, entry T carrying L^|T|. L is
-    the common denominator of A's entries (1 for float A)."""
+    doubled(A) restricted to T and T + n is doubled(A[T]), so one
+    bottom-up _hafnians on L*doubled(A), over the sets its roots reach,
+    serves every T, entry T carrying L^|T|. L is the common denominator
+    of A's entries (1 for float A)."""
     D = doubled(A)
     _check_cap("hafnian", D.n, cap)
     if A.kind in FLOAT_KINDS:
@@ -788,9 +859,9 @@ def doubled_hafnian_table(A: Matrix, cap=None) -> ScaledTable:
     else:
         L, rows, _ = D.cleared
         one = 1
-    haf = _hafnian(rows, one)
+    haf = _hafnians(rows, one, _doubled_levels(A.n))
     return ScaledTable(A.kind, L,
-                       [haf(T | T << A.n) for T in range(1 << A.n)], None)
+                       [haf[T | T << A.n] for T in range(1 << A.n)], None)
 
 
 def alpha_determinant(A: Matrix, alpha, cap=None):

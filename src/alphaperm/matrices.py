@@ -47,11 +47,13 @@ from .scalars import (
     GaussianRational,
     as_scalar,
     clear_denominators,
+    complex_rational_parts,
     conj_scalar,
     format_scalar,
     kind_is_complex,
     kind_is_exact,
     parse_scalar,
+    rational_parts,
     scalar_kind,
     to_float_scalar,
 )
@@ -96,8 +98,9 @@ class Matrix:
 
     An exact matrix also has a cleared form, the (L, re, im) of
     scalars.clear_denominators(rows) that the integer kernels run on. The
-    Gram generators hand it over at construction; any other exact matrix
-    computes it on first use of `cleared`.
+    Gram generators and loads_matrix hand it over at construction, having
+    built the matrix in those integers; any other exact matrix computes it
+    on first use of `cleared`.
 
     It also keeps in `_tables` what its checks read again, none of it
     keyed by alpha, through kernels.kept: the cycle sums and polynomials
@@ -396,6 +399,18 @@ def _reduced(den: int, xs: list) -> tuple:
     return den // g, [x // g for x in xs]
 
 
+def _lowest_terms(den: int, re: list, im: list) -> tuple:
+    """(den, re, im) divided by g = gcd(den, every entry of re and im),
+    im None or not: then den is the least common denominator of the
+    entries (re + i im) / den, as clear_denominators computes it."""
+    g = math.gcd(den, *[x for part in (re, im or ()) for row in part
+                        for x in row])
+    if g == 1:
+        return den, re, im
+    return (den // g, [[x // g for x in row] for row in re],
+            None if im is None else [[x // g for x in row] for row in im])
+
+
 def _gram(b_rows, complex_entries: bool) -> Matrix:
     """G = B B* in integers, handed to Matrix with its cleared form.
 
@@ -426,14 +441,7 @@ def _gram(b_rows, complex_entries: bool) -> Matrix:
                 cross = sum(map(operator.mul, xi, turned[j]))
                 im[i][j] = cross
                 im[j][i] = -cross
-    den = L * L
-    g = math.gcd(den, *[x for part in (re, im or ()) for row in part
-                        for x in row])
-    if g > 1:
-        den //= g
-        re = [[x // g for x in row] for row in re]
-        if im is not None:
-            im = [[x // g for x in row] for row in im]
+    den, re, im = _lowest_terms(L * L, re, im)
     if complex_entries:
         return Matrix._from_cleared(COMPLEX_RATIONAL, (den, re, im),
                                     hermitian=True)
@@ -519,7 +527,22 @@ def dumps_matrix(A: Matrix) -> str:
     return out.getvalue()
 
 
+# what a token of each field parses into: an exact one into integer parts
+_TOKEN_PARSERS = {
+    RATIONAL: rational_parts,
+    COMPLEX_RATIONAL: complex_rational_parts,
+    FLOAT: lambda text: parse_scalar(text, FLOAT),
+}
+
+
 def loads_matrix(text: str) -> Matrix:
+    """The matrix a text in the file format holds. An exact field parses
+    straight into the integers of its cleared form, which the matrix is
+    built from and keeps; a float field into its entries."""
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise MatrixFormatError("non-ASCII text on line %d"
+                                % (text.count("\n", 0, at) + 1))
     lines = [
         ln.strip() for ln in text.splitlines()
         if ln.strip() and not ln.lstrip().startswith("#")
@@ -553,6 +576,7 @@ def loads_matrix(text: str) -> Matrix:
                 raise MatrixFormatError("unknown flag %r" % (name,))
             flag_kwargs[_FLAG_NAMES[name]] = True
         idx += 1
+    parse = _TOKEN_PARSERS[field]
     rows = []
     for i in range(n):
         if idx + i >= len(lines):
@@ -563,12 +587,25 @@ def loads_matrix(text: str) -> Matrix:
                 "row %d has %d entries, expected %d" % (i + 1, len(tokens), n)
             )
         try:
-            rows.append([parse_scalar(t, field) for t in tokens])
+            rows.append([parse(t) for t in tokens])
         except ScalarFormatError as exc:
             raise MatrixFormatError("row %d: %s" % (i + 1, exc)) from exc
     if idx + n != len(lines):
         raise MatrixFormatError("trailing content after %d rows" % n)
-    return Matrix(rows, kind=field, **flag_kwargs)
+    if field == FLOAT:
+        return Matrix(rows, kind=field, **flag_kwargs)
+    if field == RATIONAL:
+        parts = (rows,)
+    else:
+        parts = ([[x for x, _ in row] for row in rows],
+                 [[y for _, y in row] for row in rows])
+    L = math.lcm(*{q for part in parts for row in part for _, q in row})
+    re, *im = [[[p * (L // q) for p, q in row] for row in part]
+               for part in parts]
+    # im is None for a rational field and, as clear_denominators has it,
+    # for n = 0
+    cleared = _lowest_terms(L, re, im[0] if im and n else None)
+    return Matrix._from_cleared(field, cleared, **flag_kwargs)
 
 
 def write_matrix(A: Matrix, path) -> None:
@@ -577,8 +614,10 @@ def write_matrix(A: Matrix, path) -> None:
 
 
 def read_matrix(path) -> Matrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_matrix(fh.read())
+    # latin-1 maps each byte to one character, so a non-ASCII byte reaches
+    # loads_matrix, which names its line, instead of failing a decoder
+    with open(path, "rb") as fh:
+        return loads_matrix(fh.read().decode("latin-1"))
 
 
 def matrix_digest(A: Matrix) -> str:

@@ -299,6 +299,17 @@ class CyclePolynomials(NamedTuple):
             total = total * x + c[k] * y_pow
         return total
 
+    def per_by_k(self, beta) -> list:
+        """[L^n per_beta(A, k) for k = 0..n] in the rows' ring, from the
+        full set's row: per_beta(A, k) = k! sum over j of S(j, k) beta^j
+        c_j(A), as the k-block partitions of a permutation's j cycles
+        number S(j, k)."""
+        c = self.rows[-1]
+        n = len(c) - 1
+        return [math.factorial(k) * sum(stirling2(j, k) * beta ** j * c[j]
+                                        for j in range(k, n + 1))
+                for k in range(n + 1)]
+
 
 def cycle_polynomials(A: Matrix) -> CyclePolynomials:
     """A's CyclePolynomials, which A keeps. The build makes

@@ -18,6 +18,8 @@ Text syntax (used by matrix files and the command line):
                       (a single space before the i is tolerated on input)
     float             any decimal literal accepted by float(), finite only
 
+Only ASCII text parses: the digits are 0-9, never another script's.
+
 complex-float has no text syntax; it only arises from in-memory conversion.
 """
 
@@ -295,42 +297,59 @@ def from_scaled(den: int, real: int, imag: int = None):
 # text round-trip
 # ---------------------------------------------------------------------------
 
-# matched with fullmatch: a "$" anchor would let a trailing newline through
-_RAT_RE = re.compile(r"(?P<num>[+-]?\d+)(?:/(?P<den>[1-9]\d*))?")
+# matched with fullmatch: a "$" anchor would let a trailing newline through;
+# [0-9], not \d, which would take any Unicode digit
+_RAT_RE = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[1-9][0-9]*))?")
 _CRAT_RE = re.compile(
-    r"(?P<re>[+-]?\d+(?:/[1-9]\d*)?)"
-    r"(?P<sign>[+-])(?P<im>\d+(?:/[1-9]\d*)?) ?i"
+    r"(?P<re>[+-]?[0-9]+)(?:/(?P<re_den>[1-9][0-9]*))?"
+    r"(?P<sign>[+-])(?P<im>[0-9]+)(?:/(?P<im_den>[1-9][0-9]*))? ?i"
 )
-_CRAT_IM_ONLY_RE = re.compile(r"(?P<im>[+-]?\d+(?:/[1-9]\d*)?) ?i")
+_CRAT_IM_ONLY_RE = re.compile(
+    r"(?P<im>[+-]?[0-9]+)(?:/(?P<im_den>[1-9][0-9]*))? ?i")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _ints(num: str, den) -> tuple:
+    return int(num), 1 if den is None else int(den)
+
+
+def rational_parts(text: str) -> tuple:
+    """The integers (p, q) of a rational token p or p/q, as written: q > 0,
+    not reduced, 1 when left out."""
     m = _RAT_RE.fullmatch(text)
     if not m:
         raise ScalarFormatError("bad rational %r" % (text,))
-    num, den = m.group("num", "den")
-    if den is None:
-        return Fraction(int(num))
-    return Fraction(int(num), int(den))
+    return _ints(*m.groups())
 
 
-def _parse_complex_rational(text: str) -> GaussianRational:
+def complex_rational_parts(text: str) -> tuple:
+    """The integers ((a, b), (c, d)) of a complex-rational token, its value
+    a/b + (c/d)i, each pair as rational_parts gives it; a part left out is
+    (0, 1)."""
     m = _CRAT_RE.fullmatch(text)
     if m:
-        im = _parse_rational(m.group("im"))
-        if m.group("sign") == "-":
-            im = -im
-        return GaussianRational(_parse_rational(m.group("re")), im)
+        num, re_den, sign, im, im_den = m.groups()
+        return _ints(num, re_den), _ints(sign + im, im_den)
     m = _CRAT_IM_ONLY_RE.fullmatch(text)
     if m:
-        return GaussianRational(0, _parse_rational(m.group("im")))
-    if _RAT_RE.fullmatch(text):
-        return GaussianRational(_parse_rational(text), 0)
+        return (0, 1), _ints(*m.groups())
+    m = _RAT_RE.fullmatch(text)
+    if m:
+        return _ints(*m.groups()), (0, 1)
     raise ScalarFormatError("bad complex rational %r" % (text,))
 
 
+def _parse_rational(text: str) -> Fraction:
+    return Fraction(*rational_parts(text))
+
+
+def _parse_complex_rational(text: str) -> GaussianRational:
+    re_parts, im_parts = complex_rational_parts(text)
+    return GaussianRational(Fraction(*re_parts), Fraction(*im_parts))
+
+
 def _parse_float(text: str) -> float:
-    if text.strip() != text:  # float() would take surrounding whitespace
+    # float() would take surrounding whitespace and non-ASCII digits
+    if not text.isascii() or text.strip() != text:
         raise ScalarFormatError("bad float %r" % (text,))
     try:
         value = float(text)

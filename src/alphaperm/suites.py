@@ -11,7 +11,8 @@ minors at other alphas (or of hafnians), equal only if the expansion
 formula holds, and per-dp-vs-naive guards the DP against the oracle.
 Both sides share at most the cycle table, as a matrix keeps nothing
 keyed by alpha; an inequality instance keeps the cycle polynomials every
-family reads, lieb and fischer included.
+family reads, lieb and fischer included, and the block lifts read them
+too, at +-1.
 An inequality trial's rows carry each violation's Finding, made by
 inequalities.make_finding once the oracle has re-derived it.
 """
@@ -41,7 +42,6 @@ from .kernels import (
     diagonal_product,
     hafnian,
     per_alpha_dp,
-    per_alpha_minors,
     per_alpha_naive,
     permanent,
 )
@@ -57,8 +57,8 @@ from .matrices import (
 )
 from .partitions import (
     bell_number,
+    cycle_polynomials,
     half_formula_rhs,
-    per_beta_by_k,
     product_formula_rhs,
     shape_partition_count,
     shape_partition_sums,
@@ -309,12 +309,14 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         for r in check_marcus(A_eval, a_eval, tol):
             record(r.name, r, alpha, None, r.hypothesis is not False)
 
-    # lifted block sums against the diagonal D = diag(A): a graded table
-    # of A per sign; D's side is closed, as per_{+-1}(D[B]) is
-    # (+-1)^|B| prod_{i in B} a_ii, so per_{+-1}(D, k) = k! S(n, k)
-    # (+-1)^n prod a_ii
+    # lifted block sums against the diagonal D = diag(A): A's side from
+    # the cycle polynomials its checks keep, per sign; D's side is closed,
+    # as per_{+-1}(D[B]) is (+-1)^|B| prod_{i in B} a_ii, so
+    # per_{+-1}(D, k) = k! S(n, k) (+-1)^n prod a_ii
     if n <= 4 and not float_mode:
-        per_A, det_A = (per_beta_by_k(per_alpha_minors(A, s))
+        kept = cycle_polynomials(A)
+        unit = Fraction(1, kept.base ** n)
+        per_A, det_A = ([x * unit for x in kept.per_by_k(s)]
                         for s in (1, -1))
         diag = diagonal_product(A)
         sign = -1 if n % 2 else 1

@@ -181,6 +181,49 @@ class TestCompute:
         assert exc.value.code == 2
 
 
+# non-ASCII matrix bytes and the line loads_matrix names for them
+_NON_ASCII = [
+    (b"n 1\nfield rational\nflags\n\xff\n", 4),
+    ("n 1\nfield rational\nflags\n\u0663\n".encode(), 4),
+    ("n \u00b2\nfield rational\nflags\n1\n".encode(), 1),
+    ("n 1\nfield float\nflags\n\u0663.5\n".encode(), 4),
+]
+
+
+class TestMalformedInput:
+    """Malformed input exits 3 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("data, line", _NON_ASCII)
+    def test_non_ascii_file(self, tmp_path, data, line):
+        p = tmp_path / "bad.mat"
+        p.write_bytes(data)
+        assert run_cli("compute", "per", str(p)) == (
+            3, "", "error: non-ASCII text on line %d\n" % line)
+
+    @pytest.mark.parametrize("data, line", _NON_ASCII)
+    def test_non_ascii_stdin(self, monkeypatch, data, line):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run_cli("compute", "per", "-") == (
+            3, "", "error: non-ASCII text on line %d\n" % line)
+        text = data.decode("utf-8", "replace")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli("compute", "per", "-")[0] == 3
+
+    def test_non_ascii_stdin_of_a_process(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "alphaperm.cli", "compute", "per", "-"],
+            input=_NON_ASCII[0][0], capture_output=True, env=child_env())
+        assert (out.returncode, out.stdout, out.stderr) == (
+            3, b"", b"error: non-ASCII text on line 4\n")
+
+    @pytest.mark.parametrize("alpha", ["\u0663", "1/\u0663", "\u0663+1i"])
+    def test_non_ascii_alpha(self, plain_file, alpha):
+        code, out, err = run_cli("compute", "per-alpha", "--alpha=" + alpha,
+                                 plain_file)
+        assert (code, out) == (3, "") and err.startswith("error: bad ")
+        assert err.count("\n") == 1
+
+
 class TestGen:
     def test_writes_and_prints_path(self, tmp_path):
         out_path = str(tmp_path / "g.mat")

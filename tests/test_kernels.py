@@ -287,6 +287,137 @@ class TestHafnian:
             hafnian(A, cap=7)
 
 
+def _recursive_hafnian(A):
+    """The lowest-index expansion of A as a memoized top-down recursion,
+    on A's entries: its order of terms is the reference for float and
+    GaussianRational bits."""
+    rows, one = A.rows, A.rows[0][0] * 0 + 1
+    memo = {0: one}
+
+    def rec(mask):
+        if mask not in memo:
+            ibit = mask & -mask
+            i, rest = ibit.bit_length() - 1, mask ^ ibit
+            acc = None
+            for j in indices_from_mask(rest):
+                if rows[i][j]:
+                    t = rows[i][j] * rec(rest ^ 1 << j)
+                    acc = t if acc is None else acc + t
+            memo[mask] = one - one if acc is None else acc
+        return memo[mask]
+
+    return rec(full_mask(A.n))
+
+
+def _symmetric(n, kind, zeros, seed):
+    """A random symmetric n x n matrix of kind, each entry zero with
+    probability zeros; float zeros are signed at random."""
+    rng = random.Random("%s:%d:%s:%d" % (kind, n, zeros, seed))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = F(rng.randint(-9, 9), rng.randint(1, 6))
+            if rng.random() < zeros:
+                x = F(0)
+            if kind == "complex-rational":
+                x = G(x, 0 if not x else F(rng.randint(-5, 5),
+                                             rng.randint(1, 4)))
+            elif kind == "float":
+                x = float(x) or rng.choice((0.0, -0.0))
+            rows[i][j] = rows[j][i] = x
+    return Matrix(rows, kind=kind)
+
+
+def _reached(roots) -> set:
+    """The nonempty index sets the lowest-index expansion reaches from
+    roots, by a plain search."""
+    seen, stack = set(), list(roots)
+    while stack:
+        mask = stack.pop()
+        if mask and mask not in seen:
+            seen.add(mask)
+            ibit = mask & -mask
+            rest = mask ^ ibit
+            stack += [rest ^ 1 << j for j in indices_from_mask(rest)]
+    return seen
+
+
+def _level_masks(levels) -> list:
+    """The sets of levels as masks, checking that each level holds
+    ascending tuples of one size, the sizes ascending by two."""
+    masks = []
+    for size, level in enumerate(levels, 1):
+        for c in level:
+            assert len(c) == 2 * size and list(c) == sorted(set(c))
+            masks.append(sum(1 << j for j in c))
+    return masks
+
+
+class TestBottomUpHafnian:
+    @pytest.mark.parametrize("kind", ["rational", "complex-rational",
+                                      "float"])
+    @pytest.mark.parametrize("n", range(0, 13, 2))
+    def test_equals_the_oracle_and_the_recursion(self, kind, n):
+        for zeros, seed in ((0, 0), (0.3, 1), (0.6, 2)):
+            A = _symmetric(n, kind, zeros, seed)
+            got = hafnian(A)
+            if n:
+                reference = _recursive_hafnian(A)
+                assert type(got) is type(reference)
+                assert repr(got) == repr(reference)
+            if kind == "float":
+                exact = Matrix([[F(x) for x in row] for row in A.rows])
+                bound = oracle_hafnian(Matrix([[abs(x) for x in row]
+                                               for row in exact.rows]))
+                assert abs(F(got) - oracle_hafnian(exact)) <= bound * 1e-12
+            else:
+                assert got == oracle_hafnian(A)
+
+    def test_signed_zeros_and_empty_sums(self):
+        # row 0 meets only zeros: every term is skipped, the sum is 0.0
+        A = Matrix([[1.0, -0.0, 0.0, -0.0], [-0.0, 1.0, 2.0, 3.0],
+                    [0.0, 2.0, 1.0, -4.0], [-0.0, 3.0, -4.0, 1.0]])
+        assert repr(hafnian(A)) == repr(_recursive_hafnian(A)) == "0.0"
+        B = Matrix([[0.0, -0.0], [-0.0, 0.0]])
+        assert repr(hafnian(B)) == "0.0"
+        # the first term is a_01 * haf(empty) = a_01 * (1+0j), whose real
+        # part is -0.0 - (-1.0 * 0.0) = 0.0: a_01 itself would keep -0.0
+        a01 = complex(-0.0, -1.0)
+        C = Matrix([[0j, a01], [a01, 0j]])
+        assert repr(hafnian(C)) == repr(_recursive_hafnian(C)) == "-1j"
+
+    @pytest.mark.parametrize("n", range(0, 15, 2))
+    def test_full_set_levels_are_the_reached_sets(self, n):
+        masks = _level_masks(list(kernels._full_set_levels(n)))
+        assert len(masks) == len(set(masks))
+        assert set(masks) == _reached([full_mask(n)])
+        fib = [0, 1]
+        while len(fib) <= n + 1:
+            fib.append(fib[-1] + fib[-2])
+        assert len(masks) == fib[n + 1] - 1     # the empty set is not listed
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_doubled_levels_are_the_reached_sets(self, n):
+        levels = kernels._doubled_levels(n)
+        assert len(levels) == n
+        masks = _level_masks(levels)
+        assert len(masks) == len(set(masks))
+        assert set(masks) == _reached([T | T << n for T in range(1 << n)])
+        assert len(masks) == (2 * 3 ** (n - 1) - 1 if n else 0)
+
+    @pytest.mark.parametrize("kind", ["rational", "float"])
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_table_entries_are_hafnians_of_the_doubled_blocks(self, kind,
+                                                              n):
+        for zeros, seed in ((0, 0), (0.4, 1)):
+            A = _symmetric(n, kind, zeros, seed)
+            table = doubled_hafnian_table(A)
+            for T in range(1 << n):
+                expect = hafnian(doubled(submatrix(A, T)))
+                assert table[T] == expect
+                assert repr(table[T]) == repr(expect)
+
+
 class TestCycleSum:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_vs_oracle(self, seed):

@@ -423,8 +423,8 @@ class TestClearedForm:
     def test_lazy_form_of_other_matrices(self, monkeypatch):
         A = random_unit_diag_psd(4, HERMITIAN, 3, seed=5)
         R = random_psd(3, REAL_SYMMETRIC, 3, seed=5)
-        built = [loads_matrix(dumps_matrix(A)), loads_matrix(dumps_matrix(R)),
-                 submatrix(A, 0b1011), submatrix(R, 0), doubled(R),
+        texts = [dumps_matrix(A), dumps_matrix(R)]
+        built = [submatrix(A, 0b1011), submatrix(R, 0), doubled(R),
                  Matrix.identity(3, "complex-rational")]
         calls = []
         original = matrices.clear_denominators
@@ -434,6 +434,11 @@ class TestClearedForm:
             return original(rows)
 
         monkeypatch.setattr(matrices, "clear_denominators", counting)
+        # a loaded matrix carries the form its text parsed into
+        for B in map(loads_matrix, texts):
+            assert B._cleared is not None
+            assert B.cleared == original(B.rows)
+        assert calls == []
         for B in built:
             assert B._cleared is None
             assert B.cleared == original(B.rows)
@@ -456,7 +461,173 @@ class TestClearedForm:
         assert A._cleared is None
 
 
+# malformed texts and the messages loads_matrix raises for them
+_MALFORMED = [
+    ('', 'empty matrix text'),
+    ('# only a comment\n', 'empty matrix text'),
+    ('field rational\nflags\n', "expected 'n' line, got 'field rational'"),
+    ('n\nfield rational\n', 'bad n line'),
+    ('n 2 3\nfield rational\n', 'bad n line'),
+    ('n two\nfield rational\nflags\n', 'bad n line'),
+    ('n -1\nfield rational\nflags\n', 'bad n line'),
+    ('n 1\n', "missing 'field' line"),
+    ('n 1\nfield\nflags\n1\n', "bad field line 'field'"),
+    ('n 1\nfield integer\nflags\n1\n', "bad field line 'field integer'"),
+    ('n 1\nfield rational float\nflags\n1\n',
+     "bad field line 'field rational float'"),
+    ('n 1\nkind rational\nflags\n1\n',
+     "expected 'field' line, got 'kind rational'"),
+    ('n 1\nfield rational\nflags sorted\n1\n', "unknown flag 'sorted'"),
+    ('n 2\nfield rational\nflags\n1 2\n', 'missing row 2 of 2'),
+    ('n 2\nfield rational\nflags\n1 2\n3\n',
+     'row 2 has 1 entries, expected 2'),
+    ('n 2\nfield rational\nflags\n1 2\n3 4 5\n',
+     'row 2 has 3 entries, expected 2'),
+    ('n 2\nfield rational\nflags\n1 2\n3 4\n5 6\n',
+     'trailing content after 2 rows'),
+    ('n 1\nfield rational\nflags\n1.5\n', "row 1: bad rational '1.5'"),
+    ('n 1\nfield rational\nflags\n1/0\n', "row 1: bad rational '1/0'"),
+    ('n 1\nfield rational\nflags\n1/-2\n', "row 1: bad rational '1/-2'"),
+    ('n 1\nfield rational\nflags\n--1\n', "row 1: bad rational '--1'"),
+    ('n 2\nfield rational\nflags\n1 x\n1/2 1/0\n', "row 1: bad rational 'x'"),
+    ('n 1\nfield rational\nflags\n1+2i\n', "row 1: bad rational '1+2i'"),
+    ('n 1\nfield complex-rational\nflags\n1+-2i\n',
+     "row 1: bad complex rational '1+-2i'"),
+    ('n 1\nfield complex-rational\nflags\ni\n',
+     "row 1: bad complex rational 'i'"),
+    ('n 1\nfield complex-rational\nflags\n1/0+1i\n',
+     "row 1: bad complex rational '1/0+1i'"),
+    ('n 1\nfield complex-rational\nflags\n1+1/0i\n',
+     "row 1: bad complex rational '1+1/0i'"),
+    ('n 1\nfield complex-rational\nflags\n1+2j\n',
+     "row 1: bad complex rational '1+2j'"),
+    ('n 1\nfield float\nflags\nnan\n', "row 1: non-finite float 'nan'"),
+    ('n 1\nfield float\nflags\ninf\n', "row 1: non-finite float 'inf'"),
+    ('n 1\nfield float\nflags\n1/2\n', "row 1: bad float '1/2'"),
+    ('n 2\nfield rational\nflags real-symmetric\n1 1/2\n1/3 1\n',
+     'real-symmetric flag does not hold'),
+    ('n 2\nfield rational\nflags hermitian\n1 2\n3 1\n',
+     'hermitian flag does not hold'),
+    ('n 1\nfield complex-rational\nflags real-symmetric\n1\n',
+     'real-symmetric flag does not hold'),
+    ('n 2\nfield complex-rational\nflags hermitian\n1 1+1i\n1+1i 1\n',
+     'hermitian flag does not hold'),
+    ('n 1\nfield complex-rational\nflags hermitian\n1+1i\n',
+     'hermitian flag does not hold'),
+    ('n 2\nfield float\nflags real-symmetric\n1.0 2.0\n2.5 1.0\n',
+     'real-symmetric flag does not hold'),
+]
+
+
+@st.composite
+def _file_matrices(draw):
+    """Exact matrices as a file holds them: either field, flags claimed
+    where they hold, and some zero rows (and columns, under a flag)."""
+    kind = draw(st.sampled_from(["rational", "complex-rational"]))
+    n = draw(st.integers(0, 5))
+    rational = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+    entry = rational if kind == "rational" else st.builds(G, rational,
+                                                          rational)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    flag = draw(st.sampled_from([None, "hermitian", "real-symmetric"]))
+    if flag == "real-symmetric" and kind == "complex-rational":
+        flag = "hermitian"
+    if flag:
+        for i in range(n):
+            rows[i][i] = rows[i][i] + rows[i][i].conjugate()
+            for j in range(i):
+                rows[i][j] = rows[j][i].conjugate()
+    zero = F(0) if kind == "rational" else G(0)
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+        for j in range(n):
+            rows[i][j] = zero
+            if flag:
+                rows[j][i] = zero
+    return Matrix(rows, kind=kind, hermitian=flag == "hermitian",
+                  real_symmetric=flag == "real-symmetric")
+
+
+def _unreduced_dump(A, multipliers) -> str:
+    """dumps_matrix(A) with each fraction written p*m/(q*m), m drawn in
+    turn from multipliers."""
+    m = iter(multipliers * (2 * A.n * A.n))
+
+    def frac(x):
+        k = next(m)
+        return "%d/%d" % (x.numerator * k, x.denominator * k)
+
+    def token(x):
+        if isinstance(x, GaussianRational):
+            return "%s%s%si" % (frac(x.re), "-" if x.im < 0 else "+",
+                                frac(abs(x.im)))
+        return frac(x)
+
+    head = dumps_matrix(A).splitlines()[:3]
+    return "\n".join(head + [" ".join(map(token, row)) for row in A.rows])
+
+
 class TestTextFormat:
+    @given(_file_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_round_trip_keeps_the_cleared_form(self, A):
+        B = loads_matrix(dumps_matrix(A))
+        assert B.rows == A.rows
+        assert ([type(x) for row in B.rows for x in row]
+                == [type(x) for row in A.rows for x in row])
+        assert ((B.kind, B.real_symmetric, B.hermitian)
+                == (A.kind, A.real_symmetric, A.hermitian))
+        assert B._cleared is not None
+        assert B.cleared == clear_denominators(A.rows)
+
+    @given(_file_matrices(), st.lists(st.integers(1, 7), min_size=1,
+                                      max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_unreduced_tokens_clear_to_the_least_denominator(self, A, mults):
+        B = loads_matrix(_unreduced_dump(A, mults))
+        assert B.rows == A.rows and B.kind == A.kind
+        assert B.cleared == clear_denominators(A.rows)
+
+    def test_unreduced_tokens_pinned(self):
+        A = loads_matrix("n 2\nfield rational\nflags\n2/4 3/6\n-4/8 10/5\n")
+        assert A.rows == ((F(1, 2), F(1, 2)), (F(-1, 2), F(2)))
+        assert A.cleared == (2, [[1, 1], [-1, 4]], None)
+        H = loads_matrix("n 1\nfield complex-rational\nflags\n2/4-6/8i\n")
+        assert H.cleared == (4, [[2]], [[-3]])
+
+    @pytest.mark.parametrize("text, message", _MALFORMED)
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(MatrixFormatError) as info:
+            loads_matrix(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, line", [
+        ("n 1\nfield rational\nflags\n\xff\n", 4),
+        ("n \u00b2\nfield rational\nflags\n1\n", 1),
+        ("n 1\nfield rational\nflags\n\u0663\n", 4),
+        ("n 1\nfield float\nflags\n\u0663.5\n", 4),
+        ("n 1\nfield complex-rational\nflags\n1+\u0663i\n", 4),
+        ("n 2\nfield rational\nflags\n1\u00a02\n3 4\n", 4),
+        ("# caf\u00e9\nn 1\nfield rational\nflags\n1\n", 1),
+    ])
+    def test_non_ascii_text_rejected(self, text, line):
+        with pytest.raises(MatrixFormatError) as info:
+            loads_matrix(text)
+        assert str(info.value) == "non-ASCII text on line %d" % line
+
+    def test_non_ascii_file_rejected(self, tmp_path):
+        p = tmp_path / "bad.mat"
+        for data in (b"n 1\nfield rational\nflags\n\xff\n",
+                     "n 1\nfield rational\nflags\n\u0663\n".encode()):
+            p.write_bytes(data)
+            with pytest.raises(MatrixFormatError) as info:
+                read_matrix(str(p))
+            assert str(info.value) == "non-ASCII text on line 4"
+
+    def test_crlf_file(self, tmp_path):
+        p = tmp_path / "crlf.mat"
+        p.write_bytes(b"n 2\r\nfield rational\r\nflags\r\n1 2\r\n3 4\r\n")
+        assert read_matrix(str(p)).rows == ((F(1), F(2)), (F(3), F(4)))
+
     def test_round_trip_bytes(self):
         A = random_psd(4, HERMITIAN, 3, seed=9)
         text = dumps_matrix(A)

@@ -9,22 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaperm.errors import CapacityError, DomainError, MixedModeError
-from alphaperm.kernels import _dp_masks, hafnian, per_alpha_dp, permanent
+from alphaperm.kernels import (
+    _dp_masks,
+    hafnian,
+    per_alpha_dp,
+    per_alpha_minors,
+    permanent,
+)
 from alphaperm.matrices import (
+    HERMITIAN,
+    REAL_SYMMETRIC,
     Matrix,
     doubled,
     indices_from_mask,
     random_matrix,
+    random_psd,
     random_symmetric_matrix,
     submatrix,
 )
 from alphaperm.partitions import (
     SetPartition,
     bell_number,
+    cycle_polynomials,
     enumerate_partitions,
     enumerate_shape_partitions,
     graded_partition_sums,
     half_formula_rhs,
+    per_beta_by_k,
     per_beta_k,
     product_formula_rhs,
     shape_partition_count,
@@ -296,6 +307,39 @@ class TestPerBetaK:
             per_beta_k(A, F(1), 0)
         with pytest.raises(DomainError):
             per_beta_k(A, F(1), 3)
+
+
+class TestPerByK:
+    """CyclePolynomials.per_by_k against per_beta_by_k on the graded
+    table of per_alpha_minors, the path the block lifts read before."""
+
+    @staticmethod
+    def _cases():
+        for n in range(0, 6):
+            yield random_matrix(n, "rational", 3, seed=n)
+            yield random_matrix(n, "complex-rational", 3, seed=n)
+            yield random_psd(n, REAL_SYMMETRIC, 3, seed=n)
+            yield random_psd(n, HERMITIAN, 3, seed=n)
+            if n:
+                A = random_matrix(n, "rational", 3, seed=n + 10)
+                yield Matrix([[F(0)] * n] + [list(r) for r in A.rows[1:]])
+
+    @pytest.mark.parametrize("beta", [F(1), F(-1), F(3, 2), F(-2, 3),
+                                      G(1, 1)])
+    def test_equals_the_graded_table(self, beta):
+        for A in self._cases():
+            polynomials = cycle_polynomials(A)
+            unit = F(1, polynomials.base ** A.n)
+            got = [x * unit for x in polynomials.per_by_k(beta)]
+            expect = per_beta_by_k(per_alpha_minors(A, beta))
+            assert len(got) == A.n + 1
+            assert got[1:] == expect[1:]
+            assert got[0] == (1 if A.n == 0 else 0)
+
+    def test_pinned_identity(self):
+        # I_3: each of the S(3, k) k-block partitions weighs beta^3
+        P = cycle_polynomials(Matrix.identity(3, "rational"))
+        assert P.per_by_k(2) == [0, 8, 48, 48]
 
 
 class TestSumFormula:

@@ -14,6 +14,7 @@ from alphaperm.scalars import (
     ZERO_OF,
     GaussianRational,
     as_scalar,
+    complex_rational_parts,
     conj_scalar,
     exact_real,
     format_scalar,
@@ -21,6 +22,7 @@ from alphaperm.scalars import (
     kind_is_complex,
     kind_is_exact,
     parse_scalar,
+    rational_parts,
     scalar_kind,
     to_float_scalar,
 )
@@ -175,6 +177,55 @@ class TestParsing:
         for bad in ("abc", "nan", " 1.5\n", "\t2", "1.5 ", "\n", "1 .5"):
             with pytest.raises(ScalarFormatError):
                 parse_scalar(bad, "float")
+
+    @pytest.mark.parametrize("text", [
+        "\u0663",              # ARABIC-INDIC DIGIT THREE, which \d matches
+        "1/\u0663", "\u0663/2", "\u00b2", "\uff11", "-\u0967",
+    ])
+    def test_only_ascii_digits(self, text):
+        for kind in ("rational", "complex-rational", "float"):
+            with pytest.raises(ScalarFormatError):
+                parse_scalar(text, kind)
+        for bad in (text + "+1i", "1+" + text + "i", text + "i"):
+            with pytest.raises(ScalarFormatError):
+                parse_scalar(bad, "complex-rational")
+        with pytest.raises(ScalarFormatError):
+            parse_scalar(text + ".5", "float")
+
+    def test_error_messages(self):
+        for text, kind, message in (
+                ("1.5", "rational", "bad rational '1.5'"),
+                ("1+-2i", "complex-rational", "bad complex rational '1+-2i'"),
+                ("\u0663", "rational", "bad rational '\u0663'"),
+                ("\u0663.5", "float", "bad float '\u0663.5'"),
+                ("inf", "float", "non-finite float 'inf'")):
+            with pytest.raises(ScalarFormatError) as info:
+                parse_scalar(text, kind)
+            assert str(info.value) == message
+
+    def test_parts_as_written(self):
+        assert rational_parts("2/4") == (2, 4)
+        assert rational_parts("-3") == (-3, 1)
+        assert rational_parts("+007/10") == (7, 10)
+        assert complex_rational_parts("2/4-6/8i") == ((2, 4), (-6, 8))
+        assert complex_rational_parts("-5/3+1i") == ((-5, 3), (1, 1))
+        assert complex_rational_parts("-2/6 i") == ((0, 1), (-2, 6))
+        assert complex_rational_parts("7") == ((7, 1), (0, 1))
+        assert all(type(x) is int for pair in complex_rational_parts("1/2+3i")
+                   for x in pair)
+
+    @given(st.fractions(), st.fractions(), st.integers(1, 6),
+           st.integers(1, 6))
+    def test_parts_are_the_parsed_value(self, a, b, m, k):
+        # unreduced tokens too: the parts keep the written denominators
+        re_text = "%d/%d" % (a.numerator * m, a.denominator * m)
+        im_text = "%d/%d" % (abs(b.numerator) * k, b.denominator * k)
+        text = re_text + ("-" if b < 0 else "+") + im_text + "i"
+        assert rational_parts(re_text) == (a.numerator * m, a.denominator * m)
+        assert complex_rational_parts(text) == (
+            rational_parts(re_text), (b.numerator * k, b.denominator * k))
+        assert parse_scalar(re_text, "rational") == a
+        assert parse_scalar(text, "complex-rational") == G(a, b)
 
     def test_format_round_trip_exact(self):
         for v in (Fraction(-7, 3), Fraction(0), Fraction(12)):

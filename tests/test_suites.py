@@ -1,20 +1,43 @@
 """Identity and inequality suite drivers: coverage, determinism, jobs."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from alphaperm.errors import DomainError
 from alphaperm.inequalities import VIOLATED, OracleMismatch
+from alphaperm.kernels import diagonal_product, per_alpha_minors
+from alphaperm.partitions import per_beta_by_k, stirling2
+from alphaperm.scalars import exact_real
 from alphaperm.suites import (
     IDENTITY_CHECKS,
     INEQUALITY_CHECKS,
+    _inequality_trial,
+    _trial_psd,
     alpha_set_for,
     run_identity_suite,
     run_inequality_suite,
 )
 
 F = Fraction
+
+
+def _block_lift_by_tables(A):
+    """The block-lift row of A from the graded tables of
+    per_alpha_minors(A, +-1), one subset DP per sign."""
+    n = A.n
+    per_A, det_A = (per_beta_by_k(per_alpha_minors(A, s)) for s in (1, -1))
+    diag = diagonal_product(A)
+    sign = -1 if n % 2 else 1
+    ok, worst = True, None
+    for k in range(1, n + 1):
+        per_D = math.factorial(k) * stirling2(n, k) * diag
+        for s in (exact_real(per_A[k] - per_D),
+                  exact_real(per_D - sign * det_A[k])):
+            ok = ok and s >= 0
+            worst = s if worst is None else min(worst, s)
+    return ("block-lift", ok, worst, None)
 
 
 def _snapshot(outcomes):
@@ -129,6 +152,15 @@ class TestIdentitySuite:
 
 
 class TestInequalitySuite:
+    def test_block_lift_rows_equal_the_tables(self):
+        # the rows read the kept cycle polynomials; every trial n <= 4
+        for seed in (0, 3):
+            for t in range(24):
+                rows = _inequality_trial(4, seed, "theorem2", False, 1e-9, t)
+                lift = [r for r in rows if r[0] == "block-lift"]
+                assert lift == [_block_lift_by_tables(_trial_psd(4, seed, t))]
+                assert type(lift[0][2]) is Fraction
+
     def test_all_rows_green_theorem_regime(self):
         outcomes = run_inequality_suite(n_max=5, trials=8, seed=0)
         assert [oc.name for oc in outcomes] == list(INEQUALITY_CHECKS)
