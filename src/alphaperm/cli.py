@@ -310,19 +310,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # exact values parse and print at any length: lift Python's int/str
+    # digit limit (3.10.7 on) for the command, and restore it after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ScalarFormatError, MatrixFormatError, DomainError,
-            MixedModeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
+            MixedModeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except CapacityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -273,13 +273,13 @@ def _real_alpha(alpha):
 
 # Above this n lieb and fischer run Glynn or Bareiss on A and both blocks
 # at every split instead of reading A's cycle polynomials at alpha = 1.
-# Both at every split of a fresh instance, in ms (the +-1 tables read
-# before / the polynomials / Glynn and Bareiss): real A, n = 9:
-# 4.6 / 3.6 / 2.7, n = 10: 13.0 / 10.3 / 4.3, n = 11: 39 / 29 / 7.0;
-# Hermitian A, whose kernels run in GaussianRational arithmetic, n = 9:
-# 6.5 / 6.4 / 145, n = 10: 18.7 / 15.9 / 299, n = 11: 54 / 43 / 588
-# (BENCH_lieb_from_polynomials.json). The kernels win from n = 9 on real
-# A and never on Hermitian A; one cut serves both.
+# Both at every split of a fresh instance, in ms (the polynomials / Glynn
+# and Bareiss): real A, n = 9: 3.7 / 2.4, n = 10: 10.2 / 3.7, n = 11:
+# 28 / 6.1; Hermitian A, whose Glynn runs on packed ints and Bareiss on
+# GaussianRational, n = 9: 5.1 / 38, n = 10: 14 / 70, n = 11: 40 / 90
+# (BENCH_packed_gaussian.json). The kernels win from n = 9 on real A and
+# not yet on Hermitian A, where Bareiss is 9/10 of the time; one cut
+# serves both.
 _SPLIT_POLYNOMIAL_MAX_N = 10
 
 

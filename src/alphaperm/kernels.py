@@ -65,13 +65,15 @@ inputs demand exact alpha, float inputs demand float alpha; anything else
 raises MixedModeError. The result is complex when A or alpha is, even at n = 0.
 
 Exact kernels run in an integer lane, on A.cleared: the common
-denominator L of A's entries and B = L*A as integers (Gaussian integers,
-kept as integer real and imaginary parts, for complex-rational A), as
+denominator L of A's entries and B = L*A as integers (Gaussian integers
+for complex-rational A, kept as integer real and imaginary parts), as
 scalars.clear_denominators computes them. A is cleared once: the Gram
 generators build their instances in integers, and loads_matrix parses a
 file's tokens straight into them, and both hand this form to the
 constructor; any other exact matrix computes it on first use and keeps
-it, so no kernel clears the same matrix twice.
+it, so no kernel clears the same matrix twice. In the loops a Gaussian
+integer is one packed int (_pack), on which they run unchanged; only
+their results are decoded, by a bound on them (_packing).
 
   * a ScaledTable holds integers that carry base^|T| in entry T, and
     their imaginary parts when some entry is complex; float tables hold
@@ -86,12 +88,14 @@ it, so no kernel clears the same matrix twice.
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
-  * rational Glynn, Bareiss (whose divisions are exact on integers) and the
+  * Glynn, Bareiss (whose divisions are exact on integers) and the
     hafnian run on B and divide by 2^(n-1) L^n, L^n and L^(n/2); the
     doubled hafnian table, one bottom-up evaluation on L*doubled(A), has
     base L.
 
-Complex-rational Glynn, Bareiss and hafnian stay on GaussianRational.
+Only Bareiss, whose divisions are not ring operations on packed ints,
+and the oracle keep separate complex code: complex-rational Bareiss runs
+on GaussianRational, and the oracle walks the Gaussian integers as pairs.
 The oracle does its own clearing and shares nothing with the integer lane:
 it reads A's entries, not A.cleared, scales them to integers (Gaussian
 integers for complex-rational A) by their own common denominator L, walks
@@ -118,7 +122,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, MixedModeError
-from .matrices import Matrix, doubled, full_mask
+from .matrices import Matrix, doubled_rows, full_mask
 from .scalars import (
     FLOAT_KINDS,
     ONE_OF,
@@ -325,6 +329,64 @@ def _walk_permutations_gaussian(re, im, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian integers as packed ints
+# ---------------------------------------------------------------------------
+
+def _packing(A: Matrix, factor: int = 1) -> int:
+    """K for a kernel on A.cleared whose decoded results are at most
+    factor * R in |.|_1, with R = prod over rows i of
+    max(1, sum over j of |re_ij| + |im_ij|): R bounds every sub-permanent
+    of |B|_1, and the hafnian too, as a nonzero Gaussian integer has
+    |.|_1 >= 1. Each part of a result is then below 2^(K-1)."""
+    _, re, im = A.cleared
+    R = math.prod(max(1, sum(map(abs, r)) + sum(map(abs, i)))
+                  for r, i in zip(re, im or [()] * len(re)))
+    return (factor * R).bit_length() + 1
+
+
+def _pack(re, im, K: int) -> list:
+    """re[j] + i im[j] as the ints re[j] + im[j] 2^K. Modulo 2^(2K) + 1,
+    2^K is a square root of -1, so packed ints add and multiply as Z[i]."""
+    return [a + (b << K) for a, b in zip(re, im)]
+
+
+def _unpack(xs, K: int) -> tuple:
+    """(re, im): the parts a, b of the Gaussian integers the packed ints xs
+    stand for, exact when |a|, |b| < 2^(K-1): x mod N, N = 2^(2K) + 1,
+    folded to (-N/2, N/2], is then a + b 2^K itself."""
+    N = (1 << 2 * K) + 1
+    mid = 1 << (K - 1)
+    re, im = [], []
+    for x in xs:
+        x %= N
+        if x > N >> 1:
+            x -= N
+        b = (x + mid) >> K
+        re.append(x - (b << K))
+        im.append(b)
+    return re, im
+
+
+def _integer_rows(A: Matrix, factor: int = 1) -> tuple:
+    """(L, rows, K): A.cleared's L and integer rows, packed with K bits
+    for _packing(A, factor) when A has imaginary parts, K None when not."""
+    L, re, im = A.cleared
+    if im is None:
+        return L, re, None
+    K = _packing(A, factor)
+    return L, [_pack(r, i, K) for r, i in zip(re, im)], K
+
+
+def _from_packed(den: int, x: int, K):
+    """The exact scalar x / den of a kernel's integer result x, packed
+    with K bits (a GaussianRational) or, for K None, an int (a Fraction)."""
+    if K is None:
+        return from_scaled(den, x)
+    (a,), (b,) = _unpack([x], K)
+    return from_scaled(den, a, b)
+
+
+# ---------------------------------------------------------------------------
 # cycle sums
 # ---------------------------------------------------------------------------
 
@@ -422,55 +484,6 @@ def _walk_cycle_sums(rows, n: int) -> list:
     return C
 
 
-def _walk_cycle_sums_gaussian(re, im, n: int) -> tuple:
-    """Cycle sums of a Gaussian-integer matrix given as its real and
-    imaginary integer parts; the same walk as _walk_cycle_sums."""
-    size = 1 << n
-    Cr = [None] * size
-    Ci = [None] * size
-    walk_r = [None] * size
-    walk_i = [None] * size
-    for mask in range(1, size):
-        lowbit = mask & -mask
-        anchor = lowbit.bit_length() - 1
-        if mask == lowbit:
-            Cr[mask] = re[anchor][anchor]
-            Ci[mask] = im[anchor][anchor]
-            continue
-        wr = {}
-        wi = {}
-        cr = ci = 0
-        m = mask ^ lowbit
-        while m:
-            vbit = m & -m
-            m ^= vbit
-            v = vbit.bit_length() - 1
-            sub = mask ^ vbit
-            if sub == lowbit:
-                xr = re[anchor][v]
-                xi = im[anchor][v]
-            else:
-                xr = xi = 0
-                prev_i = walk_i[sub]
-                for u, a in walk_r[sub].items():
-                    b = prev_i[u]
-                    c = re[u][v]
-                    d = im[u][v]
-                    xr += a * c - b * d
-                    xi += a * d + b * c
-            wr[v] = xr
-            wi[v] = xi
-            c = re[v][anchor]
-            d = im[v][anchor]
-            cr += xr * c - xi * d
-            ci += xr * d + xi * c
-        walk_r[mask] = wr
-        walk_i[mask] = wi
-        Cr[mask] = cr
-        Ci[mask] = ci
-    return Cr, Ci
-
-
 def cycle_sum_table(A: Matrix, cap=None) -> ScaledTable:
     """C(S) for every nonempty subset S of 0..n-1, indexed by bitmask.
 
@@ -485,26 +498,24 @@ def _cycle_sums(A: Matrix) -> ScaledTable:
     n = A.n
     if A.kind in FLOAT_KINDS:
         return ScaledTable(A.kind, 1, _walk_cycle_sums(A.rows, n), None)
-    L, re, im = A.cleared
-    if im is None:
-        return ScaledTable(A.kind, L, _walk_cycle_sums(re, n), None)
-    values, imag = _walk_cycle_sums_gaussian(re, im, n)
-    return ScaledTable(A.kind, L, values, imag if any(imag[1:]) else None)
+    L, rows, K = _integer_rows(A)
+    C = _walk_cycle_sums(rows, n)
+    if K is None:
+        return ScaledTable(A.kind, L, C, None)
+    values, imag = _unpack(C[1:], K)
+    return ScaledTable(A.kind, L, [None] + values,
+                       [None] + imag if any(imag) else None)
 
 
-def _weights(C: ScaledTable, q: int) -> tuple:
-    """(values, imag) of an exact cycle table C with entry S multiplied by
-    q^(|S|-1), the weights of the DP at alpha = p/q."""
+def _weights(values: list, q: int) -> list:
+    """An exact cycle table's integers (or their packed ints) values with
+    entry S multiplied by q^(|S|-1), the weights of the DP at alpha = p/q;
+    values itself at q = 1."""
     if q == 1:
-        return C.values, C.imag
-    size = len(C)
-    q_pow = [q ** k for k in range(size.bit_length() - 1)]
-
-    def weigh(values):
-        return [0] + [q_pow[m.bit_count() - 1] * values[m]
-                      for m in range(1, size)]
-
-    return weigh(C.values), None if C.imag is None else weigh(C.imag)
+        return values
+    q_pow = [q ** k for k in range(len(values).bit_length() - 1)]
+    return [0] + [q_pow[m.bit_count() - 1] * values[m]
+                  for m in range(1, len(values))]
 
 
 def kept(A: Matrix, key, build, cap=None):
@@ -548,44 +559,16 @@ def _subset_dp(w, p, n: int, masks) -> list:
     return g
 
 
-def _subset_dp_gaussian(wr, wi, pr: int, pi: int, n: int, masks) -> tuple:
-    """_subset_dp over the Gaussian integers, as real and imaginary parts."""
-    size = 1 << n
-    gr = [1] * size
-    gi = [0] * size
-    for mask in masks:
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        ar = ai = 0
-        s = rest
-        while True:
-            j = lowbit | s
-            k = rest ^ s
-            a = wr[j]
-            b = wi[j]
-            c = gr[k]
-            d = gi[k]
-            ar += a * c - b * d
-            ai += a * d + b * c
-            if s == 0:
-                break
-            s = (s - 1) & rest
-        gr[mask] = pr * ar - pi * ai
-        gi[mask] = pr * ai + pi * ar
-    return gr, gi
-
-
-def _principal_dp(A: Matrix, alpha, cap, C=None,
-                  full_set=False) -> ScaledTable:
+def _principal_dp(A: Matrix, alpha, cap, C=None, full_set=False) -> tuple:
     """The subset DP of A at alpha under the DP cap, run at each call on
     A's cycle table (C, if given), over every index set T, or with full_set
-    over the sets per_alpha(A) reads: entry T is per_alpha(A[T]), with the
-    value and type per_alpha_dp(submatrix(A, T), alpha) returns.
+    over the sets per_alpha(A) reads.
 
-    Exact tables hold the integers base^|T| per_alpha(A[T]) with base = q L
-    for alpha = p/q, and their imaginary parts unless the DP ran on plain
-    ints. With full_set, entries of sets that contain element 0 but are not
-    the full set are left unfilled.
+    Returns (base, g, K): g[T] is base^|T| per_alpha(A[T]) as the DP
+    holds it, with base = q L for alpha = p/q (1 for floats), an int
+    packed with K bits, or (K None) a plain int or a float. With full_set,
+    entries of sets that contain element 0 but are not the full set are
+    left unfilled.
     """
     n = A.n
     _check_cap("dp", n, cap)
@@ -595,19 +578,19 @@ def _principal_dp(A: Matrix, alpha, cap, C=None,
     if A.kind in FLOAT_KINDS:
         g = _subset_dp(C.values, alpha, n, masks)
         g[0] = _empty_per_alpha(A, alpha)
-        return ScaledTable(A.kind, 1, g, None)
+        return 1, g, None
     # alpha = p/q: weighting cycle S by q^(|S|-1) keeps the DP integral.
     q, [[p]], p_imag = clear_denominators([[alpha]])
-    wr, wi = _weights(C, q)
     base = q * C.base
-    if wi is None and p_imag is None:
-        return ScaledTable(A.kind, base, _subset_dp(wr, p, n, masks), None)
-    if wi is None:
-        wi = [0] * (1 << n)
-    re, im = _subset_dp_gaussian(wr, wi, p,
-                                 0 if p_imag is None else p_imag[0][0], n,
-                                 masks)
-    return ScaledTable(A.kind, base, re, im)
+    if C.imag is None and p_imag is None:
+        return base, _subset_dp(_weights(C.values, q), p, n, masks), None
+    # |g(T)|_1 <= max(|p|_1, q)^|T| per(|B|_1[T])
+    p_im = 0 if p_imag is None else p_imag[0][0]
+    K = _packing(A, max(abs(p) + abs(p_im), q) ** n)
+    w = C.values
+    if C.imag is not None:
+        w = [None] + _pack(w[1:], C.imag[1:], K)
+    return base, _subset_dp(_weights(w, q), p + (p_im << K), n, masks), K
 
 
 def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
@@ -616,14 +599,21 @@ def per_alpha_dp(A: Matrix, alpha, cap=None, cycle_table=None):
     reads, (3^(n-1) - 1)/2 + 2^(n-1) subset pairs. cycle_table, if given,
     must be cycle_sum_table(A), the table A keeps anyway.
     """
-    return _principal_dp(A, alpha, cap, cycle_table, full_set=True)[-1]
+    base, g, K = _principal_dp(A, alpha, cap, cycle_table, full_set=True)
+    if K is None:
+        return ScaledTable(A.kind, base, g, None)[-1]
+    return _from_packed(base ** A.n, g[-1], K)
 
 
 def per_alpha_minors(A: Matrix, alpha, cap=None) -> ScaledTable:
     """per_alpha of every principal submatrix A[T], from one subset DP on
     A's cycle table at each call; entry 0 is per_alpha of the empty matrix.
+    Exact tables keep the imaginary parts unless the DP ran on plain ints.
     """
-    return _principal_dp(A, alpha, cap)
+    base, g, K = _principal_dp(A, alpha, cap)
+    if K is None:
+        return ScaledTable(A.kind, base, g, None)
+    return ScaledTable(A.kind, base, *_unpack(g, K))
 
 
 # ---------------------------------------------------------------------------
@@ -636,18 +626,19 @@ def permanent(A: Matrix, cap=None):
     per(A) = 2^-(n-1) sum over d in {+1, -1}^n with d_0 = +1 of
     prod_k d_k prod_j (sum_i d_i a_ij) (D. G. Glynn, European J. Combin.
     31, 2010); each Gray step flips the sign of one row 1..n-1, so the
-    column sums update in O(n). Rational matrices run on L*A in integers:
-    per(L*A) = L^n per(A). Other kinds divide by 2^(n-1), which is exact on
-    floats short of underflow.
+    column sums update in O(n). Exact matrices run on L*A in integers
+    (packed Gaussian integers for complex-rational A), where
+    per(L*A) = L^n per(A). Float matrices divide by 2^(n-1), which is exact
+    short of underflow.
     """
     n = A.n
     _check_cap("ryser", n, cap)
     if n == 0:
         return ONE_OF[A.kind]
-    if A.kind == RATIONAL:
-        L, rows, _ = A.cleared
-        return from_scaled(L ** n << (n - 1), _glynn(rows, n))
-    return _glynn(A.rows, n) / (1 << (n - 1))
+    if A.kind in FLOAT_KINDS:
+        return _glynn(A.rows, n) / (1 << (n - 1))
+    L, rows, K = _integer_rows(A, 1 << (n - 1))
+    return _from_packed(L ** n << (n - 1), _glynn(rows, n), K)
 
 
 def _glynn(rows, n: int):
@@ -736,7 +727,8 @@ def hafnian(A: Matrix, cap=None):
     Expands on the lowest index i of an index set S: haf(S) = sum over
     partners j of a_{i,j} * haf(S minus {i, j}), run bottom-up over the
     sets that expansion reaches from the full set (_hafnians).
-    Rational matrices run on L*A in integers: haf(L*A) = L^(n/2) haf(A).
+    Exact matrices run on L*A in integers (packed Gaussian integers for
+    complex-rational A): haf(L*A) = L^(n/2) haf(A).
     """
     n = A.n
     _check_cap("hafnian", n, cap)
@@ -746,12 +738,12 @@ def hafnian(A: Matrix, cap=None):
         raise DomainError("hafnian needs a symmetric matrix")
     if n == 0:
         return ONE_OF[A.kind]
-    if A.kind == RATIONAL:
-        L, rows, _ = A.cleared
-        return from_scaled(L ** (n // 2), _hafnians(
-            rows, 1, _full_set_levels(n))[full_mask(n)])
-    return _hafnians(A.rows, ONE_OF[A.kind],
-                     _full_set_levels(n))[full_mask(n)]
+    if A.kind in FLOAT_KINDS:
+        return _hafnians(A.rows, ONE_OF[A.kind],
+                         _full_set_levels(n))[full_mask(n)]
+    L, rows, K = _integer_rows(A)
+    return _from_packed(L ** (n // 2), _hafnians(
+        rows, 1, _full_set_levels(n))[full_mask(n)], K)
 
 
 def _full_set_levels(n: int):
@@ -771,7 +763,7 @@ def _hafnians(rows, one, levels) -> dict:
     j, must be empty or in an earlier level. Each set sums its terms over
     j ascending, skips a zero a_{i,j} and starts from its first term (an
     empty sum is one - one), as the top-down recursion would, so float
-    and GaussianRational values are that recursion's to the bit.
+    values are that recursion's to the bit.
 
     From a root R, the expansion reaches S (besides the empty set)
     exactly when |R - S| = 2k and at least k elements of R lie below
@@ -849,16 +841,15 @@ def _doubled_levels(n: int) -> tuple:
 def doubled_hafnian_table(A: Matrix, cap=None) -> ScaledTable:
     """haf(doubled(A[T])) for every index set T of a real symmetric A:
     doubled(A) restricted to T and T + n is doubled(A[T]), so one
-    bottom-up _hafnians on L*doubled(A), over the sets its roots reach,
-    serves every T, entry T carrying L^|T|. L is the common denominator
-    of A's entries (1 for float A)."""
-    D = doubled(A)
-    _check_cap("hafnian", D.n, cap)
+    bottom-up _hafnians on L*doubled(A), doubled from A's cleared rows,
+    over the sets its roots reach, serves every T, entry T carrying
+    L^|T|. L is the common denominator of A's entries (1 for float A)."""
     if A.kind in FLOAT_KINDS:
-        L, rows, one = 1, D.rows, ONE_OF[A.kind]
+        L, rows, one = 1, A.rows, ONE_OF[A.kind]
     else:
-        L, rows, _ = D.cleared
-        one = 1
+        (L, rows, _), one = A.cleared, 1
+    rows = doubled_rows(A, rows)
+    _check_cap("hafnian", 2 * A.n, cap)
     haf = _hafnians(rows, one, _doubled_levels(A.n))
     return ScaledTable(A.kind, L,
                        [haf[T | T << A.n] for T in range(1 << A.n)], None)

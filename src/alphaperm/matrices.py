@@ -314,16 +314,18 @@ def direct_sum(A: Matrix, B: Matrix) -> Matrix:
 
 def doubled(A: Matrix) -> Matrix:
     """The 2n x 2n block matrix [[A, A], [A, A]] of a real symmetric A."""
+    return Matrix(doubled_rows(A, A.rows), kind=A.kind, real_symmetric=True,
+                  hermitian=True)
+
+
+def doubled_rows(A: Matrix, rows) -> list:
+    """The rows of [[R, R], [R, R]], for rows R of a real symmetric A: its
+    entries, or the integers of its cleared form."""
     if kind_is_complex(A.kind):
         raise DomainError("doubled needs a real matrix, kind is %s" % A.kind)
     if not A.is_symmetric_entrywise():
         raise DomainError("doubled needs a symmetric matrix")
-    n = A.n
-    rows = []
-    for i in range(2 * n):
-        src = A.rows[i % n]
-        rows.append(list(src) + list(src))
-    return Matrix(rows, kind=A.kind, real_symmetric=True, hermitian=True)
+    return [list(row) + list(row) for row in rows] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,46 @@ class TestMalformedInput:
         assert err.count("\n") == 1
 
 
+class TestLongValues:
+    """Exact values parse and print at any length, past Python's default
+    limit of 4,300 digits for int/str conversion."""
+
+    @staticmethod
+    def run_process(*argv):
+        env = child_env()
+        env["PYTHONINTMAXSTRDIGITS"] = "4300"
+        out = subprocess.run([sys.executable, "-m", "alphaperm.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        return out.returncode, out.stdout, out.stderr
+
+    def test_long_token(self, tmp_path):
+        token = "7" * 5000
+        p = tmp_path / "long.mat"
+        p.write_text("n 1\nfield rational\n%s\n" % token)
+        assert self.run_process("compute", "per", str(p)) == (
+            0, token + "\n", "")
+
+    def test_long_alpha(self, tmp_path):
+        alpha = "-" + "3" * 4400 + "/7"
+        p = tmp_path / "one.mat"
+        p.write_text("n 1\nfield rational\n1\n")
+        assert self.run_process("compute", "per-alpha", "--alpha=" + alpha,
+                                str(p)) == (0, alpha + "\n", "")
+
+    @pytest.mark.parametrize("quantity", ["det", "per"])
+    def test_long_result(self, tmp_path, quantity):
+        big = "1" + "0" * 3000
+        p = tmp_path / "diag.mat"
+        p.write_text("n 2\nfield rational\n%s 0\n0 %s\n" % (big, big))
+        assert self.run_process("compute", quantity, str(p)) == (
+            0, "1" + "0" * 6000 + "\n", "")
+
+    def test_limit_is_restored(self, plain_file):
+        limit = sys.get_int_max_str_digits()
+        assert run_cli("compute", "per", plain_file)[0] == 0
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestGen:
     def test_writes_and_prints_path(self, tmp_path):
         out_path = str(tmp_path / "g.mat")

@@ -709,6 +709,147 @@ class TestIntegerLane:
         assert L == math.lcm(*dens)
 
 
+# ---------------------------------------------------------------------------
+# packed Gaussian integers: complex-rational A in the integer loops
+# ---------------------------------------------------------------------------
+
+_SHAPES = ("general", "hermitian", "imaginary", "zero-row", "symmetric")
+
+
+def _large_rationals():
+    return st.builds(F, st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                  st.integers(-10 ** 40, 10 ** 40)),
+                     st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def complex_matrices(draw, shape=None):
+    """Complex-rational matrices, n = 0..6, of each shape: general,
+    Hermitian, purely imaginary, general with a zero row, and complex
+    symmetric."""
+    shape = shape or draw(st.sampled_from(_SHAPES))
+    n = draw(st.integers(0, 6))
+    zero = F(0)
+
+    def entry():
+        re = zero if shape == "imaginary" else draw(_large_rationals())
+        return G(re, draw(_large_rationals()))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if shape == "hermitian":
+            rows[i][i] = rows[i][i] + rows[i][i].conjugate()
+        for j in range(i):
+            if shape == "hermitian":
+                rows[i][j] = rows[j][i].conjugate()
+            elif shape == "symmetric":
+                rows[i][j] = rows[j][i]
+    if shape == "zero-row" and n:
+        rows[draw(st.integers(0, n - 1))] = [G(0)] * n
+    return Matrix(rows, kind="complex-rational",
+                  hermitian=shape == "hermitian")
+
+
+_packed_alphas = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+    _large_rationals(),
+    st.builds(G, _large_rationals(), _large_rationals()),
+    st.builds(G, st.just(F(0)), _large_rationals()),
+)
+
+
+def _diagonal(entries):
+    n = len(entries)
+    return Matrix([[entries[i] if i == j else G(0) for j in range(n)]
+                   for i in range(n)], kind="complex-rational")
+
+
+class TestPackedGaussianLane:
+    """Every exact kernel on complex-rational A, checked against the
+    oracle per_alpha_naive (or, for the hafnian, the matching sum)."""
+
+    @given(complex_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_cycle_sums_equal_the_oracle(self, A):
+        # C(T) is the one-cycle coefficient of A[T]'s cycle polynomial
+        table = cycle_sum_table(A)
+        for T in range(1, 1 << A.n):
+            c = kernels._naive_cycle_polynomial(submatrix(A, T))
+            _same(table[T], c[1])
+
+    @given(complex_matrices(), _packed_alphas)
+    @settings(max_examples=40, deadline=None)
+    def test_minors_equal_the_oracle(self, A, alpha):
+        minors = per_alpha_minors(A, alpha)
+        for T in range(1 << A.n):
+            _same(minors[T], per_alpha_naive(submatrix(A, T), alpha))
+
+    @given(complex_matrices(), _packed_alphas)
+    @example(_diagonal([G(0, 1)] * 6), G(0, 2 ** 40))
+    @settings(max_examples=60, deadline=None)
+    def test_dp_equals_the_oracle(self, A, alpha):
+        _same(per_alpha_dp(A, alpha), per_alpha_naive(A, alpha))
+
+    @given(complex_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_permanent_equals_the_oracle(self, A):
+        _same(permanent(A), per_alpha_naive(A, F(1)))
+
+    @given(complex_matrices(shape="symmetric"))
+    @settings(max_examples=40, deadline=None)
+    def test_hafnian_equals_the_matching_sum(self, A):
+        if A.n % 2:
+            A = submatrix(A, full_mask(A.n) >> 1)
+        expect = oracle_hafnian(A)
+        _same(hafnian(A), G(expect) if A.n == 0 else expect)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bounds_are_met_exactly(self, m, n):
+        # a diagonal matrix of +-2^m and +-2^m i: every cycle sum, the
+        # permanent, Glynn's 2^(n-1) per and the DP at alpha = 2^m i reach
+        # their bounds, powers of two, the values a part one bit short of
+        # room would overflow at
+        units = (G(1), G(0, 1), G(-1), G(0, -1))
+        A = _diagonal([units[i] * 2 ** m for i in range(n)])
+        table = cycle_sum_table(A)
+        for T in range(1, 1 << n):
+            _same(table[T], oracle_cycle_sum(A, indices_from_mask(T)))
+        _same(permanent(A), per_alpha_naive(A, F(1)))
+        for alpha in (G(0, 2 ** m), G(-(2 ** m), 0), F(2 ** m)):
+            _same(per_alpha_dp(A, alpha), per_alpha_naive(A, alpha))
+        S = _diagonal([G(0)] * 2 * n)
+        rows = [list(row) for row in S.rows]
+        for i in range(n):
+            rows[2 * i][2 * i + 1] = rows[2 * i + 1][2 * i] = units[i] * 2 ** m
+        S = Matrix(rows, kind="complex-rational")
+        _same(hafnian(S), oracle_hafnian(S))
+
+    def test_no_gaussian_rational_arithmetic(self, monkeypatch):
+        # complex-rational Glynn, the hafnian and a complex-alpha DP run on
+        # packed ints; only the results are built as GaussianRationals
+        A = random_matrix(6, "complex-rational", scale=5, seed=3)
+        S = Matrix([[x + y for x, y in zip(row, col)]
+                    for row, col in zip(A.rows, zip(*A.rows))])
+        alpha = G(F(3, 2), F(-1, 3))
+        expect = (per_alpha_naive(A, F(1)), oracle_hafnian(S),
+                  per_alpha_naive(A, alpha))
+
+        def forbidden(*args):
+            raise AssertionError("GaussianRational arithmetic")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__", "__pow__"):
+            monkeypatch.setattr(G, name, forbidden)
+        got = (permanent(_fresh(A)), hafnian(S),
+               per_alpha_dp(_fresh(A), alpha))
+        monkeypatch.undo()
+        for g, e in zip(got, expect):
+            _same(g, e)
+
+
 class TestFloatCycleTable:
     @pytest.mark.parametrize("kind", ["rational", "complex-rational"])
     @pytest.mark.parametrize("n", [1, 4, 6])
@@ -870,9 +1011,9 @@ class TestFullSetDP:
         # q^(|S|-1), alpha and -alpha alike, the table itself at q = 1
         A = random_matrix(4, "complex-rational", seed=2)
         C = cycle_sum_table(A)
-        assert kernels._weights(C, 1) == (C.values, C.imag)
+        assert kernels._weights(C.values, 1) is C.values
         for q in (3, 6):
-            values, imag = kernels._weights(C, q)
+            values, imag = (kernels._weights(x, q) for x in (C.values, C.imag))
             for m in range(1, 16):
                 # entry S is q^(|S|-1) C_B(S), with C_B(S) = L^|S| C_A(S)
                 C_B = C.base ** m.bit_count() * C[m]

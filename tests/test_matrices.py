@@ -445,9 +445,10 @@ class TestClearedForm:
             assert B.cleared is B.cleared
         assert len(calls) == len(built)
         D = doubled(R)
-        doubled_hafnian_table(R)
+        doubled_hafnian_table(R)   # doubles R's kept integers
+        assert len(calls) == len(built)
         hafnian(D), hafnian(D)
-        assert len(calls) == len(built) + 2   # one doubled(R) per call
+        assert len(calls) == len(built) + 1   # D is cleared once
 
     def test_float_matrices_never_fill_it(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=1).to_float()

@@ -204,9 +204,12 @@ class TestGradedPartitionSums:
         # the recursion with every term f(S) P[T - S][k-1] added, including
         # those with P[T - S][0] = 0, gives the same values and types, and
         # the same signed zeros on floats
-        entry = _RING_ENTRIES.get(ring) or st.builds(
-            complex, st.sampled_from([0.0, -0.0, 1.5, -2.25]),
-            st.sampled_from([0.0, -0.0, 0.5, -3.0]))
+        if ring in _RING_ENTRIES:
+            entry = _RING_ENTRIES[ring]
+        else:
+            entry = st.builds(
+                complex, st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+                st.sampled_from([0.0, -0.0, 0.5, -3.0]))
         if ring == "float":
             entry = st.one_of(entry, st.sampled_from([0.0, -0.0]))
         f = [None] + data.draw(st.lists(entry, min_size=(1 << n) - 1,
