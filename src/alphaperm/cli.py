@@ -42,7 +42,8 @@ from .matrices import (
     write_matrix,
 )
 from .scalars import format_scalar, parse_scalar, to_float_scalar
-from .suites import run_identity_suite, run_inequality_suite
+from .suites import (check_suite_args, run_identity_suite,
+                     run_inequality_suite)
 
 
 def _load_matrix_arg(path: str) -> Matrix:
@@ -140,6 +141,7 @@ def _print_outcomes(header: str, outcomes) -> bool:
 
 
 def cmd_check(args) -> int:
+    check_suite_args(args.suite, args.n_max, args.trials, args.tol)
     float_mode = args.mode == "float"
     ok = True
     findings = []

@@ -273,13 +273,12 @@ def _real_alpha(alpha):
 
 # Above this n lieb and fischer run Glynn or Bareiss on A and both blocks
 # at every split instead of reading A's cycle polynomials at alpha = 1.
-# Both at every split of a fresh instance, in ms (the polynomials / Glynn
-# and Bareiss): real A, n = 9: 3.7 / 2.4, n = 10: 10.2 / 3.7, n = 11:
-# 28 / 6.1; Hermitian A, whose Glynn runs on packed ints and Bareiss on
-# GaussianRational, n = 9: 5.1 / 38, n = 10: 14 / 70, n = 11: 40 / 90
-# (BENCH_packed_gaussian.json). The kernels win from n = 9 on real A and
-# not yet on Hermitian A, where Bareiss is 9/10 of the time; one cut
-# serves both.
+# Both at every split of a fresh Hermitian instance, in ms (the
+# polynomials / Glynn and Bareiss, on packed ints): random_psd n = 9:
+# 5.1 / 7.1, n = 10: 14 / 12, n = 11: 41 / 19; unit-diagonal n = 9:
+# 24 / 23, n = 10: 126 / 79, n = 11: 547 / 314 (BENCH_packed_bareiss.json).
+# The kernels win from n = 10 on Hermitian A and from n = 9 on real A
+# (BENCH_packed_gaussian.json); one cut serves both.
 _SPLIT_POLYNOMIAL_MAX_N = 10
 
 

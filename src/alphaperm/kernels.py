@@ -88,15 +88,15 @@ their results are decoded, by a bound on them (_packing).
   * when every C(S) is real, as for Hermitian A (each directed cycle's
     product is the conjugate of its reverse's), a real alpha runs the DP on
     plain ints;
-  * Glynn, Bareiss (whose divisions are exact on integers) and the
-    hafnian run on B and divide by 2^(n-1) L^n, L^n and L^(n/2); the
-    doubled hafnian table, one bottom-up evaluation on L*doubled(A), has
-    base L.
+  * Glynn, Bareiss and the hafnian run on B and divide by 2^(n-1) L^n,
+    L^n and L^(n/2); the doubled hafnian table, one bottom-up evaluation
+    on L*doubled(A), has base L. Bareiss divides exactly in Z, also on the
+    packed rows as the integer matrix M = Re + 2^K Im; i -> 2^K is a ring
+    homomorphism from Z[i] onto Z/(2^(2K) + 1), so det(M) is congruent to
+    the packed det(B), whose parts |det B|_1 <= per(|B|_1) <= R bounds.
 
-Only Bareiss, whose divisions are not ring operations on packed ints,
-and the oracle keep separate complex code: complex-rational Bareiss runs
-on GaussianRational, and the oracle walks the Gaussian integers as pairs.
-The oracle does its own clearing and shares nothing with the integer lane:
+Only the oracle keeps separate complex code, a walk on Gaussian integer
+pairs. It does its own clearing and shares nothing with the integer lane:
 it reads A's entries, not A.cleared, scales them to integers (Gaussian
 integers for complex-rational A) by their own common denominator L, walks
 the permutations row by row on those integers, sharing each prefix
@@ -663,10 +663,11 @@ def _glynn(rows, n: int):
 def determinant(A: Matrix):
     """Determinant by fraction-free Bareiss elimination.
 
-    Rational matrices run on L*A in integers, where every Bareiss division
-    is exact: det(L*A) = L^n det(A). A float matrix, whose binary64 entries
-    are dyadic rationals, gets their exact determinant rounded once (per
-    part; +-inf beyond range). A non-finite entry raises DomainError.
+    Exact matrices run on L*A in integers (packed for complex-rational A,
+    see the integer lane above), where each Bareiss division is exact. A
+    float matrix, whose binary64 entries are dyadic rationals, gets their
+    exact determinant rounded once (per part; +-inf beyond range). A
+    non-finite entry raises DomainError.
     """
     n = A.n
     if n == 0:
@@ -682,10 +683,8 @@ def determinant(A: Matrix):
         if kind_is_complex(A.kind):
             return complex(_binary64(det.re), _binary64(det.im))
         return _binary64(det)
-    if A.kind == RATIONAL:
-        L, rows, _ = A.cleared
-        return from_scaled(L ** n, _bareiss(rows, n, 1, operator.floordiv))
-    return _bareiss(A.rows, n, ONE_OF[A.kind], operator.truediv)
+    L, rows, K = _integer_rows(A)
+    return _from_packed(L ** n, _bareiss(rows, n), K)
 
 
 def _binary64(q: Fraction) -> float:
@@ -696,10 +695,11 @@ def _binary64(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
-def _bareiss(rows, n: int, one, exact_div):
+def _bareiss(rows, n: int) -> int:
+    """det of an n x n integer matrix, n >= 1 (Bareiss, Math. Comp. 1968)."""
     m = [list(row) for row in rows]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -708,17 +708,16 @@ def _bareiss(rows, n: int, one, exact_div):
                     sign = -sign
                     break
             else:
-                return one - one
+                return 0
         mk = m[k]
         pivot = mk[k]
         for i in range(k + 1, n):
             mi = m[i]
             mik = mi[k]
             for j in range(k + 1, n):
-                mi[j] = exact_div(mi[j] * pivot - mik * mk[j], prev)
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
         prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return sign * m[n - 1][n - 1]
 
 
 def hafnian(A: Matrix, cap=None):

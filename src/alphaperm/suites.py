@@ -344,7 +344,15 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
 # drivers
 # ---------------------------------------------------------------------------
 
-def _check_tol(tol) -> None:
+def check_suite_args(suite: str, n_max: int, trials: int, tol) -> None:
+    """Raise DomainError unless check --suite SUITE can run with these."""
+    if suite != "inequalities" and n_max < 1:
+        raise DomainError("check needs n_max >= 1, got %d" % n_max)
+    if suite != "identities" and n_max < 2:
+        raise DomainError("the inequality suite needs n_max >= 2 for a "
+                          "split, got %d" % n_max)
+    if trials < 1:
+        raise DomainError("check needs trials >= 1, got %d" % trials)
     # a negative tolerance fails every float comparison; NaN compares false
     if not tol >= 0:
         raise DomainError("check needs tol >= 0, got %r" % (tol,))
@@ -353,11 +361,7 @@ def _check_tol(tol) -> None:
 def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                        jobs: int = 1, float_mode: bool = False,
                        tol: float = 1e-9) -> list:
-    if n_max < 1:
-        raise DomainError("check needs n_max >= 1, got %d" % n_max)
-    if trials < 1:
-        raise DomainError("check needs trials >= 1, got %d" % trials)
-    _check_tol(tol)
+    check_suite_args("identities", n_max, trials, tol)
     outcomes = {name: CheckOutcome(name) for name in IDENTITY_CHECKS}
     rows = run_trials(_identity_trial, (n_max, seed, float_mode, tol),
                       trials, jobs)
@@ -370,12 +374,7 @@ def run_identity_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
 def run_inequality_suite(n_max: int = 5, trials: int = 25, seed: int = 0,
                          alpha_set: str = "theorem2", jobs: int = 1,
                          float_mode: bool = False, tol: float = 1e-9) -> list:
-    if n_max < 2:
-        raise DomainError("the inequality suite needs n_max >= 2 for a "
-                          "split, got %d" % n_max)
-    if trials < 1:
-        raise DomainError("check needs trials >= 1, got %d" % trials)
-    _check_tol(tol)
+    check_suite_args("inequalities", n_max, trials, tol)
     outcomes = {name: CheckOutcome(name) for name in INEQUALITY_CHECKS}
     rows = run_trials(_inequality_trial,
                       (n_max, seed, alpha_set, float_mode, tol), trials, jobs)

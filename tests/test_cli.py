@@ -341,6 +341,14 @@ class TestCheck:
         assert code == 3 and out == ""
         assert "n_max >= 2" in err
 
+    def test_all_suites_check_their_arguments_before_running(self):
+        # the identity suite runs at n-max 1, the inequality suite does not:
+        # no identity line may print before the usage error
+        code, out, err = run_cli("check", "--suite", "all", "--n-max", "1",
+                                 "--trials", "2")
+        assert code == 3 and out == ""
+        assert "n_max >= 2" in err
+
     @pytest.mark.parametrize("suite", ["identities", "inequalities", "all"])
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("tol", ["-1", "nan"])

@@ -713,7 +713,8 @@ class TestIntegerLane:
 # packed Gaussian integers: complex-rational A in the integer loops
 # ---------------------------------------------------------------------------
 
-_SHAPES = ("general", "hermitian", "imaginary", "zero-row", "symmetric")
+_SHAPES = ("general", "hermitian", "imaginary", "zero-row", "singular",
+           "symmetric")
 
 
 def _large_rationals():
@@ -723,12 +724,12 @@ def _large_rationals():
 
 
 @st.composite
-def complex_matrices(draw, shape=None):
-    """Complex-rational matrices, n = 0..6, of each shape: general,
-    Hermitian, purely imaginary, general with a zero row, and complex
-    symmetric."""
+def complex_matrices(draw, shape=None, max_n=6):
+    """Complex-rational matrices, n = 0..max_n, of each shape: general,
+    Hermitian, purely imaginary, general with a zero row, general with a
+    repeated row, and complex symmetric."""
     shape = shape or draw(st.sampled_from(_SHAPES))
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, max_n))
     zero = F(0)
 
     def entry():
@@ -746,6 +747,10 @@ def complex_matrices(draw, shape=None):
                 rows[i][j] = rows[j][i]
     if shape == "zero-row" and n:
         rows[draw(st.integers(0, n - 1))] = [G(0)] * n
+    if shape == "singular" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[i] = list(rows[j])
     return Matrix(rows, kind="complex-rational",
                   hermitian=shape == "hermitian")
 
@@ -796,6 +801,21 @@ class TestPackedGaussianLane:
     def test_permanent_equals_the_oracle(self, A):
         _same(permanent(A), per_alpha_naive(A, F(1)))
 
+    @given(complex_matrices(max_n=7))
+    @settings(max_examples=80, deadline=None)
+    def test_determinant_equals_the_oracle(self, A):
+        # per_{-1}(A) = (-1)^n det(A)
+        _same(determinant(A), (-1) ** A.n * per_alpha_naive(A, F(-1)))
+
+    @pytest.mark.parametrize("unit", [G(1), G(0, 1), G(-1), G(0, -1)])
+    @pytest.mark.parametrize("m", [0, 1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_determinant_meets_its_bound_exactly(self, unit, m, n):
+        # diag(unit 2^m, 2^m, ...): det = unit 2^(mn), whose |.|_1 is R,
+        # the value a part one bit short of room would overflow at
+        A = _diagonal([unit * 2 ** m] + [G(2 ** m)] * (n - 1))
+        _same(determinant(A), unit * 2 ** (m * n))
+
     @given(complex_matrices(shape="symmetric"))
     @settings(max_examples=40, deadline=None)
     def test_hafnian_equals_the_matching_sum(self, A):
@@ -827,14 +847,19 @@ class TestPackedGaussianLane:
         _same(hafnian(S), oracle_hafnian(S))
 
     def test_no_gaussian_rational_arithmetic(self, monkeypatch):
-        # complex-rational Glynn, the hafnian and a complex-alpha DP run on
-        # packed ints; only the results are built as GaussianRationals
+        # complex-rational Glynn, the hafnian, a complex-alpha DP and
+        # Bareiss, also on complex-float A, run on packed ints; only the
+        # results are built as GaussianRationals
         A = random_matrix(6, "complex-rational", scale=5, seed=3)
         S = Matrix([[x + y for x, y in zip(row, col)]
                     for row, col in zip(A.rows, zip(*A.rows))])
+        Af = A.to_float()
+        det_f = oracle_determinant(Matrix([[G(x.real, x.imag) for x in row]
+                                           for row in Af.rows]))
         alpha = G(F(3, 2), F(-1, 3))
         expect = (per_alpha_naive(A, F(1)), oracle_hafnian(S),
-                  per_alpha_naive(A, alpha))
+                  per_alpha_naive(A, alpha), oracle_determinant(A),
+                  complex(float(det_f.re), float(det_f.im)))
 
         def forbidden(*args):
             raise AssertionError("GaussianRational arithmetic")
@@ -844,7 +869,8 @@ class TestPackedGaussianLane:
                      "__neg__", "__pow__"):
             monkeypatch.setattr(G, name, forbidden)
         got = (permanent(_fresh(A)), hafnian(S),
-               per_alpha_dp(_fresh(A), alpha))
+               per_alpha_dp(_fresh(A), alpha), determinant(_fresh(A)),
+               determinant(Af))
         monkeypatch.undo()
         for g, e in zip(got, expect):
             _same(g, e)
