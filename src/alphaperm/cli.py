@@ -164,15 +164,16 @@ def cmd_check(args) -> int:
         ok = _print_outcomes(header, outcomes) and ok
         for oc in outcomes:
             findings.extend(oc.findings)
-    if findings:
-        if args.findings:
-            with open(args.findings, "w", encoding="ascii") as fh:
-                for f in findings:
-                    fh.write(f.to_json() + "\n")
-            print("findings %s (%d records)" % (args.findings, len(findings)))
-        else:
+    if args.findings:
+        # written also when empty, so no earlier run's records survive
+        with open(args.findings, "w", encoding="ascii") as fh:
             for f in findings:
-                print("FINDING " + f.to_json())
+                fh.write(f.to_json() + "\n")
+        if findings:
+            print("findings %s (%d records)" % (args.findings, len(findings)))
+    else:
+        for f in findings:
+            print("FINDING " + f.to_json())
     if float_mode:
         print("result INFO (float mode is not gated)")
         return 0

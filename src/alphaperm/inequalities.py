@@ -55,16 +55,16 @@ per_{-alpha}(A), and at(p, 0) = p^n L^n c_n is alpha^n prod a_ii; over
 2^n den, at(p, 2q) is per_{alpha/2}(A). Lieb and Fischer are lieb-alpha
 and neg-block at alpha = 1, as per_{-1}(B) = (-1)^{dim B} det(B):
 check_lieb and check_fischer read the polynomials at (1, 1) and (-1, 1)
-up to n = 10, and above it run Glynn and Bareiss on the blocks, with the
-whole matrix's value kept on A. shape_averages sums the block products
-of per_alpha_minors(A, +-1), one subset DP, over the partitions of every
-shape in one shape-keyed partition DP (partitions.shape_partition_sums)
-on the table's ring(). No table's lists are read here. An integer entry
-of T carries base^|T|, so the whole set and a split's block product both
-carry base^n. Each comparison of a family, and of lieb and fischer up to
-n = 10, is _result on two such values over one denominator. On an exact
-A that is _exact_result on ring elements (ints, or Gaussian integers
-that must be real): the verdict is the sign of one integer difference,
+up to n = 10, and above it run Glynn and Bareiss on the blocks. A family
+answers every split in one call, its results carrying their splits, so
+it reads the whole matrix once. shape_averages sums the block products
+of the polynomials at (+-1, 1) over the partitions of every shape in one
+partition DP (partitions.shape_partition_sums). No table's lists are
+read here. An integer entry of T carries base^|T|, so the whole set and
+a split's block product both carry base^n. Each comparison of a family
+is _result on two such values over one denominator. On an exact A that
+is _exact_result on ring elements (ints, or Gaussian integers that must
+be real): the verdict is the sign of one integer difference,
 and lhs, rhs and slack are Fractions over the denominator. On a float A
 it is compare on their real parts over the denominator, in compare's
 relative band; compare hands exact inputs to _exact_result over 1. The
@@ -98,7 +98,6 @@ from .kernels import (
     diagonal_product,
     hafnian,
     kept,
-    per_alpha_minors,
     permanent,
     require_alpha_kind,
 )
@@ -150,6 +149,7 @@ class ComparisonResult(NamedTuple):
     mode: str               # "exact" or "float"
     tol: float = 0.0
     hypothesis: bool = None  # alpha inside the proven regime, when relevant
+    split: int = None        # the block split m; None for the whole matrix
 
     @property
     def ok(self) -> bool:
@@ -177,8 +177,8 @@ def _real_value(x, tol):
 _EXACT = (Rational, GaussianRational)
 
 
-def _exact_result(name, lhs, rhs, den: int, direction,
-                  hyp) -> ComparisonResult:
+def _exact_result(name, lhs, rhs, den: int, direction, hyp,
+                  split=None) -> ComparisonResult:
     """compare(name, lhs / den, rhs / den, direction) for exact lhs and
     rhs over one positive den: ints or Fractions, or GaussianRationals
     with such parts, as a table or compare hands them over. The verdict is
@@ -195,7 +195,7 @@ def _exact_result(name, lhs, rhs, den: int, direction,
         name, Fraction(lhs.numerator, lhs.denominator * den),
         Fraction(rhs.numerator, rhs.denominator * den), direction,
         Fraction(diff.numerator, diff.denominator * den), verdict, "exact",
-        0.0, hyp)
+        0.0, hyp, split)
 
 
 def _rational(x, den: int):
@@ -228,16 +228,16 @@ def compare(name, lhs, rhs, direction=">=", tol=0.0, hypothesis=None) -> Compari
                             "float", tol, hypothesis)
 
 
-def _result(A: Matrix, name, lhs, rhs, den, direction, hyp,
-            tol) -> ComparisonResult:
+def _result(A: Matrix, name, lhs, rhs, den, direction, hyp, tol,
+            split=None) -> ComparisonResult:
     """The comparison of lhs / den against rhs / den, with lhs and rhs
-    read from A's tables or cycle polynomials: for an exact A,
+    read from A's cycle polynomials: for an exact A,
     _exact_result on the integers; for a float A, compare in its band."""
     if kind_is_exact(A.kind):
-        return _exact_result(name, lhs, rhs, den, direction, hyp)
+        return _exact_result(name, lhs, rhs, den, direction, hyp, split)
     # real parts first: x / 1 can flip the sign of a complex x's real zero
     lhs, rhs = (_real_value(x, tol) / den for x in (lhs, rhs))
-    return compare(name, lhs, rhs, direction, tol, hyp)
+    return compare(name, lhs, rhs, direction, tol, hyp)._replace(split=split)
 
 
 def binomials_nonnegative(alpha, n: int) -> bool:
@@ -282,43 +282,48 @@ def _real_alpha(alpha):
 _SPLIT_POLYNOMIAL_MAX_N = 10
 
 
-def _split_check(name, A: Matrix, m: int, sign: int, direction,
-                 tol) -> ComparisonResult:
+def _splits(n: int) -> list:
+    """(m, low, high) for every split m = 1..n-1, with the masks of its
+    blocks A' = A[low], A'' = A[high]."""
+    return [(m, *split_masks(n, m)) for m in range(1, n)]
+
+
+def _split_checks(name, A: Matrix, sign: int, direction, tol) -> list:
     """per (sign +1) or det (sign -1) of A against the product of those of
-    its blocks A', A'' at the split m: up to _SPLIT_POLYNOMIAL_MAX_N from
+    its blocks A', A'' at every split: up to _SPLIT_POLYNOMIAL_MAX_N from
     A's cycle polynomials, above it by Glynn or Bareiss on the blocks,
-    against A's own value, which A keeps under its own key, outside kept
-    and its DP cap."""
+    against A's own value, computed once."""
     n = A.n
-    low, high = split_masks(n, m)
     if n > _SPLIT_POLYNOMIAL_MAX_N:
         value = permanent if sign == 1 else determinant
-        whole = A._tables.get(("whole", sign))
-        if whole is None:
-            whole = A._tables["whole", sign] = value(A)
-        return compare(name, whole,
-                       value(submatrix(A, low)) * value(submatrix(A, high)),
-                       direction, tol)
+        whole = value(A)
+        return [compare(name, whole,
+                        value(submatrix(A, low)) * value(submatrix(A, high)),
+                        direction, tol)._replace(split=m)
+                for m, low, high in _splits(n)]
     # lieb and fischer are lieb-alpha and neg-block at alpha = 1, as
     # det(B) = (-1)^|B| per_{-1}(B); read as check_lieb_type reads those
     p, q, den, at = _cycle_polynomial_at(A, 1 if kind_is_exact(A.kind)
                                          else 1.0)
     x = sign * p
-    whole, blocks = at(x, q), at(x, q, low) * at(x, q, high)
+    # the whole matrix's value, then at index m split m's block product
+    sides = [at(x, q)] + [at(x, q, low) * at(x, q, high)
+                          for _, low, high in _splits(n)]
     if sign == -1:
         sign_n = -1 if n % 2 else 1
-        whole, blocks = sign_n * whole, sign_n * blocks
-    return _result(A, name, whole, blocks, den, direction, None, tol)
+        sides = [sign_n * v for v in sides]
+    return [_result(A, name, sides[0], sides[m], den, direction, None, tol, m)
+            for m in range(1, n)]
 
 
-def check_lieb(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
-    """Lieb's inequality per(A) >= per(A') per(A'') at the split m."""
-    return _split_check("lieb", A, m, 1, ">=", tol)
+def check_lieb(A: Matrix, *, tol=0.0) -> list:
+    """Lieb's inequality per(A) >= per(A') per(A'') at every split."""
+    return _split_checks("lieb", A, 1, ">=", tol)
 
 
-def check_fischer(A: Matrix, m: int, tol=0.0) -> ComparisonResult:
-    """Fischer's inequality det(A) <= det(A') det(A'') at the split m."""
-    return _split_check("fischer", A, m, -1, "<=", tol)
+def check_fischer(A: Matrix, *, tol=0.0) -> list:
+    """Fischer's inequality det(A) <= det(A') det(A'') at every split."""
+    return _split_checks("fischer", A, -1, "<=", tol)
 
 
 def check_haf_per(A: Matrix, tol=0.0) -> ComparisonResult:
@@ -335,33 +340,36 @@ def _is_real_kind(A: Matrix) -> bool:
     return A.kind in ("rational", "float")
 
 
-def check_lieb_type(A: Matrix, m, alpha, tol=0.0) -> list:
-    """The Lieb-type families at a given alpha: at the split m, lieb-alpha
-    and neg-block; with m None, the comparisons of the whole matrix,
-    neg-nonneg (check_neg_positivity) and, on real matrices (half-scaled
-    needs real entries), half-scaled. Each reads A's kept cycle
-    polynomials (_cycle_polynomial_at) at alpha, -alpha or alpha/2."""
+def check_lieb_type(A: Matrix, alpha, *, tol=0.0) -> list:
+    """The Lieb-type families at alpha, in the hunter's record order:
+    lieb-alpha(1), neg-nonneg, neg-block(1), half-scaled (it needs real
+    entries), then lieb-alpha(m) and neg-block(m) for m = 2..n-1. Each
+    reads A's kept cycle polynomials at alpha, -alpha or alpha/2."""
     alpha = _real_alpha(alpha)
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     p, q, den, at = _cycle_polynomial_at(A, alpha)
-    if m is None:
-        out = [check_neg_positivity(A, alpha, tol)]
-        if _is_real_kind(A):
-            # over 2^n den: per_{a/2}(A) against 2^-n per_a(A)
-            out.append(_result(A, "half-scaled", at(p, 2 * q), at(p, q),
-                               2 ** n * den, ">=", hyp, tol))
-        return out
-    low, high = split_masks(n, m)
     # (-1)^m (-1)^(n-m) = (-1)^n signs the block product
     sign_n = -1 if n % 2 else 1
-    return [
-        _result(A, "lieb-alpha", at(p, q), at(p, q, low) * at(p, q, high),
-                den, ">=", hyp, tol),
-        _result(A, "neg-block", sign_n * at(-p, q),
-                sign_n * (at(-p, q, low) * at(-p, q, high)), den, "<=", hyp,
-                tol),
-    ]
+    per, neg = at(p, q), sign_n * at(-p, q)
+    whole = [_neg_nonneg(A, p, q, den, at, hyp, tol)]
+    if _is_real_kind(A):
+        # over 2^n den: per_{a/2}(A) against 2^-n per_a(A)
+        whole.append(_result(A, "half-scaled", at(p, 2 * q), per,
+                             2 ** n * den, ">=", hyp, tol))
+    out = []
+    for m, low, high in _splits(n):
+        out += [
+            _result(A, "lieb-alpha", per, at(p, q, low) * at(p, q, high),
+                    den, ">=", hyp, tol, m),
+            _result(A, "neg-block", neg,
+                    sign_n * (at(-p, q, low) * at(-p, q, high)), den, "<=",
+                    hyp, tol, m),
+        ]
+    # the whole matrix's comparisons after lieb-alpha(1) and neg-block(1)
+    out[1:1] = whole[:1]
+    out[3:3] = whole[1:]
+    return out
 
 
 def _cycle_polynomial_at(A: Matrix, alpha) -> tuple:
@@ -381,8 +389,13 @@ def check_neg_positivity(A: Matrix, alpha, tol=0.0) -> ComparisonResult:
     """(-1)^n per_{-alpha}(A) >= 0 on the full matrix, no split, from A's
     cycle polynomial at (alpha, -1)."""
     alpha = _real_alpha(alpha)
-    hyp = binomials_nonnegative(alpha, A.n)
     p, q, den, at = _cycle_polynomial_at(A, alpha)
+    return _neg_nonneg(A, p, q, den, at, binomials_nonnegative(alpha, A.n),
+                       tol)
+
+
+def _neg_nonneg(A: Matrix, p, q, den, at, hyp, tol) -> ComparisonResult:
+    """neg-nonneg, given p, q, den, at = _cycle_polynomial_at(A, alpha)."""
     return _result(A, "neg-nonneg", at(p, -q), 0, den, ">=", hyp, tol)
 
 
@@ -424,9 +437,10 @@ def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:
     average over set partitions with that shape of the product of
     per_{sign} over blocks (sign +1: permanents; sign -1: signed dets).
 
-    One shape-keyed partition DP over per_alpha_minors(A, sign) serves
-    every shape; exact tables run it on the DP's integers and divide once
-    per shape. A keeps the result for each (sign, tol).
+    One shape-keyed partition DP over the blocks' values, read from A's
+    kept cycle polynomials at (sign, 1), serves every shape; an exact A
+    runs it on the polynomials' integers and divides once per shape. A
+    keeps the result for each (sign, tol).
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -436,8 +450,10 @@ def shape_averages(A: Matrix, sign: int, tol=0.0) -> dict:
 
 def _shape_averages(A: Matrix, sign: int, tol) -> dict:
     n = A.n
-    f, unit = per_alpha_minors(
-        A, sign if kind_is_exact(A.kind) else float(sign)).ring()
+    exact = kind_is_exact(A.kind)
+    p, q, den, at = _cycle_polynomial_at(A, sign if exact else float(sign))
+    unit = Fraction(1, den) if exact else 1
+    f = [at(p, q, T) for T in range(1 << n)]
     return {shape: _real_value(total * unit, tol)
             / shape_partition_count(n, shape)
             for shape, total in shape_partition_sums(f, n).items()}
@@ -554,35 +570,33 @@ _SPLIT_NAMES = ("lieb", "fischer", "lieb-alpha", "neg-block")
 
 
 def evaluate_comparison(name: str, A: Matrix, alpha, split) -> ComparisonResult:
-    """Recompute a named comparison with the fast kernels.
+    """Recompute a named comparison with the fast kernels: the result of
+    that name and split among its family's on A.
 
     split is the block split m of the split-indexed comparisons and None
     for the rest. neg-nonneg and half-scaled compare values of the whole
     matrix: their split is None, or an integer that is not read.
     """
-    if name in _SPLIT_NAMES and not isinstance(split, int):
-        raise DomainError("comparison %r needs an integer split, got %r"
-                          % (name, split))
     if split is not None and not isinstance(split, int):
         raise DomainError("a split is an integer or None, got %r" % (split,))
-    if name == "lieb":
-        return check_lieb(A, split)
-    if name == "fischer":
-        return check_fischer(A, split)
     if name == "haf-per":
         return check_haf_per(A)
-    if name in _SPLIT_NAMES:
-        results = check_lieb_type(A, split, alpha)
-    elif name in ("neg-nonneg", "half-scaled"):
-        results = check_lieb_type(A, None, alpha)
+    if name == "lieb":
+        results = check_lieb(A)
+    elif name == "fischer":
+        results = check_fischer(A)
+    elif name in ("lieb-alpha", "neg-block", "neg-nonneg", "half-scaled"):
+        results = check_lieb_type(A, alpha)
     elif name.startswith("marcus-"):
         results = check_marcus(A, alpha)
     else:
         raise DomainError("unknown comparison %r" % name)
+    split = split if name in _SPLIT_NAMES else None
     for r in results:
-        if r.name == name:
+        if r.name == name and r.split == split:
             return r
-    raise DomainError("comparison %r not produced for this matrix" % name)
+    raise DomainError("comparison %r at split %r not produced for this "
+                      "matrix" % (name, split))
 
 
 def replay_finding(finding: Finding):
@@ -792,38 +806,27 @@ def _needs_alpha(target: str) -> bool:
 
 
 def _trial_comparisons(cfg: HuntConfig, A: Matrix, alpha):
-    """Yield (comparison, split, gated) triples for all configured targets."""
-    n = A.n
+    """Yield (comparison, gated) pairs for all configured targets."""
     for target in cfg.targets:
         if target == "marcus":
-            for r in check_marcus(A, alpha):
-                yield r, None, True
+            results = check_marcus(A, alpha)
         elif target == "lieb":
-            for m in range(1, n):
-                yield check_lieb(A, m), m, True
+            results = check_lieb(A)
         elif target == "fischer":
-            for m in range(1, n):
-                yield check_fischer(A, m), m, True
+            results = check_fischer(A)
         elif target == "haf-per":
-            yield check_haf_per(A), None, True
+            results = [check_haf_per(A)]
         elif target == "lieb-type":
-            # the whole-matrix comparisons come once, with split None, in
-            # the order lieb-alpha, neg-nonneg, neg-block, half-scaled at
-            # the first split
-            neg_nonneg, *half = check_lieb_type(A, None, alpha)
-            for m in range(1, n):
-                lieb_alpha, neg_block = check_lieb_type(A, m, alpha)
-                yield lieb_alpha, m, True
-                if m == 1:
-                    yield neg_nonneg, None, neg_nonneg.hypothesis
-                yield neg_block, m, True
-                if m == 1:
-                    for r in half:
-                        yield r, None, True
-        elif target == "neg-positivity" and "lieb-type" not in cfg.targets:
-            # (lieb-type records this neg-nonneg comparison itself)
-            r = check_neg_positivity(A, alpha)
-            yield r, None, False
+            results = check_lieb_type(A, alpha)
+        elif "lieb-type" in cfg.targets:
+            # neg-positivity: lieb-type records this comparison itself
+            continue
+        else:
+            yield check_neg_positivity(A, alpha), False
+            continue
+        for r in results:
+            # lieb-type's neg-nonneg is gated only inside the proven regime
+            yield r, r.name != "neg-nonneg" or r.hypothesis
 
 
 def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
@@ -836,7 +839,8 @@ def _hunt_trial(cfg: HuntConfig, bounds: tuple, t: int) -> tuple:
     signs = []
     least = None
     polynomials = {}   # the oracle's, shared by the trial's violations
-    for result, split, gated in _trial_comparisons(cfg, A, alpha):
+    for result, gated in _trial_comparisons(cfg, A, alpha):
+        split = result.split
         if gated:
             if result.verdict == VIOLATED:
                 confirm_violation(result, A, alpha, split, t, polynomials)

@@ -25,10 +25,8 @@ Two independent algorithms compute per_alpha:
     walk dynamic program anchored at the smallest element of each subset.
 
 Run over every index set T, (3^n - 1)/2 subset pairs, the DP gives
-per_alpha of every principal submatrix A[T]: per_alpha_minors. The shape
-averages of inequalities read their blocks from it at alpha = +-1, where
-per_{+1} and per_{-1} stand in for Glynn and Bareiss; the expansion
-formulas in partitions read it at every beta.
+per_alpha of every principal submatrix A[T]: per_alpha_minors. The
+expansion formulas in partitions read it at every beta.
 
 Every table over the index sets of A is a ScaledTable, indexed by bitmask:
 the cycle sums, the principal minors and doubled_hafnian_table. It keeps

@@ -280,7 +280,7 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
     rows = []
     polynomials = {}   # the oracle's, shared by the trial's violations
 
-    def record(check_name, result, alpha, split, gated=True):
+    def record(result, alpha, gated=True):
         if not gated:
             # outside the proven regime the verdict is conjecture evidence,
             # not a check; the hunter is the tool for collecting it
@@ -288,26 +288,22 @@ def _inequality_trial(n_max: int, seed: int, alpha_set: str,
         ok = result.verdict != VIOLATED
         finding = None
         if result.verdict == VIOLATED and not float_mode:
-            confirm_violation(result, A, alpha, split, t, polynomials)
-            finding = make_finding("violation", result.name, A, alpha, split,
-                                   result.slack, seed, t)
-        rows.append((check_name, ok, result.slack, finding))
+            confirm_violation(result, A, alpha, result.split, t, polynomials)
+            finding = make_finding("violation", result.name, A, alpha,
+                                   result.split, result.slack, seed, t)
+        rows.append((result.name, ok, result.slack, finding))
 
-    for m in range(1, n):
-        record("lieb", check_lieb(A_eval, m, tol), None, m)
-        record("fischer", check_fischer(A_eval, m, tol), None, m)
+    for r in check_lieb(A_eval, tol=tol) + check_fischer(A_eval, tol=tol):
+        record(r, None)
     if is_real:
-        record("haf-per", check_haf_per(A_eval, tol), None, None)
+        record(check_haf_per(A_eval, tol), None)
 
     alphas = alpha_set_for(alpha_set, n, seed, t)
     for alpha in alphas:
         a_eval = to_float_scalar(alpha) if float_mode else alpha
-        # split None: the comparisons of the whole matrix, once per alpha
-        for m in (None, *range(1, n)):
-            for r in check_lieb_type(A_eval, m, a_eval, tol):
-                record(r.name, r, alpha, m, r.hypothesis is not False)
-        for r in check_marcus(A_eval, a_eval, tol):
-            record(r.name, r, alpha, None, r.hypothesis is not False)
+        for r in (check_lieb_type(A_eval, a_eval, tol=tol)
+                  + check_marcus(A_eval, a_eval, tol)):
+            record(r, alpha, r.hypothesis is not False)
 
     # lifted block sums against the diagonal D = diag(A): A's side from
     # the cycle polynomials its checks keep, per sign; D's side is closed,

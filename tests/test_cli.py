@@ -377,6 +377,22 @@ class TestCheck:
         assert code == 0
         assert "INFO" in out
 
+    def test_findings_file_is_written_when_nothing_is_found(self,
+                                                            tmp_path):
+        # a passing run truncates what an earlier run left at the path,
+        # with the same stdout as a run without --findings
+        argv = ("check", "--suite", "inequalities", "--n-max", "3",
+                "--trials", "2")
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"stale":1}\n', encoding="ascii")
+        code, out, _ = run_cli(*argv, "--findings", str(path))
+        assert code == 0 and "result PASS" in out
+        assert path.read_text(encoding="ascii") == ""
+        assert out == run_cli(*argv)[1]
+        # a path that cannot be written is an input error on every run
+        code, _, err = run_cli(*argv, "--findings", str(tmp_path))
+        assert code == 3 and err.startswith("error: ")
+
 
 class TestHunt:
     def test_marcus_clean(self, tmp_path):
@@ -509,14 +525,13 @@ class TestKeptKeys:
     @staticmethod
     def _allowed(key) -> bool:
         """The keys a matrix may keep its tables under: none names an
-        alpha, only the sign of Lieb's or Fischer's value above the cut
-        and of the shape averages; no table at +-1 is kept."""
+        alpha, only the sign of the shape averages; no table at +-1 and
+        no whole-matrix value of Lieb or Fischer is kept."""
         if key in ("cycle", "cycle-polynomial"):
             return True
         if not isinstance(key, tuple) or key[1:2] not in ((1,), (-1,)):
             return False
-        return (key[0] == "whole" and len(key) == 2
-                or key[0] == "shape-averages" and len(key) == 3)
+        return key[0] == "shape-averages" and len(key) == 3
 
     def test_no_table_is_keyed_by_alpha(self, monkeypatch, tmp_path):
         # both check suites in either mode, and a hunt of every family that
@@ -555,8 +570,7 @@ class TestKeptKeys:
             assert code == 0
         assert sorted(repr(key) for key in seen
                       if not self._allowed(key)) == []
-        assert {"cycle", "cycle-polynomial", ("whole", 1),
-                ("whole", -1)} <= seen
+        assert {"cycle", "cycle-polynomial"} <= seen
 
 
 class TestSurface:

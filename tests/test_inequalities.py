@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -74,6 +75,7 @@ from alphaperm.partitions import (
     cycle_polynomials,
     enumerate_shape_partitions,
     shape_partition_count,
+    shape_partition_sums,
 )
 from alphaperm.scalars import (
     COMPLEX_RATIONAL,
@@ -85,6 +87,11 @@ from alphaperm.scalars import (
 
 F = Fraction
 G = GaussianRational
+
+
+def _at(results, m):
+    """A family's results at the split m; None gives the whole matrix's."""
+    return [r for r in results if r.split == m]
 
 
 class TestCompare:
@@ -183,18 +190,19 @@ class TestBinomialsNonnegative:
 class TestClassicChecks:
     def test_lieb_worked_example(self):
         A = Matrix([[F(1), F(1)], [F(1), F(1)]], real_symmetric=True)
-        r = check_lieb(A, 1)
+        (r,) = check_lieb(A)
         assert r.lhs == 2 and r.rhs == 1 and r.verdict == HOLDS
+        assert r.split == 1
 
     def test_lieb_block_diagonal_equality(self):
         B = random_psd(2, REAL_SYMMETRIC, 3, seed=1)
         C = random_psd(2, REAL_SYMMETRIC, 3, seed=2)
-        r = check_lieb(direct_sum(B, C), 2)
-        assert r.verdict == EQUALITY
+        r = check_lieb(direct_sum(B, C))[1]
+        assert r.split == 2 and r.verdict == EQUALITY
 
     def test_fischer_worked_example(self):
         A = Matrix([[F(1), F(1)], [F(1), F(1)]], real_symmetric=True)
-        r = check_fischer(A, 1)
+        (r,) = check_fischer(A)
         assert r.verdict == HOLDS
         assert r.lhs == 0 and r.rhs == 1
         assert r.slack == 1  # oriented so holding means nonnegative slack
@@ -202,8 +210,9 @@ class TestClassicChecks:
     def test_fischer_random(self):
         for seed in range(5):
             A = random_psd(5, HERMITIAN, 3, seed=seed)
-            for m in range(1, 5):
-                assert check_fischer(A, m).ok
+            rs = check_fischer(A)
+            assert [(r.split, r.ok) for r in rs] \
+                == [(m, True) for m in range(1, 5)]
 
     def test_haf_per_one_by_one(self):
         r = check_haf_per(Matrix([[F(1)]], real_symmetric=True))
@@ -224,8 +233,9 @@ class TestClassicChecks:
     def test_lieb_random_all_splits(self):
         for seed in range(5):
             A = random_psd(5, HERMITIAN, 3, seed=seed + 40)
-            for m in range(1, 5):
-                assert check_lieb(A, m).ok
+            rs = check_lieb(A)
+            assert [(r.split, r.ok) for r in rs] \
+                == [(m, True) for m in range(1, 5)]
 
 
 @st.composite
@@ -244,19 +254,22 @@ class TestSignTables:
         tol = 1e-9 if float_mode else 0.0
         if float_mode:
             A = A.to_float()
+        got_by = {check: check(A, tol=tol)
+                  for check in (check_lieb, check_fischer)}
         for m in range(1, A.n):
             low, high = split_masks(A.n, m)
             Ap, App = submatrix(A, low), submatrix(A, high)
             wants = {
                 check_lieb: compare("lieb", permanent(A),
                                     permanent(Ap) * permanent(App), ">=",
-                                    tol),
+                                    tol)._replace(split=m),
                 check_fischer: compare("fischer", determinant(A),
                                        determinant(Ap) * determinant(App),
-                                       "<=", tol),
+                                       "<=", tol)._replace(split=m),
             }
             for check, want in wants.items():
-                got = check(A, m, tol)
+                got = got_by[check][m - 1]
+                assert got.split == m
                 if not float_mode:
                     assert got == want
                     assert [type(x) for x in (got.lhs, got.rhs, got.slack)] \
@@ -279,19 +292,20 @@ class TestSignTables:
             for A in (direct_sum(B, zero), direct_sum(zero, B)):
                 A = A.to_float()
                 at = cycle_polynomials(A).at
+                lieb, fischer = check_lieb(A), check_fischer(A)
                 for m in range(1, n):
                     low, high = split_masks(n, m)
-                    assert repr(check_lieb(A, m)) == repr(compare(
+                    assert repr(lieb[m - 1]) == repr(compare(
                         "lieb", at(1.0, 1.0),
-                        at(1.0, 1.0, low) * at(1.0, 1.0, high), ">="))
-                    assert repr(check_fischer(A, m)) == repr(compare(
+                        at(1.0, 1.0, low) * at(1.0, 1.0, high),
+                        ">=")._replace(split=m))
+                    assert repr(fischer[m - 1]) == repr(compare(
                         "fischer", sign_n * at(-1.0, 1.0),
                         sign_n * (at(-1.0, 1.0, low) * at(-1.0, 1.0, high)),
-                        "<="))
+                        "<=")._replace(split=m))
         # the zeros' signs these give, n = 4 and the zero row last
         A = direct_sum(random_psd(3, HERMITIAN, 3, seed=0), zero).to_float()
-        assert [repr((r.lhs, r.rhs, r.slack)) for r in
-                (check_fischer(A, m) for m in (1, 2, 3))] \
+        assert [repr((r.lhs, r.rhs, r.slack)) for r in check_fischer(A)] \
             == ["(0.0, -0.0, -0.0)", "(0.0, 0.0, 0.0)", "(0.0, -0.0, -0.0)"]
 
     @pytest.mark.parametrize("float_mode", [False, True])
@@ -334,17 +348,19 @@ class TestSignTables:
 
         monkeypatch.setattr(kernels, "_principal_dp", forbidden)
         monkeypatch.setattr(ineq, "cycle_polynomials", forbidden)
+        lieb, fischer = check_lieb(A), check_fischer(A)
         for m in (1, 4, 10):
             low, high = split_masks(11, m)
-            assert check_lieb(A, m) == compare(
-                "lieb", per[-1], per[low] * per[high], ">=", 0.0)
-            assert check_fischer(A, m) == compare(
+            assert lieb[m - 1] == compare(
+                "lieb", per[-1], per[low] * per[high], ">=",
+                0.0)._replace(split=m)
+            assert fischer[m - 1] == compare(
                 "fischer", -det[-1], (-1) ** 11 * det[low] * det[high],
-                "<=", 0.0)
+                "<=", 0.0)._replace(split=m)
 
     def test_above_n_10_one_whole_matrix_run_per_instance(self, monkeypatch):
-        # A keeps its whole-matrix permanent and determinant, so each split
-        # runs Glynn and Bareiss on its two blocks only
+        # each call runs Glynn or Bareiss on A once, and on the two blocks
+        # of every split
         import alphaperm.inequalities as ineq
         calls = []
 
@@ -358,30 +374,30 @@ class TestSignTables:
         monkeypatch.setattr(ineq, "determinant", spy(determinant))
         for seed in (1, 2):
             A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=seed)
-            for m in range(1, 11):
-                check_lieb(A, m)
-                check_fischer(A, m)
+            check_lieb(A)
+            check_fischer(A)
         assert sorted(name for name, n in calls if n == 11) \
             == ["determinant"] * 2 + ["permanent"] * 2
         assert len(calls) == 4 + 2 * 10 * 2 * 2
 
     def test_above_n_10_runs_under_a_lowered_dp_cap(self, monkeypatch):
-        # the whole-matrix values are kept outside kernels.kept, whose
-        # default DP cap would refuse this n = 12 matrix
+        # nothing there goes through kernels.kept, whose default DP cap
+        # would refuse this n = 12 matrix
         monkeypatch.setenv("ALPHAPERM_CAP_DP", "11")
         A = random_unit_diag_psd(12, REAL_SYMMETRIC, 2, seed=5)
         fresh = submatrix(A, full_mask(12))
         per, det = permanent(fresh), determinant(fresh)
-        for m in (1, 6, 11):
-            blocks = [submatrix(A, T) for T in split_masks(12, m)]
-            for _ in range(2):
-                assert check_lieb(A, m) == compare(
+        for _ in range(2):
+            lieb, fischer = check_lieb(A), check_fischer(A)
+            for m in (1, 6, 11):
+                blocks = [submatrix(A, T) for T in split_masks(12, m)]
+                assert lieb[m - 1] == compare(
                     "lieb", per, permanent(blocks[0]) * permanent(blocks[1]),
-                    ">=", 0.0)
-                assert check_fischer(A, m) == compare(
+                    ">=", 0.0)._replace(split=m)
+                assert fischer[m - 1] == compare(
                     "fischer", det,
                     determinant(blocks[0]) * determinant(blocks[1]), "<=",
-                    0.0)
+                    0.0)._replace(split=m)
 
 
 @st.composite
@@ -417,15 +433,18 @@ def _split_branch_failures(module) -> int:
         for kind in (REAL_SYMMETRIC, HERMITIAN):
             for make in (random_psd, random_unit_diag_psd):
                 A = make(n, kind, 3, n)
+                lieb, fischer = module.check_lieb(A), module.check_fischer(A)
+                failures += len(lieb) != n - 1 or len(fischer) != n - 1
                 for m in range(1, n):
                     blocks = [submatrix(A, T) for T in split_masks(n, m)]
-                    failures += module.check_lieb(A, m) != compare(
+                    failures += lieb[m - 1] != compare(
                         "lieb", permanent(A),
-                        permanent(blocks[0]) * permanent(blocks[1]), ">=")
-                    failures += module.check_fischer(A, m) != compare(
+                        permanent(blocks[0]) * permanent(blocks[1]),
+                        ">=")._replace(split=m)
+                    failures += fischer[m - 1] != compare(
                         "fischer", determinant(A),
                         determinant(blocks[0]) * determinant(blocks[1]),
-                        "<=")
+                        "<=")._replace(split=m)
     return failures
 
 
@@ -441,11 +460,12 @@ class TestLiebFischerFromPolynomials:
         one = F(1)
         if float_mode:
             A, one = A.to_float(), 1.0
+        lieb, fischer = check_lieb(A), check_fischer(A)
         for m in range(1, A.n):
-            lieb_alpha, neg_block = check_lieb_type(A, m, one)
-            assert repr(check_lieb(A, m)) == repr(
+            lieb_alpha, neg_block = _at(check_lieb_type(A, one), m)
+            assert repr(lieb[m - 1]) == repr(
                 lieb_alpha._replace(name="lieb", hypothesis=None))
-            assert repr(check_fischer(A, m)) == repr(
+            assert repr(fischer[m - 1]) == repr(
                 neg_block._replace(name="fischer", hypothesis=None))
 
     @given(_split_instances())
@@ -454,14 +474,12 @@ class TestLiebFischerFromPolynomials:
         import unittest.mock
         import alphaperm.inequalities as ineq
         n = A.n
-        below = [_outcome(lambda: check(A, m))
-                 for check in (check_lieb, check_fischer)
-                 for m in range(1, n)]
+        below = [_outcome(lambda: list(map(_typed, check(A))))
+                 for check in (check_lieb, check_fischer)]
         B = submatrix(A, full_mask(n))   # a copy that keeps nothing
         with unittest.mock.patch.object(ineq, "_SPLIT_POLYNOMIAL_MAX_N", 0):
-            above = [_outcome(lambda: check(B, m))
-                     for check in (check_lieb, check_fischer)
-                     for m in range(1, n)]
+            above = [_outcome(lambda: list(map(_typed, check(B))))
+                     for check in (check_lieb, check_fischer)]
         assert "cycle-polynomial" not in B._tables
         assert below == above
 
@@ -478,12 +496,83 @@ class TestLiebFischerFromPolynomials:
     def test_mutant_fails(self, monkeypatch, old, new):
         import inspect
         import alphaperm.inequalities as ineq
-        source = inspect.getsource(ineq._split_check)
+        source = inspect.getsource(ineq._split_checks)
         assert source.count(old) == 1
         namespace = dict(vars(ineq))
         exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(ineq, "_split_check", namespace["_split_check"])
+        monkeypatch.setattr(ineq, "_split_checks", namespace["_split_checks"])
         assert _split_branch_failures(ineq) > 0
+
+
+class TestWholeMatrixOncePerCall:
+    """A family call answers every split, and reads the whole matrix's
+    values once, however many splits there are."""
+
+    @staticmethod
+    def _whole_reads(monkeypatch, call, A) -> dict:
+        """How often call(A) reads the cycle polynomials of the whole set
+        and runs _cycle_polynomial_at."""
+        import alphaperm.inequalities as ineq
+        import alphaperm.partitions as partitions
+        counts = {"at": 0, "_cycle_polynomial_at": 0}
+        at = partitions.CyclePolynomials.at
+        polynomial_at = ineq._cycle_polynomial_at
+        full = full_mask(A.n)
+
+        def spy_at(self, x, y, mask=-1):
+            counts["at"] += mask in (-1, full)
+            return at(self, x, y, mask)
+
+        def spy_polynomial_at(*args):
+            counts["_cycle_polynomial_at"] += 1
+            return polynomial_at(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partitions.CyclePolynomials, "at", spy_at)
+            patch.setattr(ineq, "_cycle_polynomial_at", spy_polynomial_at)
+            results = call(A)
+        assert len({r.split for r in results} - {None}) == A.n - 1
+        return counts
+
+    @pytest.mark.parametrize("family, kind, reads", [
+        # at (p, -q), (p, 2q), (p, q) and (-p, q); no half-scaled on
+        # Hermitian A
+        ("lieb-type", REAL_SYMMETRIC, 4),
+        ("lieb-type", HERMITIAN, 3),
+        ("lieb", REAL_SYMMETRIC, 1),
+        ("lieb", HERMITIAN, 1),
+        ("fischer", REAL_SYMMETRIC, 1),
+        ("fischer", HERMITIAN, 1),
+    ])
+    def test_counts_do_not_grow_with_n(self, monkeypatch, family, kind,
+                                       reads):
+        call = {"lieb-type": lambda A: check_lieb_type(A, F(13, 10)),
+                "lieb": check_lieb, "fischer": check_fischer}[family]
+        for n in (5, 8):
+            A = random_unit_diag_psd(n, kind, 3, seed=n)
+            assert self._whole_reads(monkeypatch, call, A) \
+                == {"at": reads, "_cycle_polynomial_at": 1}
+
+    def test_above_the_cut_one_kernel_run_on_A_per_call(self, monkeypatch):
+        import alphaperm.inequalities as ineq
+        A = random_unit_diag_psd(11, REAL_SYMMETRIC, 2, seed=1)
+        runs = []
+
+        def spy(kernel):
+            def run(B):
+                runs.append((kernel.__name__, B is A))
+                return kernel(B)
+            return run
+
+        monkeypatch.setattr(ineq, "permanent", spy(permanent))
+        monkeypatch.setattr(ineq, "determinant", spy(determinant))
+        for check, kernel in ((check_lieb, "permanent"),
+                              (check_fischer, "determinant")):
+            for _ in range(2):
+                runs.clear()
+                assert len(check(A)) == 10
+                assert sorted(runs) == [(kernel, False)] * 20 \
+                    + [(kernel, True)]
 
 
 _memo_alphas = st.one_of(
@@ -495,29 +584,25 @@ _memo_alphas = st.one_of(
 
 # what a caller may build first; every order of them is drawn
 _WARM_UPS = {
-    "lieb-type": lambda A, alpha: [check_lieb_type(A, m, alpha)
-                                   for m in (None, *range(1, A.n))],
+    "lieb-type": lambda A, alpha: check_lieb_type(A, alpha),
     "marcus": lambda A, alpha: check_marcus(A, alpha),
-    "lieb-fischer": lambda A, alpha: [(check_lieb(A, m), check_fischer(A, m))
-                                      for m in range(1, A.n)],
+    "lieb-fischer": lambda A, alpha: (check_lieb(A), check_fischer(A)),
 }
 
 
-def _reads(n, alpha, tol):
-    """Every family result and table the package reads from an n x n
-    matrix at alpha, as functions of the matrix that give reprs, so that
+def _reads(alpha, tol):
+    """Every family result and table the package reads from a matrix at
+    alpha, as functions of the matrix that give reprs, so that
     types and signed zeros count."""
     def entries(table):
         return [repr(x) for x in table]
 
     reads = [lambda A: repr(check_marcus(A, alpha, tol)),
              lambda A: repr(check_neg_positivity(A, alpha, tol)),
-             lambda A: repr(check_lieb_type(A, None, alpha, tol)),
-             lambda A: entries(cycle_sum_table(A))]
-    for m in range(1, n):
-        reads += [lambda A, m=m: repr(check_lieb(A, m, tol)),
-                  lambda A, m=m: repr(check_fischer(A, m, tol)),
-                  lambda A, m=m: repr(check_lieb_type(A, m, alpha, tol))]
+             lambda A: repr(check_lieb_type(A, alpha, tol=tol)),
+             lambda A: entries(cycle_sum_table(A)),
+             lambda A: repr(check_lieb(A, tol=tol)),
+             lambda A: repr(check_fischer(A, tol=tol))]
     for sign in (1, -1):
         reads.append(lambda A, s=sign: repr(sorted(
             shape_averages(A, s, tol).items())))
@@ -544,7 +629,7 @@ class TestKeptTables:
             A, alpha = A.to_float(), to_float_scalar(alpha)
         for name in order:
             _WARM_UPS[name](A, alpha)
-        reads = _reads(A.n, alpha, tol)
+        reads = _reads(alpha, tol)
         # each read of the warm matrix against one on a copy of its own,
         # which keeps nothing yet
         assert [read(A) for read in reads] == [read(fresh())
@@ -563,11 +648,12 @@ _real_alphas = st.one_of(
 )
 
 
-def _lieb_type_by_submatrices(A, m, alpha):
-    """check_lieb_type recomputed at the split m (the whole matrix for m
-    None) on submatrix copies, which keep no tables: every per_alpha of
-    an exact A by its own DP, and of a float A by the copy's own cycle
-    polynomial."""
+def _lieb_type_by_submatrices(A, alpha):
+    """check_lieb_type recomputed on submatrix copies, which keep no
+    tables: every per_alpha of an exact A by its own DP, and of a float A
+    by the copy's own cycle polynomial. The whole matrix's comparisons
+    are made first, as check_lieb_type makes them, so that both raise the
+    same error first."""
     n = A.n
     hyp = binomials_nonnegative(alpha, n)
     A = submatrix(A, full_mask(n))
@@ -578,68 +664,87 @@ def _lieb_type_by_submatrices(A, m, alpha):
             return cycle_polynomials(B).at(a, 1.0)
     per_a, per_na = per_alpha(A, alpha), per_alpha(A, -alpha)
     sign_n = (-1) ** n
-    if m is None:
-        out = [compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp)]
-        if A.kind in ("rational", "float"):
-            scaled = per_a * (F(1, 2 ** n) if A.kind == "rational"
-                              else 0.5 ** n)
-            out.append(compare("half-scaled", per_alpha(A, alpha / 2),
-                               scaled, ">=", 0.0, hyp))
-        return out
-    low, high = split_masks(n, m)
-    Ap, App = submatrix(A, low), submatrix(A, high)
-    sign_m, sign_nm = (-1) ** m, (-1) ** (n - m)
-    return [
-        compare("lieb-alpha", per_a,
-                per_alpha(Ap, alpha) * per_alpha(App, alpha),
-                ">=", 0.0, hyp),
-        compare("neg-block", sign_n * per_na,
-                (sign_m * per_alpha(Ap, -alpha))
-                * (sign_nm * per_alpha(App, -alpha)), "<=", 0.0, hyp),
-    ]
+    whole = [compare("neg-nonneg", sign_n * per_na, 0, ">=", 0.0, hyp)]
+    if A.kind in ("rational", "float"):
+        scaled = per_a * (F(1, 2 ** n) if A.kind == "rational"
+                          else 0.5 ** n)
+        whole.append(compare("half-scaled", per_alpha(A, alpha / 2),
+                             scaled, ">=", 0.0, hyp))
+    out = []
+    for m in range(1, n):
+        low, high = split_masks(n, m)
+        Ap, App = submatrix(A, low), submatrix(A, high)
+        sign_m, sign_nm = (-1) ** m, (-1) ** (n - m)
+        out += [
+            compare("lieb-alpha", per_a,
+                    per_alpha(Ap, alpha) * per_alpha(App, alpha),
+                    ">=", 0.0, hyp)._replace(split=m),
+            compare("neg-block", sign_n * per_na,
+                    (sign_m * per_alpha(Ap, -alpha))
+                    * (sign_nm * per_alpha(App, -alpha)), "<=", 0.0,
+                    hyp)._replace(split=m),
+        ]
+    # the record order: lieb-alpha(1), neg-nonneg, neg-block(1), half-scaled
+    return out[:1] + whole[:1] + out[1:2] + whole[1:] + out[2:]
 
 
 class TestLiebType:
     def test_result_names_real(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=0)
-        names = [r.name for r in check_lieb_type(A, 1, F(2))]
-        assert names == ["lieb-alpha", "neg-block"]
-        names = [r.name for r in check_lieb_type(A, None, F(2))]
-        assert names == ["neg-nonneg", "half-scaled"]
+        names = [(r.name, r.split) for r in check_lieb_type(A, F(2))]
+        assert names == [("lieb-alpha", 1), ("neg-nonneg", None),
+                         ("neg-block", 1), ("half-scaled", None),
+                         ("lieb-alpha", 2), ("neg-block", 2)]
 
     def test_result_names_hermitian(self):
         A = random_psd(3, HERMITIAN, 3, seed=0)
-        names = [r.name for r in check_lieb_type(A, 1, F(2))]
-        assert names == ["lieb-alpha", "neg-block"]
-        names = [r.name for r in check_lieb_type(A, None, F(2))]
-        assert names == ["neg-nonneg"]
+        names = [(r.name, r.split) for r in check_lieb_type(A, F(2))]
+        assert names == [("lieb-alpha", 1), ("neg-nonneg", None),
+                         ("neg-block", 1), ("lieb-alpha", 2),
+                         ("neg-block", 2)]
+
+    @pytest.mark.parametrize("kind, names", [
+        (REAL_SYMMETRIC, ["neg-nonneg", "half-scaled"]),
+        (HERMITIAN, ["neg-nonneg"])])
+    def test_without_a_split_only_the_whole_matrix(self, kind, names):
+        for A in (Matrix([], kind=random_psd(1, kind, 3, 0).kind),
+                  random_psd(1, kind, 3, seed=2)):
+            rs = check_lieb_type(A, F(2))
+            assert [(r.name, r.split) for r in rs] \
+                == [(name, None) for name in names]
+
+    def test_alpha_is_not_positional_after_the_matrix(self):
+        # a call in the per-split form check_lieb_type(A, m, alpha) fails
+        # instead of reading m as alpha
+        A = random_psd(3, REAL_SYMMETRIC, 3, seed=0)
+        for call in (lambda: check_lieb_type(A, 1, F(2)),
+                     lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_in_regime_holds(self):
         for seed in range(4):
             A = random_psd(4, REAL_SYMMETRIC, 3, seed=seed + 60)
             for alpha in (F(0), F(1), F(2), F(3), F(4), F(7, 2)):
-                for m in (None, 1, 2, 3):
-                    for r in check_lieb_type(A, m, alpha):
-                        assert r.hypothesis is True
-                        assert r.ok, (r.name, alpha, m, seed)
+                for r in check_lieb_type(A, alpha):
+                    assert r.hypothesis is True
+                    assert r.ok, (r.name, alpha, r.split, seed)
 
     def test_alpha_zero_equalities(self):
         A = random_psd(3, REAL_SYMMETRIC, 3, seed=5)
-        for m in (None, 1):
-            for r in check_lieb_type(A, m, F(0)):
-                assert r.verdict == EQUALITY
+        for r in check_lieb_type(A, F(0)):
+            assert r.verdict == EQUALITY
 
     def test_out_of_regime_flagged(self):
         A = random_psd(4, REAL_SYMMETRIC, 3, seed=7)
-        for m in (None, 2):
-            for r in check_lieb_type(A, m, F(3, 2)):
-                assert r.hypothesis is False
+        for r in check_lieb_type(A, F(3, 2)):
+            assert r.hypothesis is False
 
     def test_block_diagonal_equality_in_lieb_alpha(self):
         B = random_psd(2, REAL_SYMMETRIC, 3, seed=8)
         C = random_psd(2, REAL_SYMMETRIC, 3, seed=9)
         A = direct_sum(B, C)
-        r = check_lieb_type(A, 2, F(3))[0]
+        r = _at(check_lieb_type(A, F(3)), 2)[0]
         assert r.name == "lieb-alpha" and r.verdict == EQUALITY
 
     def test_neg_positivity_full_matrix(self):
@@ -663,13 +768,14 @@ class TestLiebType:
                 falling = math.prod(a - j for j in range(n))
                 assert (-1) ** n * per_alpha_naive(J, -a) == falling
                 assert (-1) ** n * per_alpha_dp(J, -a) == falling
-        (r, *_) = check_lieb_type(ones(3), None, F(3, 2))
+        (r, *_) = _at(check_lieb_type(ones(3), F(3, 2)), None)
         assert r.name == "neg-nonneg"
         assert r.slack == F(-3, 8)
         assert r.hypothesis is False
+        results = check_lieb_type(ones(4), F(13, 10))
         for m, want in ((1, F(-819, 1000)), (2, F(-39, 125)),
                         (3, F(-819, 1000))):
-            r = {r.name: r for r in check_lieb_type(ones(4), m, F(13, 10))}
+            r = {r.name: r for r in _at(results, m)}
             assert r["neg-block"].slack == want
             assert r["neg-block"].hypothesis is False
 
@@ -681,26 +787,26 @@ class TestLiebType:
         if float_mode:
             A, alpha = A.to_float(), to_float_scalar(alpha)
         kept = cycle_polynomials(A)
-        for m in (None, *range(1, A.n)):
-            expect = _lieb_type_by_submatrices(A, m, alpha)
-            assert check_lieb_type(A, m, alpha) == expect
-            # a copy builds its own polynomials at its first split
-            copy = submatrix(A, full_mask(A.n))
-            assert check_lieb_type(copy, m, alpha) == expect
+        expect = _lieb_type_by_submatrices(A, alpha)
+        assert check_lieb_type(A, alpha) == expect
+        # a copy builds its own polynomials
+        copy = submatrix(A, full_mask(A.n))
+        assert check_lieb_type(copy, alpha) == expect
         assert cycle_polynomials(A) is kept
 
 
 def _lieb_type_gate_failures(check):
-    """The (instance, alpha, split) cases, real and Hermitian at n = 2..5,
-    where check(A, m, alpha) is not _lieb_type_by_submatrices."""
+    """The (instance, alpha, result) cases, real and Hermitian at
+    n = 2..5, where check(A, alpha) is not _lieb_type_by_submatrices."""
     failures = 0
     for n in range(2, 6):
         for kind in (REAL_SYMMETRIC, HERMITIAN):
             A = random_psd(n, kind, 3, seed=n)
             for alpha in (F(13, 10), F(-7, 4), F(5, 2)):
-                for m in range(1, n):
-                    failures += check(A, m, alpha) \
-                        != _lieb_type_by_submatrices(A, m, alpha)
+                got = check(A, alpha)
+                want = _lieb_type_by_submatrices(A, alpha)
+                failures += len(got) != len(want)
+                failures += sum(map(operator.ne, got, want))
     return failures
 
 
@@ -780,16 +886,13 @@ def _float_family_misses(tol=1e-9) -> list:
             A = random_psd(n, kind, 3, seed=n).to_float()
             for alpha in (0.0, 1.0, 1.3, -1.75, n - 1.0, float(n)):
                 want = _float_families_by_dps(A, alpha)
-                got = [(r, None) for r in check_lieb_type(A, None, alpha,
-                                                          tol)]
-                got += [(r, None) for r in check_marcus(A, alpha, tol)]
-                got += [(r, m) for m in range(1, n)
-                        for r in check_lieb_type(A, m, alpha, tol)]
+                got = (check_lieb_type(A, alpha, tol=tol)
+                       + check_marcus(A, alpha, tol))
                 assert len(got) == len(want)
-                for r, m in got:
-                    lhs, rhs = want[r.name, m]
+                for r in got:
+                    lhs, rhs = want[r.name, r.split]
                     if not (close(r.lhs, lhs) and close(r.rhs, rhs)):
-                        misses.append((n, kind, alpha, r.name, m))
+                        misses.append((n, kind, alpha, r.name, r.split))
     return misses
 
 
@@ -831,16 +934,14 @@ class TestFloatFamilies:
 
         def verdicts(B, alpha, tol):
             rs = check_marcus(B, alpha, tol) \
-                + check_lieb_type(B, None, alpha, tol)
-            for m in range(1, n):
-                rs += check_lieb_type(B, m, alpha, tol)
-            return [(r.name, r.verdict) for r in rs]
+                + check_lieb_type(B, alpha, tol=tol)
+            return [(r.name, r.split, r.verdict) for r in rs]
 
         for alpha in (F(0), F(1), F(13, 10), F(-7, 4), F(n - 1), F(n)):
             exact = verdicts(A, alpha, 0.0)
             assert verdicts(Af, to_float_scalar(alpha), 1e-9) == exact
             if A.rows and not any(A.rows[-1]):
-                assert {v for _, v in exact} == {EQUALITY}
+                assert {v for *_, v in exact} == {EQUALITY}
 
 
 def _typed(r):
@@ -902,18 +1003,18 @@ class TestTableCompare:
     @settings(max_examples=40, deadline=None)
     def test_equals_compare_of_submatrix_dps(self, A, alpha):
         n = A.n
-        for m in (None, *range(1, n)):
-            assert list(map(_typed, check_lieb_type(A, m, alpha))) \
-                == list(map(_typed, _lieb_type_by_submatrices(A, m, alpha)))
+        assert list(map(_typed, check_lieb_type(A, alpha))) \
+            == list(map(_typed, _lieb_type_by_submatrices(A, alpha)))
         whole = submatrix(A, full_mask(n))
+        lieb, fischer = check_lieb(A), check_fischer(A)
         for m in range(1, n):
             blocks = (whole, *(submatrix(A, T) for T in split_masks(n, m)))
             per = [per_alpha_dp(B, F(1)) for B in blocks]
             det = [(-1) ** B.n * per_alpha_dp(B, F(-1)) for B in blocks]
-            assert _typed(check_lieb(A, m)) == _typed(
-                compare("lieb", per[0], per[1] * per[2], ">="))
-            assert _typed(check_fischer(A, m)) == _typed(
-                compare("fischer", det[0], det[1] * det[2], "<="))
+            assert _typed(lieb[m - 1]) == _typed(compare(
+                "lieb", per[0], per[1] * per[2], ">=")._replace(split=m))
+            assert _typed(fischer[m - 1]) == _typed(compare(
+                "fischer", det[0], det[1] * det[2], "<=")._replace(split=m))
 
     @given(_gaussian_tables(), st.sampled_from([1, -1]),
            st.sampled_from([">=", "<="]),
@@ -939,10 +1040,10 @@ class TestTableCompare:
         alpha = F(3, 2)
         low, _ = split_masks(4, 1)
         _poison_row(A, -1 if where == "whole" else low)
-        calls = [lambda: check_lieb_type(A, 1, alpha),
-                 lambda: check_lieb(A, 1), lambda: check_fischer(A, 1)]
+        calls = [lambda: check_lieb_type(A, alpha),
+                 lambda: check_lieb(A), lambda: check_fischer(A)]
         if where == "whole":
-            calls.append(lambda: check_lieb_type(A, None, alpha))
+            calls.append(lambda: check_neg_positivity(A, alpha))
         for call in calls:
             with pytest.raises(ArithmeticError, match="imaginary residue"):
                 call()
@@ -959,10 +1060,7 @@ class TestTableCompare:
 
         for name in ("__mul__", "__rmul__", "__sub__", "__rsub__"):
             monkeypatch.setattr(GaussianRational, name, forbidden)
-        results = check_lieb_type(A, None, alpha)
-        for m in range(1, 5):
-            results += [*check_lieb_type(A, m, alpha), check_lieb(A, m),
-                        check_fischer(A, m)]
+        results = check_lieb_type(A, alpha) + check_lieb(A) + check_fischer(A)
         assert len(results) == 17
         assert {(r.mode, r.tol) for r in results} == {("exact", 0.0)}
 
@@ -1147,10 +1245,9 @@ class TestMarcusPolynomial:
             == _outcome(neg_positivity)
         # lieb-type reads Gaussian rows, prefix rows built on first read
         self._rows_are_the_oracles(Matrix(A.rows))
-        for m in (None, *range(1, n)):
-            assert _outcome(lambda: list(map(_typed, check_lieb_type(
-                A, m, alpha)))) == _outcome(lambda: list(map(
-                    _typed, _lieb_type_by_submatrices(A, m, alpha))))
+        assert _outcome(lambda: list(map(_typed, check_lieb_type(
+            A, alpha)))) == _outcome(lambda: list(map(
+                _typed, _lieb_type_by_submatrices(A, alpha))))
 
     def test_marcus_lower_fails_for_J6_and_J8(self):
         # the chain at alpha >= 1 is proven only for n <= 5; the all-ones
@@ -1224,23 +1321,19 @@ def _exact_result_gate_failures():
         for kind in (REAL_SYMMETRIC, HERMITIAN):
             A = random_psd(n, kind, 3, seed=n)
             for alpha in (F(13, 10), F(-7, 4), F(5, 2)):
-                results = [(r, None) for r in (*check_marcus(A, alpha),
-                                               *check_lieb_type(A, None,
-                                                                alpha))]
-                for m in range(1, n):
-                    results += [(r, m) for r in (
-                        check_lieb(A, m), check_fischer(A, m),
-                        *check_lieb_type(A, m, alpha))]
-                for r, m in results:
+                results = (check_marcus(A, alpha) + check_lieb(A)
+                           + check_fischer(A) + check_lieb_type(A, alpha))
+                for r in results:
                     sign = EQUALITY if r.slack == 0 else (
                         HOLDS if r.slack > 0 else VIOLATED)
                     failures += r.verdict != sign
-                    failures += r.slack != _naive_slack(r.name, A, alpha, m)
+                    failures += r.slack != _naive_slack(r.name, A, alpha,
+                                                        r.split)
     failures += _outcome(lambda: compare("x", F(1), G(1, 2), ">=")) \
         != ("raises", "imaginary residue 2 in a real quantity")
     A = random_psd(4, HERMITIAN, 3, seed=2)
     _poison_row(A, split_masks(4, 1)[0])
-    failures += _outcome(lambda: check_lieb(A, 1))[0] != "raises"
+    failures += _outcome(lambda: check_lieb(A))[0] != "raises"
     return failures
 
 
@@ -1376,6 +1469,30 @@ class TestPShape:
             else:
                 assert type(got[shape]) is F and got[shape] == want
 
+    @given(st.one_of(_exact_instances, _complex_matrices(),
+                     st.builds(random_matrix, st.integers(1, 4),
+                               st.just("rational"), st.just(3),
+                               st.integers(0, 10 ** 6))),
+           st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_the_sign_tables(self, A, sign):
+        # on every block the cycle polynomials at (sign, 1) hand out the
+        # entry the subset DP at alpha = sign does, of the same type over
+        # the same base, so the averages are those the DP's table gives
+        at = cycle_polynomials(A).at
+        f, unit = per_alpha_minors(A, F(sign)).ring()
+        assert [(at(sign, 1, T), type(at(sign, 1, T)))
+                for T in range(1, len(f))] \
+            == [(x, type(x)) for x in f[1:]]
+
+        def averages_by_the_table():
+            return {shape: _real_value(total * unit, 0.0)
+                    / shape_partition_count(A.n, shape)
+                    for shape, total in shape_partition_sums(f, A.n).items()}
+
+        assert _outcome(lambda: sorted(shape_averages(A, sign).items())) \
+            == _outcome(lambda: sorted(averages_by_the_table().items()))
+
 
 class TestMajorization:
     def test_merge_pairs_five(self):
@@ -1482,8 +1599,9 @@ class TestFinding:
                                       "neg-block"])
     def test_split_comparison_without_split_is_domain_error(self, name):
         A = random_psd(4, REAL_SYMMETRIC, 3, seed=43)
-        with pytest.raises(DomainError):
-            evaluate_comparison(name, A, F(3, 2), None)
+        for split in (None, 0, 4, "2"):
+            with pytest.raises(DomainError):
+                evaluate_comparison(name, A, F(3, 2), split)
         f = Finding(name=name, record="violation", matrix=dumps_matrix(A),
                     sha256=matrix_digest(A), alpha="3/2", split=None,
                     slack="0", seed=0, trial=0)
@@ -1803,16 +1921,14 @@ def _observations_per_split(cfg):
     for t in range(cfg.trials):
         A = _trial_matrix(cfg, t)
         alpha = _trial_alpha(cfg, _alpha_bounds(cfg), t)
+        results = _lieb_type_by_submatrices(A, alpha)
         for m in range(1, cfg.n):
-            split = _lieb_type_by_submatrices(A, m, alpha)
-            whole = _lieb_type_by_submatrices(A, None, alpha)
-            for r, where in [(r, m) for r in split] + \
-                    [(r, None) for r in whole]:
+            for r in _at(results, m) + _at(results, None):
                 gated = r.name != "neg-nonneg" or r.hypothesis
                 if gated and r.verdict == VIOLATED:
-                    seen.add(("violation", t, r.name, where, r.slack))
+                    seen.add(("violation", t, r.name, r.split, r.slack))
                 elif not gated and r.slack < 0:
-                    seen.add(("sign", t, r.name, where, r.slack))
+                    seen.add(("sign", t, r.name, r.split, r.slack))
                 if gated and (least is None or r.slack < least):
                     least = r.slack
     return seen, least
@@ -1901,8 +2017,8 @@ class TestOneRecordPerObservation:
             walked.append(A.rows)
             return polynomial(A, cap)
 
-        def violated(A, m, tol=0.0):
-            return lieb(A, m, tol)._replace(verdict=VIOLATED)
+        def violated(A, *, tol=0.0):
+            return [r._replace(verdict=VIOLATED) for r in lieb(A, tol=tol)]
 
         monkeypatch.setattr(ineq, "_naive_cycle_polynomial", counting)
         monkeypatch.setattr(suites, "check_lieb", violated)
@@ -1914,11 +2030,10 @@ class TestOneRecordPerObservation:
 
 class TestInequalityTrial:
     def test_one_table_pair_per_instance(self, monkeypatch):
-        # trial 3 is an n = 5 real instance: one cycle table, one DP per
-        # sign (alpha = +1 and -1) for the shape averages and no other, one
-        # cycle polynomial build for lieb, fischer and the seven alphas,
-        # one shape-average build per sign, and Glynn only inside
-        # check_haf_per
+        # trial 3 is an n = 5 real instance: one cycle table, no subset
+        # DP, one cycle polynomial build for lieb, fischer, the seven
+        # alphas and the shape averages, one shape-average build per sign,
+        # and Glynn only inside check_haf_per
         import alphaperm.inequalities as ineq
         import alphaperm.kernels as kernels
         import alphaperm.partitions as partitions
@@ -1975,10 +2090,9 @@ class TestInequalityTrial:
                                                "majorization-det"}
         assert calls["table"] == [5]
         assert len(alpha_set_for("theorem2", 5, 0, 3)) == 7
-        # the shape averages' tables; lieb, fischer and every alpha-family
-        # read the one polynomial
-        assert sorted(calls["dp"]) == [(Fraction(-1), False),
-                                       (Fraction(1), False)]
+        # lieb, fischer, every alpha-family and the shape averages read
+        # the one polynomial
+        assert calls["dp"] == []
         assert calls["graded"] == [5]
         assert calls["averages"] == [1, -1]
         assert calls["ryser"] == [True]

@@ -1095,7 +1095,8 @@ class TestKeptTables:
             assert repr(per_alpha_minors(B, second)[-1]) == repr(want)
 
     def test_one_build_per_matrix_and_key(self):
-        # A keeps its cycle table and shape averages; a table at any alpha,
+        # A keeps its cycle table, the cycle polynomials the shape
+        # averages read, and the shape averages; a table at any alpha,
         # +-1 included, is a new DP at each call
         A = random_psd(4, HERMITIAN, 3, seed=3)
         table = cycle_sum_table(A)
@@ -1111,7 +1112,8 @@ class TestKeptTables:
         assert again is not minors
         assert [repr(x) for x in again] == [repr(x) for x in minors]
         assert sorted(A._tables, key=repr) == [
-            "cycle", ("shape-averages", -1, 0.0), ("shape-averages", 1, 0.0)]
+            "cycle", "cycle-polynomial", ("shape-averages", -1, 0.0),
+            ("shape-averages", 1, 0.0)]
 
     def test_kept_tables_stay_under_an_explicit_cap(self):
         A = random_matrix(4, "rational", seed=6)

@@ -9,9 +9,11 @@ fail on a subscripted .values, .imag or .rows attribute, and on an
 unpacking of cycle_polynomials(...).
 
 Both lanes of inequalities read one alpha-source, the cycle polynomials,
-lieb and fischer at alpha = 1 included: it calls no per_alpha_dp, and
-per_alpha_minors only inside _shape_averages, the +-1 tables of the
-shape averages.
+lieb and fischer at alpha = 1 and the shape averages at +-1 included: it
+calls neither per_alpha_dp nor per_alpha_minors.
+
+What a matrix keeps goes through kernels.kept alone: no other module
+reads or writes an attribute named _tables.
 """
 
 import ast
@@ -76,17 +78,15 @@ def test_methods_and_plain_names_pass(line):
 
 
 def alpha_source_violations(source: str) -> list:
-    """(line, function, kernel) for each call in source of per_alpha_dp,
-    or of per_alpha_minors outside _shape_averages; function is the
-    top-level definition that holds the call."""
+    """(line, function, kernel) for each call in source of per_alpha_dp
+    or per_alpha_minors; function is the top-level definition that holds
+    the call."""
     found = []
     for top in ast.parse(source).body:
         where = getattr(top, "name", None)
         for node in ast.walk(top):
             for kernel in ("per_alpha_dp", "per_alpha_minors"):
-                if _called(node, kernel) and not (
-                        kernel == "per_alpha_minors"
-                        and where == "_shape_averages"):
+                if _called(node, kernel):
                     found.append((node.lineno, where, kernel))
     return found
 
@@ -108,10 +108,14 @@ def test_each_second_alpha_source_is_caught(source):
     assert alpha_source_violations(source) != []
 
 
-def test_shape_averages_may_build_the_sign_tables():
+def test_shape_averages_building_the_sign_tables_are_caught():
+    # the +-1 tables the shape averages read before they read the cycle
+    # polynomials
     source = ("def _shape_averages(A, sign, tol):\n"
-              "    minors = per_alpha_minors(A, sign)")
-    assert alpha_source_violations(source) == []
+              "    f, unit = per_alpha_minors(\n"
+              "        A, sign if kind_is_exact(A.kind) else float(sign)).ring()")
+    assert alpha_source_violations(source) \
+        == [(2, "_shape_averages", "per_alpha_minors")]
 
 
 def test_sign_tables_for_lieb_and_fischer_are_caught():
@@ -125,3 +129,45 @@ def test_sign_tables_for_lieb_and_fischer_are_caught():
     assert [(where, kernel) for _, where, kernel
             in alpha_source_violations(source)] \
         == [("sign_minors", "per_alpha_minors")]
+
+
+def kept_state_violations(source: str) -> list:
+    """(line, access) for each read or write in source of an attribute
+    named _tables, the dict kernels.kept fills."""
+    return [(node.lineno, ast.unparse(node))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_tables"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in SRC.glob("*.py") if path.name != "kernels.py"))
+def test_only_kernels_touches_what_a_matrix_keeps(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert kept_state_violations(source) == []
+
+
+def test_kernels_keeps_through_its_tables():
+    source = (SRC / "kernels.py").read_text(encoding="utf-8")
+    assert kept_state_violations(source) != []
+
+
+@pytest.mark.parametrize("line", [
+    "whole = A._tables.get(('whole', sign))",
+    "whole = A._tables['whole', sign] = value(A)",
+    "A._tables = {}",
+    "del self._tables[key]",
+    "seen = sorted(B._tables, key=repr)",
+    "if 'cycle' in submatrix(A, T)._tables: pass",
+])
+def test_each_touch_of_kept_state_is_caught(line):
+    assert kept_state_violations(line) != []
+
+
+@pytest.mark.parametrize("line", [
+    "polynomials = kept(A, 'cycle-polynomial', build)",
+    "object.__setattr__(self, '_tables', {})",
+    "tables = A.tables",
+    "__slots__ = ('n', 'rows', '_tables')",
+])
+def test_kept_and_the_slot_itself_pass(line):
+    assert kept_state_violations(line) == []

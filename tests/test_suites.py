@@ -211,9 +211,9 @@ class TestInequalitySuite:
         import alphaperm.suites as suites
         lieb = suites.check_lieb
 
-        def poisoned(A, m, tol=0.0):
-            return lieb(A, m, tol)._replace(slack=Fraction(-1),
-                                            verdict=VIOLATED)
+        def poisoned(A, *, tol=0.0):
+            return [r._replace(slack=Fraction(-1), verdict=VIOLATED)
+                    for r in lieb(A, tol=tol)]
 
         monkeypatch.setattr(suites, "check_lieb", poisoned)
         with pytest.raises(OracleMismatch, match="lieb at trial 0"):
@@ -230,8 +230,8 @@ class TestInequalitySuite:
         def violated(r):
             return r._replace(verdict=VIOLATED)
 
-        monkeypatch.setattr(suites, "check_lieb",
-                            lambda A, m, tol=0.0: violated(lieb(A, m, tol)))
+        monkeypatch.setattr(suites, "check_lieb", lambda A, *, tol=0.0: [
+            violated(r) for r in lieb(A, tol=tol)])
         monkeypatch.setattr(suites, "check_marcus", lambda A, a, tol=0.0: [
             violated(r) if r.name == "marcus-upper" else r
             for r in marcus(A, a, tol)])
@@ -241,8 +241,7 @@ class TestInequalitySuite:
         expect = {"lieb": [], "marcus-upper": []}
         for t in range(2):
             A = suites._trial_psd(n_max, seed, t)
-            expect["lieb"] += [(None, m, lieb(A, m).slack, t)
-                               for m in range(1, A.n)]
+            expect["lieb"] += [(None, r.split, r.slack, t) for r in lieb(A)]
             expect["marcus-upper"] += [
                 (str(a), None, marcus(A, a)[0].slack, t)
                 for a in alpha_set_for("theorem2", A.n, seed, t)]
